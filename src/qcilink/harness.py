@@ -11,16 +11,20 @@ discarded rather than folded in.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import multiprocessing
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import spec_from_psnr
 from .coding import ParityCheckCode, bundled_code, decode_bp, deinterleave, encode, info_bits_of, interleave, load_alist
-from .constellation import load_constellation, power_stats
+from .constellation import SUPPORTED_QAM_SIZES, load_constellation, power_stats
 from .demapper import DEMAPPER_KINDS, custom_context, demap, estimate_affine_compensation, qam_context, qci_context
 from .errors import ConfigError
 from .metrics import GMI_MIN_SAMPLES, MeanAccumulator, SweepRecord, gmi_symbol_scores, scatter_dump
@@ -62,7 +66,7 @@ class SimConfig:
     code_file: str | None = None
     max_iters: int = 50
     seed: int = 1
-    workers: int = 0          # 0 -> cpu count
+    workers: int = 0          # 0 -> CPUs this process may run on
     output: str = "sweep.csv"
 
 
@@ -127,8 +131,13 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("family 'file' requires constellation_file")
     if cfg.family == "file" and cfg.demapper not in ("exact2d", "maxlog2d"):
         raise ConfigError("loaded constellations support only exact2d/maxlog2d demapping")
+    if cfg.family in ("qam", "qci") and cfg.M not in SUPPORTED_QAM_SIZES:
+        raise ConfigError(f"unsupported M={cfg.M} for family {cfg.family!r}; "
+                          f"choose from {SUPPORTED_QAM_SIZES}")
     if cfg.family == "qam" and cfg.demapper == "qci_lcd_compensated":
         raise ConfigError("compensation is meaningful only for the qci family")
+    if cfg.family != "qam" and cfg.demapper == "qam_decomposed":
+        raise ConfigError("qam_decomposed demapping is exact only for the qam family")
     if cfg.psnr_step <= 0.0:
         raise ConfigError("psnr_step must be positive")
     if cfg.psnr_start > cfg.psnr_stop:
@@ -233,13 +242,79 @@ def _coded_task(args):
     return frames, frame_errors, frames * code.k, bit_errors
 
 
+# (get, set) thread-count entry points of the OpenBLAS builds numpy ships with:
+# the scipy-openblas wheels, a 64-bit-integer build, a plain build
+_OPENBLAS_API = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class _OpenBlas(NamedTuple):
+    get: Callable[[], int]
+    set: Callable[[int], None]
+    initial: int  # thread count at first use
+
+
+@functools.cache
+def _openblas() -> _OpenBlas | None:
+    """Thread-count control of the loaded OpenBLAS, or None if none is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = [line.split()[-1] for line in fh if "openblas" in line.lower()]
+    except OSError:
+        return None
+    for path in dict.fromkeys(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_API:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return _OpenBlas(get, set_, get())
+    return None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which an affinity mask or cpuset can limit."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _share_cores_with_blas(workers: int, cores: int) -> None:
+    """Split the cores between the process pool and OpenBLAS.
+
+    Forked workers inherit the parent's OpenBLAS thread count, and an
+    idle OpenBLAS helper thread keeps spinning on a core, so before a pool
+    of ``workers`` starts the count becomes ``cores // workers`` (at least
+    one) and workers x threads stays within the cores. An inline run gets
+    back the count found at first use. The count is left as set when the
+    pool closes, because the next pooled run wants the same count, and is
+    changed only when it differs.
+    """
+    blas = _openblas()
+    if blas is None:
+        return
+    want = max(1, cores // workers) if workers > 1 else blas.initial
+    if blas.get() != want:
+        blas.set(want)
+
+
 class _Executor:
     """Runs block tasks inline or on a process pool; results stay ordered."""
 
     def __init__(self, cfg: SimConfig):
-        workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
+        cores = _usable_cpus()
+        workers = cfg.workers if cfg.workers > 0 else cores
         self.workers = workers
         self.pool = None
+        _share_cores_with_blas(workers, cores)
         if workers > 1:
             self.pool = multiprocessing.get_context("fork").Pool(
                 workers, initializer=_init_worker, initargs=(cfg,)

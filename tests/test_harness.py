@@ -1,10 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
-from qcilink import SimConfig, parse_config, psnr_grid, run
+from qcilink import SimConfig, harness, parse_config, psnr_grid, run
 from qcilink.cli import main
 from qcilink.errors import ConfigError
 from qcilink.harness import resolved_samples, resolved_target_errors
+
+# first use of the OpenBLAS helper: a workers=1 run restores this count
+_OPENBLAS = harness._openblas()
 
 
 class TestParseConfig:
@@ -116,6 +121,53 @@ class TestGmiMode:
         run(SimConfig(workers=2, output=str(out2), **base))
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_workers_do_not_change_exact2d_output(self, tmp_path):
+        # the threaded-BLAS path: (N, M) distance matrices at M = 256
+        base = dict(mode="gmi", family="qci", M=256, demapper="exact2d",
+                    psnr_start=22.0, psnr_stop=22.0, samples=250_000, seed=5)
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        run(SimConfig(workers=1, output=str(out1), **base))
+        run(SimConfig(workers=2, output=str(out2), **base))
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+def _openblas_threads(_):
+    return _OPENBLAS.get()
+
+
+def _pool_budget(workers):
+    return max(1, len(os.sched_getaffinity(0)) // workers)
+
+
+@pytest.mark.skipif(_OPENBLAS is None, reason="numpy does not use a loadable OpenBLAS")
+class TestBlasBudget:
+    def test_pool_workers_run_with_the_blas_budget(self, tmp_path):
+        cfg = SimConfig(mode="gmi", family="qci", M=16, workers=2,
+                        output=str(tmp_path / "unused.csv"))
+        execu = harness._Executor(cfg)
+        try:
+            counts = execu.map(_openblas_threads, range(4))
+        finally:
+            execu.close()
+        assert counts == [_pool_budget(2)] * 4
+
+    def test_inline_run_restores_the_count_at_first_use(self, tmp_path):
+        base = dict(mode="gmi", family="qci", M=16, demapper="qci_lcd",
+                    psnr_start=11.0, psnr_stop=11.0, samples=100_000, seed=3,
+                    output=str(tmp_path / "g.csv"))
+        run(SimConfig(workers=2, **base))
+        assert _OPENBLAS.get() == _pool_budget(2)
+        run(SimConfig(workers=1, **base))
+        assert _OPENBLAS.get() == _OPENBLAS.initial
+
+
+def test_workers_0_counts_the_cpus_of_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    execu = harness._Executor(SimConfig(mode="gmi", workers=0))
+    execu.close()
+    assert execu.workers == 1
+    assert execu.pool is None
+
 
 class TestUncodedMode:
     def test_stops_at_error_target(self, tmp_path):
@@ -173,6 +225,17 @@ class TestCli:
                    "--psnr", "10:11:0.5"])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--M", "12"],
+        ["--family", "qci", "--demapper", "qam_decomposed"],
+    ])
+    def test_unsupported_config_exits_2_before_running(self, flags, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc = main(["gmi", *flags, "--psnr", "11:11:1", "--output", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_psnr_flag_exit_code(self):
         assert main(["gmi", "--psnr", "10-20-1"]) == 2
