@@ -50,16 +50,7 @@ from .demapper import (
 from .errors import ConfigError, DataFormatError
 from .geometry import radial_forward, radial_inverse
 from .harness import SimConfig, parse_config, psnr_grid, run
-from .metrics import (
-    GmiEstimate,
-    ScatterDump,
-    SweepRecord,
-    ber_accumulate,
-    gmi_estimate,
-    horizontal_gap,
-    merge_records,
-    scatter_dump,
-)
+from .metrics import ScatterDump, SweepRecord, gmi_symbol_scores, horizontal_gap, scatter_dump
 from .peg import build_peg_code
 
 __version__ = "0.1.0"

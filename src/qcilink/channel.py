@@ -56,16 +56,16 @@ def spec_from_psnr(psnr_db: float, stats: PowerStats) -> ChannelSpec:
     return ChannelSpec(n0=n0, psnr_db=float(psnr_db), snr_db=float(psnr_db) - obo_db, obo_db=obo_db)
 
 
-def transmit(symbols: np.ndarray, spec: ChannelSpec, rng: np.random.Generator) -> np.ndarray:
-    """Add white Gaussian noise with variance n0/2 per dimension.
+def transmit(symbols: np.ndarray, n0: float, rng: np.random.Generator) -> np.ndarray:
+    """Add white Gaussian noise of total power n0 (variance n0/2 per dimension).
 
-    Deterministic given the generator state; workers should derive
-    independent streams from (master seed, block index).
+    This is the simulator's one noise draw. Deterministic given the
+    generator state; workers should derive independent streams from
+    (master seed, block index).
     """
     x = np.asarray(symbols, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("symbols must be finite")
-    if spec.n0 <= 0.0:
+    if not n0 > 0.0:
         raise ValueError("n0 must be positive")
-    sigma = np.sqrt(spec.n0 / 2.0)
-    return x + rng.normal(0.0, sigma, size=x.shape)
+    return x + rng.normal(0.0, np.sqrt(n0 / 2.0), size=x.shape)

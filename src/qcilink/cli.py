@@ -45,16 +45,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output")
 
 
-def _overrides_from(args: argparse.Namespace, mode: str | None) -> dict:
+def _overrides_from(args: argparse.Namespace) -> dict:
     keys = (
-        "family", "M", "constellation_file", "demapper", "samples",
+        "mode", "family", "M", "constellation_file", "demapper", "samples",
         "target_errors", "comp_samples", "code_file", "max_iters",
         "seed", "workers", "output",
     )
     ov = {k: getattr(args, k, None) for k in keys}
-    if mode is not None:
-        ov["mode"] = mode
-    if getattr(args, "psnr", None):
+    if args.psnr:
         parts = args.psnr.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--psnr expects start:stop:step, got {args.psnr!r}")
@@ -66,33 +64,16 @@ def _overrides_from(args: argparse.Namespace, mode: str | None) -> dict:
     return {k: v for k, v in ov.items() if v is not None}
 
 
-def _cmd_sweep(args) -> int:
-    mode = "coded_ber" if args.coded else "uncoded_ber"
-    cfg = parse_config(args.config, _overrides_from(args, mode))
+def _cmd_run(args) -> int:
+    cfg = parse_config(args.config, _overrides_from(args))
     records = run(cfg)
-    print(f"wrote {len(records)} records to {cfg.output}")
-    return 0
-
-
-def _cmd_gmi(args) -> int:
-    cfg = parse_config(args.config, _overrides_from(args, "gmi"))
-    records = run(cfg)
-    print(f"wrote {len(records)} records to {cfg.output}")
-    return 0
-
-
-def _cmd_scatter(args) -> int:
-    cfg = parse_config(args.config, _overrides_from(args, "scatter"))
-    run(cfg)
-    print(f"wrote scatter dump to {cfg.output}")
-    return 0
-
-
-def _cmd_complexity(args) -> int:
-    cfg = parse_config(args.config, _overrides_from(args, "complexity"))
-    records = run(cfg)
-    for r in records:
-        print(f"M={args.M or cfg.M} {r.demapper}: {r.value:g} distance evals/symbol")
+    if cfg.mode == "scatter":
+        print(f"wrote scatter dump to {cfg.output}")
+    elif cfg.mode == "complexity":
+        for r in records:
+            print(f"M={cfg.M} {r.demapper}: {r.value:g} distance evals/symbol")
+    else:
+        print(f"wrote {len(records)} records to {cfg.output}")
     return 0
 
 
@@ -133,6 +114,14 @@ def _build_constellation(args):
     raise ConfigError(f"unknown family {family!r}")
 
 
+def _run_into_one_csv(cfgs, path: Path) -> None:
+    """Run each config in turn and write all their records to the CSV at ``path``."""
+    tmp = path.with_name("_tmp_" + path.name)
+    records = [r for cfg in cfgs for r in run(replace(cfg, output=str(tmp)))]
+    tmp.unlink(missing_ok=True)
+    write_records_csv(records, path)
+
+
 def _cmd_make_figures(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -145,22 +134,12 @@ def _cmd_make_figures(args) -> int:
             raise ConfigError(f"no default PSNR window for M={M}")
         lo, hi = DEFAULT_FIGURE_WINDOWS[M]
         common = replace(base, M=M, psnr_start=lo, psnr_stop=hi)
-
-        curves = [("qam", "qam_decomposed"), ("qci", "qci_lcd"), ("qci", "exact2d")]
-        records = []
-        for family, kind in curves:
-            cfg = replace(common, family=family, demapper=kind,
-                          output=str(outdir / f"_tmp_m{M}.csv"))
-            records.extend(run(cfg))
-        write_records_csv(records, outdir / f"fig_ber_analogue_gmi_m{M}.csv")
-
-        records = []
-        for kind in ("qci_lcd", "qci_remapped_2d"):
-            cfg = replace(common, family="qci", demapper=kind,
-                          output=str(outdir / f"_tmp_m{M}.csv"))
-            records.extend(run(cfg))
-        write_records_csv(records, outdir / f"fig_iq_loss_gmi_m{M}.csv")
-        (outdir / f"_tmp_m{M}.csv").unlink(missing_ok=True)
+        for figure, curves in (
+            ("ber_analogue", [("qam", "qam_decomposed"), ("qci", "qci_lcd"), ("qci", "exact2d")]),
+            ("iq_loss", [("qci", "qci_lcd"), ("qci", "qci_remapped_2d")]),
+        ):
+            _run_into_one_csv([replace(common, family=f, demapper=k) for f, k in curves],
+                              outdir / f"fig_{figure}_gmi_m{M}.csv")
 
     scatter_cfg = SimConfig(mode="scatter", family="qci", M=sizes[0],
                             psnr_start=args.scatter_psnr, psnr_stop=args.scatter_psnr,
@@ -170,15 +149,11 @@ def _cmd_make_figures(args) -> int:
 
     if args.with_coded:
         lo, hi = DEFAULT_FIGURE_WINDOWS[sizes[0]]
-        records = []
-        for family, kind in (("qam", "qam_decomposed"), ("qci", "qci_lcd")):
-            cfg = SimConfig(mode="coded_ber", family=family, M=sizes[0], demapper=kind,
-                            psnr_start=lo + 1.0, psnr_stop=hi, psnr_step=0.5,
-                            seed=args.seed, workers=args.workers or 0,
-                            output=str(outdir / "_tmp_coded.csv"))
-            records.extend(run(cfg))
-        write_records_csv(records, outdir / f"fig_coded_ber_m{sizes[0]}.csv")
-        (outdir / "_tmp_coded.csv").unlink(missing_ok=True)
+        coded = SimConfig(mode="coded_ber", M=sizes[0], psnr_start=lo + 1.0, psnr_stop=hi,
+                          psnr_step=0.5, seed=args.seed, workers=args.workers or 0)
+        _run_into_one_csv([replace(coded, family=f, demapper=k)
+                           for f, k in (("qam", "qam_decomposed"), ("qci", "qci_lcd"))],
+                          outdir / f"fig_coded_ber_m{sizes[0]}.csv")
 
     _write_plot_script(outdir)
     print(f"figure CSVs written to {outdir}")
@@ -247,22 +222,18 @@ def _parser() -> argparse.ArgumentParser:
                                 description="link-level simulations for disc-shaped QAM-isomorphic constellations")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sweep", help="uncoded or coded BER vs PSNR")
-    _add_run_flags(sp)
-    sp.add_argument("--coded", action="store_true", help="run the LDPC-coded chain")
-    sp.set_defaults(func=_cmd_sweep)
-
-    gp = sub.add_parser("gmi", help="GMI vs PSNR")
-    _add_run_flags(gp)
-    gp.set_defaults(func=_cmd_gmi)
-
-    scp = sub.add_parser("scatter", help="dump the inverse-map scatter diagnostics")
-    _add_run_flags(scp)
-    scp.set_defaults(func=_cmd_scatter)
-
-    cp = sub.add_parser("complexity", help="distance evaluations per symbol by demapper")
-    _add_run_flags(cp)
-    cp.set_defaults(func=_cmd_complexity)
+    for name, mode, help_ in (
+        ("sweep", "uncoded_ber", "uncoded or coded BER vs PSNR"),
+        ("gmi", "gmi", "GMI vs PSNR"),
+        ("scatter", "scatter", "dump the inverse-map scatter diagnostics"),
+        ("complexity", "complexity", "distance evaluations per symbol by demapper"),
+    ):
+        rp = sub.add_parser(name, help=help_)
+        _add_run_flags(rp)
+        rp.set_defaults(func=_cmd_run, mode=mode)
+        if name == "sweep":
+            rp.add_argument("--coded", dest="mode", action="store_const", const="coded_ber",
+                            help="run the LDPC-coded chain")
 
     gcp = sub.add_parser("gray-check", help="verify nearest-neighbor Gray labeling")
     gcp.add_argument("--family", choices=("pam", "qam", "qci", "file"), default="qci")

@@ -22,23 +22,20 @@ M per symbol for the 2D paths, 2*sqrt(M) for the decomposed paths.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .channel import transmit
 from .constellation import Constellation, build_pam, build_qam, build_qci, normalize_peak
 from .geometry import radial_inverse
 
 LLR_CLAMP = 60.0
 
-DEMAPPER_KINDS = (
-    "exact2d",
-    "maxlog2d",
-    "qam_decomposed",
-    "qci_lcd",
-    "qci_lcd_compensated",
-    "qci_remapped_2d",
-)
+# constellation families, named as in the run configuration
+FAMILIES = ("qam", "qci", "file")
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class DemapContext:
                     coordinates
     """
 
-    family: str  # "qam" | "qci" | "custom"
+    family: str  # one of FAMILIES
     constellation: Constellation
     qam_grid: Constellation
     pam_grid: Constellation | None
@@ -112,7 +109,7 @@ class DemapContext:
     def unmap(self, y: np.ndarray) -> np.ndarray:
         """Undo the constellation-shaping map in channel coordinates.
 
-        Identity for the QAM and custom families; the scale-conjugated
+        Identity for the QAM and file families; the scale-conjugated
         inverse radial map for the disc-shaped family.
         """
         if self.family != "qci":
@@ -120,15 +117,24 @@ class DemapContext:
         s = self.peak_scale
         return s * radial_inverse(np.asarray(y, dtype=np.float64) / s)
 
+    def draw(self, num: int, n0: float, rng: np.random.Generator):
+        """``num`` uniformly drawn point indices and their noisy channel outputs."""
+        idx = rng.integers(0, self.M, size=num)
+        return idx, transmit(self.constellation.points[idx], n0, rng)
+
+
+def _scaled(c: Constellation, s: float) -> Constellation:
+    return Constellation(c.points * s, c.labels, name=c.name, scale=s)
+
+
+def _component_pam(M: int, s: float) -> Constellation:
+    return _scaled(build_pam(int(round(math.sqrt(M)))), s)
+
 
 def qam_context(M: int) -> DemapContext:
     """Context for transmitting peak-normalized square QAM."""
-    qam = build_qam(M)
-    tx = normalize_peak(qam)
-    side = int(round(math.sqrt(M)))
-    pam = build_pam(side)
-    pam_scaled = Constellation(pam.points * tx.scale, pam.labels, name=pam.name, scale=tx.scale)
-    return DemapContext("qam", tx, tx, pam_scaled, tx.scale)
+    tx = normalize_peak(build_qam(M))
+    return DemapContext("qam", tx, tx, _component_pam(M, tx.scale), tx.scale)
 
 
 def qci_context(M: int) -> DemapContext:
@@ -137,15 +143,9 @@ def qci_context(M: int) -> DemapContext:
     The same scale factor is applied to the QAM preimage grid (the shaping
     map preserves peak power, so one factor normalizes both).
     """
-    qci = build_qci(M)
-    qam = build_qam(M)
-    tx = normalize_peak(qci)
+    tx = normalize_peak(build_qci(M))
     s = tx.scale
-    qam_grid = Constellation(qam.points * s, qam.labels, name=qam.name, scale=s)
-    side = int(round(math.sqrt(M)))
-    pam = build_pam(side)
-    pam_scaled = Constellation(pam.points * s, pam.labels, name=pam.name, scale=s)
-    return DemapContext("qci", tx, qam_grid, pam_scaled, s)
+    return DemapContext("qci", tx, _scaled(build_qam(M), s), _component_pam(M, s), s)
 
 
 def custom_context(c: Constellation) -> DemapContext:
@@ -153,7 +153,7 @@ def custom_context(c: Constellation) -> DemapContext:
     if c.dimension != 2:
         raise ValueError("custom contexts require a 2D constellation")
     tx = normalize_peak(c)
-    return DemapContext("custom", tx, tx, None, tx.scale)
+    return DemapContext("file", tx, tx, None, tx.scale)
 
 
 def _check_n0(n0: float) -> float:
@@ -306,6 +306,18 @@ def llr_qci_remapped_2d(y, ctx: DemapContext, n0: float) -> LlrFrame:
     return LlrFrame(frame.values, distance_evals=frame.distance_evals, map_evals=map_evals)
 
 
+def cluster_centers(idx: np.ndarray, z: np.ndarray, M: int):
+    """Mean of the 2D samples ``z`` per point index, plus the sample counts.
+
+    Points that were never drawn get a NaN center and a count of 0.
+    """
+    counts = np.bincount(idx, minlength=M)
+    sums = np.zeros((M, 2))
+    np.add.at(sums, idx, z)
+    with np.errstate(invalid="ignore"):
+        return sums / counts[:, None], counts
+
+
 def estimate_affine_compensation(
     ctx: DemapContext, n0: float, samples: int, rng: np.random.Generator
 ) -> AffineCompensation:
@@ -320,18 +332,12 @@ def estimate_affine_compensation(
     alpha = 1 (up to Monte Carlo error), and in the noiseless limit
     alpha -> 1 and beta -> 0 exactly.
     """
-    n0 = _check_n0(n0)
     if samples < 10_000:
         raise ValueError("affine estimation needs at least 10000 samples")
-    idx = rng.integers(0, ctx.M, size=samples)
-    x = ctx.constellation.points[idx]
-    y = x + rng.normal(0.0, np.sqrt(n0 / 2.0), size=x.shape)
-    z = ctx.unmap(y)
-    counts = np.bincount(idx, minlength=ctx.M).astype(np.float64)
-    sums = np.zeros((ctx.M, 2))
-    np.add.at(sums, idx, z)
+    idx, y = ctx.draw(samples, n0, rng)
+    centers, counts = cluster_centers(idx, ctx.unmap(y), ctx.M)
     seen = counts > 0
-    centers = sums[seen] / counts[seen, None]
+    centers = centers[seen]
     grid = ctx.qam_grid.points[seen]
     w = counts[seen, None]
     alpha = float(np.sum(w * centers * grid) / np.sum(w * centers * centers))
@@ -341,23 +347,36 @@ def estimate_affine_compensation(
     return AffineCompensation(alpha=alpha, beta=beta)
 
 
+class Demapper(NamedTuple):
+    """One demapper kind of the run configuration."""
+
+    llr: Callable  # (y, ctx, n0, comp) -> LlrFrame
+    families: tuple  # the FAMILIES it can demap
+    needs_comp: bool = False  # requires an AffineCompensation
+
+
+# The entries look the llr_* functions up by name at call time, so a
+# function replaced on this module is the one that runs.
+DEMAPPERS = {
+    "exact2d": Demapper(lambda y, ctx, n0, comp: llr_exact_2d(y, ctx.constellation, n0), FAMILIES),
+    "maxlog2d": Demapper(lambda y, ctx, n0, comp: llr_maxlog_2d(y, ctx.constellation, n0), FAMILIES),
+    "qam_decomposed": Demapper(lambda y, ctx, n0, comp: llr_qam_decomposed(y, ctx, n0), ("qam",)),
+    "qci_lcd": Demapper(lambda y, ctx, n0, comp: llr_qci_lcd(y, ctx, n0), ("qam", "qci")),
+    "qci_lcd_compensated": Demapper(
+        lambda y, ctx, n0, comp: llr_qci_lcd(y, ctx, n0, comp=comp), ("qci",), needs_comp=True),
+    "qci_remapped_2d": Demapper(lambda y, ctx, n0, comp: llr_qci_remapped_2d(y, ctx, n0), ("qam", "qci")),
+}
+DEMAPPER_KINDS = tuple(DEMAPPERS)
+
+
 def demap(kind: str, y, ctx: DemapContext, n0: float, comp: AffineCompensation | None = None) -> LlrFrame:
     """Dispatch a demapper by configuration name.
 
     ``qci_lcd_compensated`` requires ``comp``; the other kinds ignore it.
     """
-    if kind == "exact2d":
-        return llr_exact_2d(y, ctx.constellation, n0)
-    if kind == "maxlog2d":
-        return llr_maxlog_2d(y, ctx.constellation, n0)
-    if kind == "qam_decomposed":
-        return llr_qam_decomposed(y, ctx, n0)
-    if kind == "qci_lcd":
-        return llr_qci_lcd(y, ctx, n0)
-    if kind == "qci_lcd_compensated":
-        if comp is None:
-            raise ValueError("qci_lcd_compensated requires an AffineCompensation")
-        return llr_qci_lcd(y, ctx, n0, comp=comp)
-    if kind == "qci_remapped_2d":
-        return llr_qci_remapped_2d(y, ctx, n0)
-    raise ValueError(f"unknown demapper kind {kind!r}; choose from {DEMAPPER_KINDS}")
+    spec = DEMAPPERS.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown demapper kind {kind!r}; choose from {DEMAPPER_KINDS}")
+    if spec.needs_comp and comp is None:
+        raise ValueError(f"{kind} requires an AffineCompensation")
+    return spec.llr(y, ctx, n0, comp)

@@ -12,6 +12,7 @@ discarded rather than folded in.
 from __future__ import annotations
 
 import ctypes
+import errno
 import functools
 import math
 import multiprocessing
@@ -22,15 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import spec_from_psnr
+from .channel import spec_from_psnr, transmit
 from .coding import ParityCheckCode, bundled_code, decode_bp, deinterleave, encode, info_bits_of, interleave, load_alist
 from .constellation import SUPPORTED_QAM_SIZES, load_constellation, power_stats
-from .demapper import DEMAPPER_KINDS, custom_context, demap, estimate_affine_compensation, qam_context, qci_context
+from .demapper import (DEMAPPER_KINDS, DEMAPPERS, FAMILIES, custom_context, demap, estimate_affine_compensation,
+                       qam_context, qci_context)
 from .errors import ConfigError
-from .metrics import GMI_MIN_SAMPLES, MeanAccumulator, SweepRecord, gmi_symbol_scores, scatter_dump
+from .metrics import GMI_MIN_SAMPLES, MeanAccumulator, SweepRecord, counted_record, gmi_symbol_scores, scatter_dump
 
 MODES = ("uncoded_ber", "coded_ber", "gmi", "scatter", "complexity")
-FAMILIES = ("qam", "qci", "file")
 
 GMI_BLOCK_SYMBOLS = 125_000
 UNCODED_BLOCK_SYMBOLS = 25_000
@@ -129,15 +130,17 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unknown demapper {cfg.demapper!r}; choose from {DEMAPPER_KINDS}")
     if cfg.family == "file" and not cfg.constellation_file:
         raise ConfigError("family 'file' requires constellation_file")
-    if cfg.family == "file" and cfg.demapper not in ("exact2d", "maxlog2d"):
-        raise ConfigError("loaded constellations support only exact2d/maxlog2d demapping")
-    if cfg.family in ("qam", "qci") and cfg.M not in SUPPORTED_QAM_SIZES:
+    if cfg.family != "file" and cfg.M not in SUPPORTED_QAM_SIZES:
         raise ConfigError(f"unsupported M={cfg.M} for family {cfg.family!r}; "
                           f"choose from {SUPPORTED_QAM_SIZES}")
-    if cfg.family == "qam" and cfg.demapper == "qci_lcd_compensated":
-        raise ConfigError("compensation is meaningful only for the qci family")
-    if cfg.family != "qam" and cfg.demapper == "qam_decomposed":
-        raise ConfigError("qam_decomposed demapping is exact only for the qam family")
+    spec = DEMAPPERS[cfg.demapper]
+    if cfg.family not in spec.families:
+        what = " (compensation of the inverse radial map)" if spec.needs_comp else ""
+        raise ConfigError(f"demapper {cfg.demapper!r}{what} supports only the families "
+                          f"{spec.families}, not {cfg.family!r}")
+    if spec.needs_comp and cfg.mode in ("uncoded_ber", "coded_ber"):
+        raise ConfigError(f"demapper {cfg.demapper!r} needs a compensation estimate, "
+                          "which only gmi mode makes")
     if cfg.psnr_step <= 0.0:
         raise ConfigError("psnr_step must be positive")
     if cfg.psnr_start > cfg.psnr_stop:
@@ -211,9 +214,7 @@ def _uncoded_task(args):
     point, block, n0, num = args
     cfg, ctx = _WORKER["cfg"], _WORKER["ctx"]
     rng = derived_rng(cfg.seed, _TAG_UNCODED, point, block)
-    idx = rng.integers(0, ctx.M, size=num)
-    x = ctx.constellation.points[idx]
-    y = x + rng.normal(0.0, math.sqrt(n0 / 2.0), size=x.shape)
+    idx, y = ctx.draw(num, n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0)
     errors = int(np.sum(frame.hard_bits() != ctx.constellation.labels[idx]))
     return num * ctx.m, errors
@@ -231,8 +232,7 @@ def _coded_task(args):
     tx_bits = interleave(coded, cfg.seed)
     codes = tx_bits.reshape(frames, -1, ctx.m).astype(np.int64) @ weights
     idx = lookup[codes]
-    x = ctx.constellation.points[idx.reshape(-1)]
-    y = x + rng.normal(0.0, math.sqrt(n0 / 2.0), size=x.shape)
+    y = transmit(ctx.constellation.points[idx.reshape(-1)], n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0)
     llrs = deinterleave(frame.values.reshape(frames, -1), cfg.seed)
     bits, _, _ = decode_bp(code, llrs, max_iters=cfg.max_iters)
@@ -357,9 +357,19 @@ def _stop_scan(results, target_errors: int, error_pos: int, errors_so_far: int):
     return kept, errors, False
 
 
+def _check_output(path) -> None:
+    """Raise an OSError now, before any Monte Carlo work, if ``path`` cannot be written."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "no such output directory", parent)
+    if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "output is not writable", path)
+
+
 def run(cfg: SimConfig) -> list:
     """Execute the configured experiment; returns records and writes the CSV."""
     validate_config(cfg)
+    _check_output(cfg.output)
     ctx = build_context(cfg)
     stats = power_stats(ctx.constellation)
     grid = psnr_grid(cfg)
@@ -373,16 +383,9 @@ def run(cfg: SimConfig) -> list:
 
     if cfg.mode == "complexity":
         n0 = spec_from_psnr(grid[0], stats).n0
-        rng = derived_rng(cfg.seed, _TAG_UNCODED, 0, 0)
-        idx = rng.integers(0, ctx.M, size=COMPLEXITY_SYMBOLS)
-        y = ctx.constellation.points[idx] + rng.normal(
-            0.0, math.sqrt(n0 / 2.0), size=(COMPLEXITY_SYMBOLS, 2)
-        )
-        kinds = ["exact2d", "maxlog2d"]
-        if ctx.family == "qam":
-            kinds.append("qam_decomposed")
-        if ctx.family in ("qam", "qci"):
-            kinds += ["qci_lcd", "qci_remapped_2d"]
+        _, y = ctx.draw(COMPLEXITY_SYMBOLS, n0, derived_rng(cfg.seed, _TAG_UNCODED, 0, 0))
+        # every kind that runs on this family without a compensation estimate
+        kinds = [k for k, spec in DEMAPPERS.items() if ctx.family in spec.families and not spec.needs_comp]
         for kind in kinds:
             frame = demap(kind, y, ctx, n0)
             per_symbol = frame.distance_evals / frame.num_symbols
@@ -390,7 +393,7 @@ def run(cfg: SimConfig) -> list:
                 SweepRecord(grid[0], "evals_per_symbol", per_symbol, 0.0,
                             COMPLEXITY_SYMBOLS, 0, ctx.name, kind, cfg.seed)
             )
-        _write_csv(records, cfg.output)
+        write_records_csv(records, cfg.output)
         return records
 
     execu = _Executor(cfg)
@@ -403,7 +406,7 @@ def run(cfg: SimConfig) -> list:
             records = _run_coded(cfg, ctx, stats, grid, execu)
     finally:
         execu.close()
-    _write_csv(records, cfg.output)
+    write_records_csv(records, cfg.output)
     return records
 
 
@@ -413,15 +416,13 @@ def _run_gmi(cfg, ctx, stats, grid, execu) -> list:
     for p, psnr in enumerate(grid):
         n0 = spec_from_psnr(psnr, stats).n0
         comp = None
-        if cfg.demapper == "qci_lcd_compensated":
+        if DEMAPPERS[cfg.demapper].needs_comp:
             comp = estimate_affine_compensation(
                 ctx, n0, cfg.comp_samples, derived_rng(cfg.seed, _TAG_COMP, p, 0)
             )
         sizes = _split_blocks(samples, GMI_BLOCK_SYMBOLS)
         tasks = [(p, b, n0, num, comp) for b, num in enumerate(sizes)]
-        acc = MeanAccumulator()
-        for n, s1, s2 in execu.map(_gmi_task, tasks):
-            acc = acc + MeanAccumulator(n, s1, s2)
+        acc = sum((MeanAccumulator(*r) for r in execu.map(_gmi_task, tasks)), MeanAccumulator())
         records.append(
             SweepRecord(psnr, "gmi", acc.mean, acc.stderr, acc.n, 0,
                         ctx.name, cfg.demapper, cfg.seed)
@@ -429,9 +430,11 @@ def _run_gmi(cfg, ctx, stats, grid, execu) -> list:
     return records
 
 
-def _run_counted(grid, stats, execu, task_fn, block_unit, budget, target, make_records):
-    """Shared wave-scheduled loop for the two BER modes."""
-    records = []
+def _run_counted(grid, stats, execu, task_fn, block_unit, budget, target):
+    """Shared wave-scheduled loop for the two BER modes.
+
+    Yields each grid point's PSNR with the column sums of its kept block results.
+    """
     wave = max(1, execu.workers)
     for p, psnr in enumerate(grid):
         n0 = spec_from_psnr(psnr, stats).n0
@@ -447,24 +450,15 @@ def _run_counted(grid, stats, execu, task_fn, block_unit, budget, target, make_r
             scanned, errors, hit = _stop_scan(results, target, 1, errors)
             kept.extend(scanned)
             b += len(chunk)
-        records.extend(make_records(psnr, kept))
-    return records
+        yield psnr, [sum(col) for col in zip(*kept)]
 
 
 def _run_uncoded(cfg, ctx, stats, grid, execu) -> list:
-    budget_bits = resolved_samples(cfg)
-    budget_syms = max(1, math.ceil(budget_bits / ctx.m))
-    target = resolved_target_errors(cfg)
-
-    def make(psnr, kept):
-        bits = sum(r[0] for r in kept)
-        errors = sum(r[1] for r in kept)
-        p = errors / bits
-        se = math.sqrt(max(p * (1 - p), 0.0) / bits)
-        return [SweepRecord(psnr, "ber", p, se, bits, errors, ctx.name, cfg.demapper, cfg.seed)]
-
-    return _run_counted(grid, stats, execu, _uncoded_task,
-                        UNCODED_BLOCK_SYMBOLS, budget_syms, target, make)
+    budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
+    points = _run_counted(grid, stats, execu, _uncoded_task, UNCODED_BLOCK_SYMBOLS,
+                          budget_syms, resolved_target_errors(cfg))
+    return [counted_record(psnr, "ber", errors, bits, ctx.name, cfg.demapper, cfg.seed)
+            for psnr, (bits, errors) in points]
 
 
 def _run_coded(cfg, ctx, stats, grid, execu) -> list:
@@ -473,30 +467,17 @@ def _run_coded(cfg, ctx, stats, grid, execu) -> list:
         raise ConfigError(
             f"code length {code.n} is not a multiple of {ctx.m} bits/symbol"
         )
-    budget_frames = resolved_samples(cfg)
-    target = resolved_target_errors(cfg)
-
-    def make(psnr, kept):
-        frames = sum(r[0] for r in kept)
-        frame_errors = sum(r[1] for r in kept)
-        bits = sum(r[2] for r in kept)
-        bit_errors = sum(r[3] for r in kept)
-        ber = bit_errors / bits
-        fer = frame_errors / frames
-        return [
-            SweepRecord(psnr, "ber", ber,
-                        math.sqrt(max(ber * (1 - ber), 0.0) / bits),
-                        bits, bit_errors, ctx.name, cfg.demapper, cfg.seed),
-            SweepRecord(psnr, "fer", fer,
-                        math.sqrt(max(fer * (1 - fer), 0.0) / frames),
-                        frames, frame_errors, ctx.name, cfg.demapper, cfg.seed),
-        ]
-
-    return _run_counted(grid, stats, execu, _coded_task,
-                        CODED_BLOCK_FRAMES, budget_frames, target, make)
+    points = _run_counted(grid, stats, execu, _coded_task, CODED_BLOCK_FRAMES,
+                          resolved_samples(cfg), resolved_target_errors(cfg))
+    records = []
+    for psnr, (frames, frame_errors, bits, bit_errors) in points:
+        records += [counted_record(psnr, "ber", bit_errors, bits, ctx.name, cfg.demapper, cfg.seed),
+                    counted_record(psnr, "fer", frame_errors, frames, ctx.name, cfg.demapper, cfg.seed)]
+    return records
 
 
-def _write_csv(records, path) -> None:
+def write_records_csv(records, path) -> None:
+    """Write sweep records in the shared CSV schema."""
     lines = ["psnr_db,metric,value,stderr,trials,constellation,demapper,seed"]
     for r in records:
         lines.append(
@@ -505,7 +486,3 @@ def _write_csv(records, path) -> None:
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_records_csv(records, path) -> None:
-    _write_csv(records, path)

@@ -1,4 +1,4 @@
-"""BER/GMI accounting, horizontal curve gaps, and remap diagnostics.
+"""Sweep records, GMI scoring, horizontal curve gaps, and remap diagnostics.
 
 GMI here is the bit-metric achievable rate of the chosen (possibly
 mismatched) demapper: m minus the per-bit mean of log2(1 + exp(-(1-2b)*LLR)).
@@ -10,17 +10,16 @@ the detection losses are quantified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .demapper import AffineCompensation, DemapContext, demap
+from .demapper import AffineCompensation, DemapContext, cluster_centers, demap
 
 _LN2 = math.log(2.0)
 
 GMI_MIN_SAMPLES = 100_000
-_GMI_BLOCK = 131_072
 
 
 @dataclass(frozen=True)
@@ -43,39 +42,13 @@ class SweepRecord:
         if self.metric in ("ber", "fer") and not 0.0 <= self.value <= 1.0:
             raise ValueError(f"{self.metric} must lie in [0, 1]")
 
-    def key(self):
-        return (self.psnr_db, self.metric, self.constellation, self.demapper)
 
-
-def merge_records(a: SweepRecord, b: SweepRecord) -> SweepRecord:
-    """Merge two counter-based (ber/fer) records of the same configuration."""
-    if a.trials == 0:
-        return b
-    if b.trials == 0:
-        return a
-    if a.metric not in ("ber", "fer") or b.metric not in ("ber", "fer"):
-        raise ValueError("only counter-based records (ber/fer) merge")
-    if a.key() != b.key():
-        raise ValueError(f"incompatible records: {a.key()} vs {b.key()}")
-    trials = a.trials + b.trials
-    errors = a.errors + b.errors
+def counted_record(psnr_db: float, metric: str, errors: int, trials: int,
+                   constellation: str, demapper: str, seed: int) -> SweepRecord:
+    """A ber/fer row: the error rate with its binomial standard error."""
     p = errors / trials
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return replace(a, value=p, stderr=stderr, trials=trials, errors=errors)
-
-
-def ber_accumulate(records) -> SweepRecord:
-    """Associative, commutative merge of a stream of ber/fer records."""
-    out = None
-    for rec in records:
-        out = rec if out is None else merge_records(out, rec)
-    if out is None:
-        raise ValueError("no records to accumulate")
-    if out.trials > 0:
-        p = out.errors / out.trials
-        stderr = math.sqrt(max(p * (1.0 - p), 0.0) / out.trials)
-        out = replace(out, value=p, stderr=stderr)
-    return out
+    stderr = math.sqrt(max(p * (1 - p), 0.0) / trials)
+    return SweepRecord(psnr_db, metric, p, stderr, trials, errors, constellation, demapper, seed)
 
 
 @dataclass
@@ -85,11 +58,6 @@ class MeanAccumulator:
     n: int = 0
     s1: float = 0.0
     s2: float = 0.0
-
-    def add(self, samples: np.ndarray) -> None:
-        self.n += samples.size
-        self.s1 += float(np.sum(samples))
-        self.s2 += float(np.sum(samples.astype(np.float64) ** 2))
 
     def __add__(self, other: "MeanAccumulator") -> "MeanAccumulator":
         return MeanAccumulator(self.n + other.n, self.s1 + other.s1, self.s2 + other.s2)
@@ -106,13 +74,6 @@ class MeanAccumulator:
         return math.sqrt(var / self.n)
 
 
-@dataclass(frozen=True)
-class GmiEstimate:
-    value: float
-    stderr: float
-    samples: int
-
-
 def gmi_symbol_scores(
     ctx: DemapContext,
     kind: str,
@@ -122,35 +83,11 @@ def gmi_symbol_scores(
     comp: AffineCompensation | None = None,
 ) -> np.ndarray:
     """Per-symbol achievable-rate samples for one Monte Carlo block."""
-    idx = rng.integers(0, ctx.M, size=num)
-    x = ctx.constellation.points[idx]
-    y = x + rng.normal(0.0, math.sqrt(n0 / 2.0), size=x.shape)
+    idx, y = ctx.draw(num, n0, rng)
     frame = demap(kind, y, ctx, n0, comp=comp)
     signs = 1.0 - 2.0 * ctx.constellation.labels[idx].astype(np.float64)
     loss = np.logaddexp(0.0, -signs * frame.values) / _LN2
     return ctx.m - np.sum(loss, axis=1)
-
-
-def gmi_estimate(
-    ctx: DemapContext,
-    kind: str,
-    n0: float,
-    samples: int,
-    rng: np.random.Generator,
-    comp: AffineCompensation | None = None,
-) -> GmiEstimate:
-    """Monte Carlo GMI with its standard error; deterministic given the rng."""
-    if n0 <= 0.0:
-        raise ValueError("n0 must be positive")
-    if samples < GMI_MIN_SAMPLES:
-        raise ValueError(f"GMI estimation needs at least {GMI_MIN_SAMPLES} samples")
-    acc = MeanAccumulator()
-    remaining = int(samples)
-    while remaining > 0:
-        block = min(remaining, _GMI_BLOCK)
-        acc.add(gmi_symbol_scores(ctx, kind, n0, block, rng, comp=comp))
-        remaining -= block
-    return GmiEstimate(value=acc.mean, stderr=acc.stderr, samples=acc.n)
 
 
 def horizontal_gap(curve_a, curve_b, target: float) -> float:
@@ -226,21 +163,11 @@ def scatter_dump(
     With ``file`` set, writes the sample rows to that CSV and the centers
     to a sibling ``*_centers.csv``.
     """
-    if n0 <= 0.0:
-        raise ValueError("n0 must be positive")
     if samples < 1:
         raise ValueError("samples must be positive")
-    idx = rng.integers(0, ctx.M, size=samples)
-    x = ctx.constellation.points[idx]
-    y = x + rng.normal(0.0, math.sqrt(n0 / 2.0), size=x.shape)
+    idx, y = ctx.draw(samples, n0, rng)
     z = ctx.unmap(y)
-    ref = ctx.qam_grid.points[idx]
-    counts = np.bincount(idx, minlength=ctx.M)
-    sums = np.zeros((ctx.M, 2))
-    np.add.at(sums, idx, z)
-    with np.errstate(invalid="ignore"):
-        centers = sums / counts[:, None]
-    dump = ScatterDump(idx, ref, z, centers, counts)
+    dump = ScatterDump(idx, ctx.qam_grid.points[idx], z, *cluster_centers(idx, z, ctx.M))
     if file is not None:
         _write_scatter_csv(dump, ctx, file)
     return dump

@@ -66,34 +66,33 @@ class TestChannelSpecInvariants:
 
 class TestTransmit:
     def test_noiseless_limit(self):
-        spec = ChannelSpec(n0=1e-30, psnr_db=300.0, snr_db=300.0, obo_db=0.0)
         x = np.array([[0.5, -0.5], [1.0, 0.0]])
-        npt.assert_allclose(transmit(x, spec, np.random.default_rng(0)), x, atol=1e-14)
+        npt.assert_allclose(transmit(x, 1e-30, np.random.default_rng(0)), x, atol=1e-14)
 
     def test_noise_variance_within_one_percent(self):
-        spec = ChannelSpec(n0=0.4, psnr_db=4.0, snr_db=4.0, obo_db=0.0)
-        x = np.zeros((1_000_000, 2))
-        y = transmit(x, spec, np.random.default_rng(1))
-        var = y.var(axis=0)
-        npt.assert_allclose(var, spec.n0 / 2.0, rtol=0.01)
+        n0 = 0.4
+        y = transmit(np.zeros((1_000_000, 2)), n0, np.random.default_rng(1))
+        npt.assert_allclose(y.var(axis=0), n0 / 2.0, rtol=0.01)
 
     def test_noise_mean_and_cross_correlation(self):
-        n = 1_000_000
-        spec = ChannelSpec(n0=0.2, psnr_db=7.0, snr_db=7.0, obo_db=0.0)
-        y = transmit(np.zeros((n, 2)), spec, np.random.default_rng(2))
-        sigma = np.sqrt(spec.n0 / 2.0)
+        n, n0 = 1_000_000, 0.2
+        y = transmit(np.zeros((n, 2)), n0, np.random.default_rng(2))
+        sigma = np.sqrt(n0 / 2.0)
         assert np.all(np.abs(y.mean(axis=0)) < 3 * sigma / np.sqrt(n))
         corr = np.corrcoef(y[:, 0], y[:, 1])[0, 1]
         assert abs(corr) < 3 / np.sqrt(n)
 
     def test_deterministic_given_seed(self):
-        spec = ChannelSpec(n0=0.1, psnr_db=10.0, snr_db=10.0, obo_db=0.0)
         x = np.ones((100, 2))
-        a = transmit(x, spec, np.random.default_rng(42))
-        b = transmit(x, spec, np.random.default_rng(42))
+        a = transmit(x, 0.1, np.random.default_rng(42))
+        b = transmit(x, 0.1, np.random.default_rng(42))
         npt.assert_array_equal(a, b)
 
     def test_rejects_non_finite_symbols(self):
-        spec = ChannelSpec(n0=0.1, psnr_db=10.0, snr_db=10.0, obo_db=0.0)
         with pytest.raises(ValueError, match="finite"):
-            transmit(np.array([[np.nan, 0.0]]), spec, np.random.default_rng(0))
+            transmit(np.array([[np.nan, 0.0]]), 0.1, np.random.default_rng(0))
+
+    def test_rejects_nonpositive_n0(self):
+        for n0 in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                transmit(np.zeros((1, 2)), n0, np.random.default_rng(0))

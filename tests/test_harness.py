@@ -3,10 +3,21 @@ import os
 import numpy as np
 import pytest
 
-from qcilink import SimConfig, harness, parse_config, psnr_grid, run
+from qcilink import (
+    DEMAPPER_KINDS,
+    AffineCompensation,
+    SimConfig,
+    build_qci,
+    demap,
+    harness,
+    parse_config,
+    psnr_grid,
+    run,
+    save_constellation,
+)
 from qcilink.cli import main
 from qcilink.errors import ConfigError
-from qcilink.harness import resolved_samples, resolved_target_errors
+from qcilink.harness import FAMILIES, build_context, resolved_samples, resolved_target_errors, validate_config
 
 # first use of the OpenBLAS helper: a workers=1 run restores this count
 _OPENBLAS = harness._openblas()
@@ -67,6 +78,63 @@ class TestParseConfig:
     def test_validation_errors(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(None, overrides)
+
+
+# the (family, demapper) pairs a run may use; every other pair is a config error
+VALID_PAIRS = {
+    ("qam", "exact2d"), ("qam", "maxlog2d"), ("qam", "qam_decomposed"),
+    ("qam", "qci_lcd"), ("qam", "qci_remapped_2d"),
+    ("qci", "exact2d"), ("qci", "maxlog2d"), ("qci", "qci_lcd"),
+    ("qci", "qci_lcd_compensated"), ("qci", "qci_remapped_2d"),
+    ("file", "exact2d"), ("file", "maxlog2d"),
+}
+
+
+@pytest.fixture(scope="module")
+def qci16_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("const") / "qci16.csv"
+    save_constellation(build_qci(16), path)
+    return str(path)
+
+
+class TestFamilyDemapperPairs:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("kind", DEMAPPER_KINDS)
+    def test_pair_validates_and_demaps_or_exits_2(self, family, kind, qci16_file, tmp_path, capsys):
+        cfg = SimConfig(mode="gmi", family=family, M=16, demapper=kind,
+                        constellation_file=qci16_file, output=str(tmp_path / "g.csv"))
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            assert (family, kind) not in VALID_PAIRS
+            rc = main(["gmi", "--family", family, "--M", "16", "--demapper", kind,
+                       "--constellation-file", qci16_file, "--psnr", "11:11:1",
+                       "--output", cfg.output])
+            assert rc == 2
+            assert "config error" in capsys.readouterr().err
+            return
+        assert (family, kind) in VALID_PAIRS
+        ctx = build_context(cfg)
+        y = ctx.draw(64, 0.1, np.random.default_rng(0))[1]
+        frame = demap(kind, y, ctx, 0.1, comp=AffineCompensation(1.0, np.zeros(2)))
+        assert frame.values.shape == (64, 4)
+        assert np.all(np.isfinite(frame.values))
+
+    @pytest.mark.parametrize("mode", ["uncoded_ber", "coded_ber"])
+    def test_compensated_kind_needs_gmi_mode(self, mode):
+        with pytest.raises(ConfigError, match="compensation"):
+            validate_config(SimConfig(mode=mode, family="qci", demapper="qci_lcd_compensated"))
+
+    @pytest.mark.parametrize("family,kinds", [
+        ("qam", ["exact2d", "maxlog2d", "qam_decomposed", "qci_lcd", "qci_remapped_2d"]),
+        ("qci", ["exact2d", "maxlog2d", "qci_lcd", "qci_remapped_2d"]),
+        ("file", ["exact2d", "maxlog2d"]),
+    ])
+    def test_complexity_kinds_per_family(self, family, kinds, qci16_file, tmp_path):
+        cfg = SimConfig(mode="complexity", family=family, M=16, demapper="exact2d",
+                        constellation_file=qci16_file, psnr_start=12.0, psnr_stop=12.0,
+                        output=str(tmp_path / "cx.csv"))
+        assert [r.demapper for r in run(cfg)] == kinds
 
 
 class TestGrid:
@@ -236,6 +304,17 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_output_exits_3_before_any_block(self, monkeypatch, capsys):
+        def no_block(args):
+            pytest.fail("a Monte Carlo block ran before the output was checked")
+
+        monkeypatch.setattr(harness, "_gmi_task", no_block)
+        rc = main(["gmi", "--family", "qci", "--M", "16", "--psnr", "10:12:0.5",
+                   "--samples", "100000", "--workers", "1",
+                   "--output", "/no/such/dir/x.csv"])
+        assert rc == 3
+        assert "I/O error" in capsys.readouterr().err
 
     def test_bad_psnr_flag_exit_code(self):
         assert main(["gmi", "--psnr", "10-20-1"]) == 2

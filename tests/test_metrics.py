@@ -1,69 +1,77 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from qcilink import (
     SweepRecord,
-    ber_accumulate,
     estimate_affine_compensation,
-    gmi_estimate,
+    gmi_symbol_scores,
     horizontal_gap,
-    merge_records,
     scatter_dump,
 )
-from qcilink.metrics import MeanAccumulator, _crossing_psnr
+from qcilink.metrics import MeanAccumulator, _crossing_psnr, counted_record
 
 
 def _rec(psnr, value, trials, errors, metric="ber"):
     return SweepRecord(psnr, metric, value, 0.0, trials, errors, "qam16", "exact2d", 1)
 
 
+def _acc(x):
+    return MeanAccumulator(x.size, float(np.sum(x)), float(np.sum(x ** 2)))
+
+
+def _gmi(ctx, kind, n0, num, seed, comp=None):
+    """Mean GMI score of one block and its standard error."""
+    acc = _acc(gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(seed), comp=comp))
+    return acc.mean, acc.stderr
+
+
 class TestGmi:
     def test_noiseless_saturates_at_bits_per_symbol(self, qam16_ctx):
-        est = gmi_estimate(qam16_ctx, "exact2d", 1e-30, 100_000, np.random.default_rng(0))
-        assert est.value == pytest.approx(4.0, abs=1e-9)
+        value, _ = _gmi(qam16_ctx, "exact2d", 1e-30, 100_000, 0)
+        assert value == pytest.approx(4.0, abs=1e-9)
 
     def test_heavy_noise_drives_rate_to_zero(self, qam16_ctx):
-        est = gmi_estimate(qam16_ctx, "exact2d", 1e6, 100_000, np.random.default_rng(1))
-        assert abs(est.value) < 0.01
+        value, _ = _gmi(qam16_ctx, "exact2d", 1e6, 100_000, 1)
+        assert abs(value) < 0.01
 
     def test_exact_equals_decomposed_with_shared_draws(self, qam16_ctx):
-        a = gmi_estimate(qam16_ctx, "exact2d", 0.15, 100_000, np.random.default_rng(2))
-        b = gmi_estimate(qam16_ctx, "qam_decomposed", 0.15, 100_000, np.random.default_rng(2))
-        assert a.value == pytest.approx(b.value, abs=1e-9)
+        a = gmi_symbol_scores(qam16_ctx, "exact2d", 0.15, 100_000, np.random.default_rng(2))
+        b = gmi_symbol_scores(qam16_ctx, "qam_decomposed", 0.15, 100_000, np.random.default_rng(2))
+        npt.assert_allclose(a, b, atol=1e-9)
 
     def test_monotone_nonincreasing_in_noise(self, qci16_ctx):
         prev = None
         for n0 in (0.02, 0.05, 0.1, 0.2):
-            est = gmi_estimate(qci16_ctx, "qci_lcd", n0, 100_000, np.random.default_rng(3))
+            est = _gmi(qci16_ctx, "qci_lcd", n0, 100_000, 3)
             if prev is not None:
-                assert est.value <= prev.value + 3 * (est.stderr + prev.stderr)
+                assert est[0] <= prev[0] + 3 * (est[1] + prev[1])
             prev = est
 
     def test_matched_dominates_mismatched(self, qci16_ctx):
         for n0 in (0.06, 0.12):
-            ml = gmi_estimate(qci16_ctx, "exact2d", n0, 100_000, np.random.default_rng(4))
-            lcd = gmi_estimate(qci16_ctx, "qci_lcd", n0, 100_000, np.random.default_rng(4))
-            assert ml.value >= lcd.value - 3 * np.hypot(ml.stderr, lcd.stderr)
+            ml, ml_se = _gmi(qci16_ctx, "exact2d", n0, 100_000, 4)
+            lcd, lcd_se = _gmi(qci16_ctx, "qci_lcd", n0, 100_000, 4)
+            assert ml >= lcd - 3 * np.hypot(ml_se, lcd_se)
 
     def test_compensation_not_harmful_at_waterfall(self, qci16_ctx):
         n0 = 10 ** (-1.125)
         comp = estimate_affine_compensation(qci16_ctx, n0, 50_000, np.random.default_rng(5))
-        plain = gmi_estimate(qci16_ctx, "qci_lcd", n0, 200_000, np.random.default_rng(6))
-        comped = gmi_estimate(qci16_ctx, "qci_lcd_compensated", n0, 200_000,
-                              np.random.default_rng(6), comp=comp)
-        assert comped.value >= plain.value - 3 * np.hypot(plain.stderr, comped.stderr)
+        plain, plain_se = _gmi(qci16_ctx, "qci_lcd", n0, 200_000, 6)
+        comped, comped_se = _gmi(qci16_ctx, "qci_lcd_compensated", n0, 200_000, 6, comp=comp)
+        assert comped >= plain - 3 * np.hypot(plain_se, comped_se)
 
     def test_input_validation(self, qam16_ctx):
-        with pytest.raises(ValueError, match="samples"):
-            gmi_estimate(qam16_ctx, "exact2d", 0.1, 50_000, np.random.default_rng(0))
+        # the samples floor is a configuration rule (harness.validate_config)
         with pytest.raises(ValueError, match="positive"):
-            gmi_estimate(qam16_ctx, "exact2d", 0.0, 100_000, np.random.default_rng(0))
+            gmi_symbol_scores(qam16_ctx, "exact2d", 0.0, 100_000, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self, qam16_ctx):
-        a = gmi_estimate(qam16_ctx, "exact2d", 0.1, 100_000, np.random.default_rng(7))
-        b = gmi_estimate(qam16_ctx, "exact2d", 0.1, 100_000, np.random.default_rng(7))
-        assert a == b
+        a = gmi_symbol_scores(qam16_ctx, "exact2d", 0.1, 100_000, np.random.default_rng(7))
+        b = gmi_symbol_scores(qam16_ctx, "exact2d", 0.1, 100_000, np.random.default_rng(7))
+        npt.assert_array_equal(a, b)
 
 
 class TestHorizontalGap:
@@ -106,41 +114,21 @@ class TestHorizontalGap:
 
 
 class TestCounterMerges:
-    def test_commutative(self):
-        a, b = _rec(10, 0.003, 1000, 3), _rec(10, 0.001, 1000, 1)
-        assert merge_records(a, b) == merge_records(b, a)
-
     def test_merge_values(self):
-        merged = merge_records(_rec(10, 0.003, 1000, 3), _rec(10, 0.001, 1000, 1))
+        # block counters merge by summing; counted_record turns the sums into a row
+        blocks = [(3, 1000), (1, 1000)]
+        merged = counted_record(10, "ber", sum(e for e, _ in blocks), sum(n for _, n in blocks),
+                                "qam16", "exact2d", 1)
         assert merged.value == pytest.approx(0.002)
         assert merged.trials == 2000 and merged.errors == 4
 
-    def test_identity_element(self):
-        a = _rec(10, 0.003, 1000, 3)
-        empty = _rec(10, 0.0, 0, 0)
-        assert merge_records(a, empty) == a
-        assert merge_records(empty, a) == a
-
-    def test_associative(self):
-        a, b, c = _rec(10, 0.01, 500, 5), _rec(10, 0.002, 1000, 2), _rec(10, 0.0, 250, 0)
-        left = merge_records(merge_records(a, b), c)
-        right = merge_records(a, merge_records(b, c))
-        assert left == right
-
-    def test_accumulate_stream(self):
-        recs = [_rec(10, 0.003, 1000, 3), _rec(10, 0.001, 1000, 1)]
-        assert ber_accumulate(recs).value == pytest.approx(0.002)
-
-    def test_incompatible_configurations_rejected(self):
-        a = _rec(10, 0.003, 1000, 3)
-        b = SweepRecord(10, "ber", 0.001, 0.0, 1000, 1, "qci16", "exact2d", 1)
-        with pytest.raises(ValueError, match="incompatible"):
-            merge_records(a, b)
-
-    def test_gmi_records_do_not_merge(self):
-        a = SweepRecord(10, "gmi", 3.0, 0.01, 1000, 0, "qam16", "exact2d", 1)
-        with pytest.raises(ValueError, match="counter"):
-            merge_records(a, a)
+    def test_counted_record(self):
+        rec = counted_record(10, "fer", 25, 100, "qci16", "qci_lcd", 3)
+        assert rec.value == 0.25
+        assert rec.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 100), rel=1e-15)
+        assert (rec.metric, rec.trials, rec.errors) == ("fer", 100, 25)
+        zero = counted_record(10, "ber", 0, 5000, "qci16", "qci_lcd", 3)
+        assert zero.value == 0.0 and zero.stderr == 0.0
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -150,14 +138,23 @@ class TestCounterMerges:
 
     def test_mean_accumulator_merging(self, rng):
         x = rng.normal(size=1000)
-        whole = MeanAccumulator()
-        whole.add(x)
-        left, right = MeanAccumulator(), MeanAccumulator()
-        left.add(x[:400])
-        right.add(x[400:])
-        merged = left + right
+        whole = _acc(x)
+        merged = _acc(x[:400]) + _acc(x[400:])
         assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
         assert merged.stderr == pytest.approx(whole.stderr, rel=1e-12)
+
+    def test_identity_element(self, rng):
+        # the GMI mode folds block accumulators onto an empty one
+        a = _acc(rng.normal(size=100))
+        assert MeanAccumulator() + a == a
+        assert a + MeanAccumulator() == a
+
+    def test_accumulate_stream(self, rng):
+        x = rng.normal(size=1000)
+        blocks = [_acc(x[lo:lo + 250]) for lo in range(0, 1000, 250)]
+        merged = sum(blocks, MeanAccumulator())
+        assert merged.n == 1000
+        assert merged.mean == pytest.approx(np.mean(x), rel=1e-12)
 
 
 class TestScatterDump:
