@@ -6,7 +6,7 @@ demapping against the O(sqrt(M)) remap-and-decompose detector, measured by
 BER, GMI, and distance-evaluation counters.
 """
 
-from .channel import ChannelSpec, spec_from_psnr, transmit
+from .channel import n0_from_psnr, transmit
 from .coding import (
     ParityCheckCode,
     bundled_code,

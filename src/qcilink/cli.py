@@ -123,15 +123,19 @@ def _run_into_one_csv(cfgs, path: Path) -> None:
 
 
 def _cmd_make_figures(args) -> int:
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--sizes expects comma-separated integers, got {args.sizes!r}") from exc
+    for M in sizes:
+        if M not in DEFAULT_FIGURE_WINDOWS:
+            raise ConfigError(f"no default PSNR window for M={M}; choose from {tuple(DEFAULT_FIGURE_WINDOWS)}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    sizes = [int(s) for s in args.sizes.split(",")]
     base = SimConfig(mode="gmi", samples=args.samples, seed=args.seed,
                      workers=args.workers or 0, psnr_step=args.step)
 
     for M in sizes:
-        if M not in DEFAULT_FIGURE_WINDOWS:
-            raise ConfigError(f"no default PSNR window for M={M}")
         lo, hi = DEFAULT_FIGURE_WINDOWS[M]
         common = replace(base, M=M, psnr_start=lo, psnr_stop=hi)
         for figure, curves in (

@@ -30,6 +30,7 @@ import numpy as np
 
 from .channel import transmit
 from .constellation import Constellation, build_pam, build_qam, build_qci, normalize_peak
+from .errors import ConfigError
 from .geometry import radial_inverse
 
 LLR_CLAMP = 60.0
@@ -151,7 +152,7 @@ def qci_context(M: int) -> DemapContext:
 def custom_context(c: Constellation) -> DemapContext:
     """Context for an externally loaded 2D constellation (ML demapping only)."""
     if c.dimension != 2:
-        raise ValueError("custom contexts require a 2D constellation")
+        raise ConfigError(f"family 'file' needs a 2D constellation, not a {c.dimension}D one")
     tx = normalize_peak(c)
     return DemapContext("file", tx, tx, None, tx.scale)
 
@@ -252,25 +253,17 @@ def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:
     return LlrFrame(vals, distance_evals=len(ys) * pam.M)
 
 
-def _llr_decomposed(z: np.ndarray, ctx: DemapContext, n0: float) -> np.ndarray:
-    fi = llr_pam(z[:, 0], ctx.pam_grid, n0)
-    fq = llr_pam(z[:, 1], ctx.pam_grid, n0)
-    return np.hstack([fi.values, fq.values])
-
-
 def llr_qam_decomposed(y, ctx: DemapContext, n0: float) -> LlrFrame:
     """Per-axis PAM demapping of product QAM; bit-exact vs. the 2D log-MAP.
 
     The Gaussian density factorizes over I and Q and the product labeling
     assigns each bit to exactly one axis, so nothing is lost: 2*sqrt(M)
-    distance evals per symbol instead of M.
+    distance evals per symbol instead of M. On a QAM context the inverse
+    map of :func:`llr_qci_lcd` is the identity, so that path computes it.
     """
-    n0 = _check_n0(n0)
     if ctx.family != "qam" or ctx.pam_grid is None:
         raise ValueError("decomposed demapping requires a product-QAM context")
-    ys = _symbols_2d(y)
-    vals = _llr_decomposed(ys, ctx, n0)
-    return LlrFrame(vals, distance_evals=len(ys) * 2 * ctx.pam_grid.M)
+    return llr_qci_lcd(y, ctx, n0)
 
 
 def llr_qci_lcd(y, ctx: DemapContext, n0: float, comp: AffineCompensation | None = None) -> LlrFrame:
@@ -287,9 +280,11 @@ def llr_qci_lcd(y, ctx: DemapContext, n0: float, comp: AffineCompensation | None
     z = ctx.unmap(ys)
     if comp is not None:
         z = comp.alpha * z + comp.beta
-    vals = _llr_decomposed(z, ctx, n0)
+    fi = llr_pam(z[:, 0], ctx.pam_grid, n0)
+    fq = llr_pam(z[:, 1], ctx.pam_grid, n0)
     map_evals = len(ys) if ctx.family == "qci" else 0
-    return LlrFrame(vals, distance_evals=len(ys) * 2 * ctx.pam_grid.M, map_evals=map_evals)
+    return LlrFrame(np.hstack([fi.values, fq.values]), distance_evals=len(ys) * 2 * ctx.pam_grid.M,
+                    map_evals=map_evals)
 
 
 def llr_qci_remapped_2d(y, ctx: DemapContext, n0: float) -> LlrFrame:

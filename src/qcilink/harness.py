@@ -23,13 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import spec_from_psnr, transmit
+from .channel import n0_from_psnr, transmit
 from .coding import ParityCheckCode, bundled_code, decode_bp, deinterleave, encode, info_bits_of, interleave, load_alist
-from .constellation import SUPPORTED_QAM_SIZES, load_constellation, power_stats
+from .constellation import SUPPORTED_QAM_SIZES, load_constellation
 from .demapper import (DEMAPPER_KINDS, DEMAPPERS, FAMILIES, custom_context, demap, estimate_affine_compensation,
                        qam_context, qci_context)
 from .errors import ConfigError
-from .metrics import GMI_MIN_SAMPLES, MeanAccumulator, SweepRecord, counted_record, gmi_symbol_scores, scatter_dump
+from .metrics import GMI_MIN_SAMPLES, SweepRecord, counted_record, gmi_symbol_scores, mean_record, scatter_dump
 
 MODES = ("uncoded_ber", "coded_ber", "gmi", "scatter", "complexity")
 
@@ -134,7 +134,8 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unsupported M={cfg.M} for family {cfg.family!r}; "
                           f"choose from {SUPPORTED_QAM_SIZES}")
     spec = DEMAPPERS[cfg.demapper]
-    if cfg.family not in spec.families:
+    # scatter and complexity runs never demap with cfg.demapper
+    if cfg.mode in ("gmi", "uncoded_ber", "coded_ber") and cfg.family not in spec.families:
         what = " (compensation of the inverse radial map)" if spec.needs_comp else ""
         raise ConfigError(f"demapper {cfg.demapper!r}{what} supports only the families "
                           f"{spec.families}, not {cfg.family!r}")
@@ -162,9 +163,10 @@ def resolved_samples(cfg: SimConfig) -> int:
 
 
 def resolved_target_errors(cfg: SimConfig) -> int:
-    if cfg.target_errors > 0:
-        return cfg.target_errors
-    return _DEFAULT_TARGET_ERRORS.get(cfg.mode, 0)
+    """Error target of a BER-mode grid point; 0 (none) in every other mode."""
+    if cfg.mode not in _DEFAULT_TARGET_ERRORS:
+        return 0
+    return cfg.target_errors if cfg.target_errors > 0 else _DEFAULT_TARGET_ERRORS[cfg.mode]
 
 
 def psnr_grid(cfg: SimConfig) -> list:
@@ -211,7 +213,7 @@ def _gmi_task(args):
 
 
 def _uncoded_task(args):
-    point, block, n0, num = args
+    point, block, n0, num, _ = args
     cfg, ctx = _WORKER["cfg"], _WORKER["ctx"]
     rng = derived_rng(cfg.seed, _TAG_UNCODED, point, block)
     idx, y = ctx.draw(num, n0, rng)
@@ -221,7 +223,7 @@ def _uncoded_task(args):
 
 
 def _coded_task(args):
-    point, block, n0, frames = args
+    point, block, n0, frames, _ = args
     cfg, ctx, code = _WORKER["cfg"], _WORKER["ctx"], _WORKER["code"]
     rng = derived_rng(cfg.seed, _TAG_CODED, point, block)
     lookup = ctx.constellation.index_by_code()
@@ -341,22 +343,6 @@ def _split_blocks(total: int, block: int) -> list:
     return sizes
 
 
-def _stop_scan(results, target_errors: int, error_pos: int, errors_so_far: int):
-    """Prefix of block results up to the first block meeting the error target.
-
-    Scanning is sequential in block order, so the kept prefix (and with it
-    the output) does not depend on how many blocks a wave computed.
-    """
-    kept = []
-    errors = errors_so_far
-    for res in results:
-        kept.append(res)
-        errors += res[error_pos]
-        if target_errors and errors >= target_errors:
-            return kept, errors, True
-    return kept, errors, False
-
-
 def _check_output(path) -> None:
     """Raise an OSError now, before any Monte Carlo work, if ``path`` cannot be written."""
     parent = os.path.dirname(os.path.abspath(path))
@@ -371,18 +357,16 @@ def run(cfg: SimConfig) -> list:
     validate_config(cfg)
     _check_output(cfg.output)
     ctx = build_context(cfg)
-    stats = power_stats(ctx.constellation)
     grid = psnr_grid(cfg)
     records: list[SweepRecord] = []
 
     if cfg.mode == "scatter":
-        n0 = spec_from_psnr(grid[0], stats).n0
         rng = derived_rng(cfg.seed, _TAG_SCATTER, 0, 0)
-        scatter_dump(ctx, n0, resolved_samples(cfg), rng, file=cfg.output)
+        scatter_dump(ctx, n0_from_psnr(grid[0]), resolved_samples(cfg), rng, file=cfg.output)
         return records
 
     if cfg.mode == "complexity":
-        n0 = spec_from_psnr(grid[0], stats).n0
+        n0 = n0_from_psnr(grid[0])
         _, y = ctx.draw(COMPLEXITY_SYMBOLS, n0, derived_rng(cfg.seed, _TAG_UNCODED, 0, 0))
         # every kind that runs on this family without a compensation estimate
         kinds = [k for k, spec in DEMAPPERS.items() if ctx.family in spec.families and not spec.needs_comp]
@@ -396,84 +380,63 @@ def run(cfg: SimConfig) -> list:
         write_records_csv(records, cfg.output)
         return records
 
+    if cfg.mode == "coded_ber":
+        code_n = load_code(cfg).n
+        if code_n % ctx.m:
+            raise ConfigError(f"code length {code_n} is not a multiple of {ctx.m} bits/symbol")
+
+    label = (ctx.name, cfg.demapper, cfg.seed)
     execu = _Executor(cfg)
     try:
         if cfg.mode == "gmi":
-            records = _run_gmi(cfg, ctx, stats, grid, execu)
+            points = _run_blocks(cfg, ctx, grid, execu, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
+            records = [mean_record(psnr, "gmi", n, s1, s2, *label) for psnr, (n, s1, s2) in points]
         elif cfg.mode == "uncoded_ber":
-            records = _run_uncoded(cfg, ctx, stats, grid, execu)
+            budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
+            points = _run_blocks(cfg, ctx, grid, execu, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms)
+            records = [counted_record(psnr, "ber", errors, bits, *label) for psnr, (bits, errors) in points]
         else:
-            records = _run_coded(cfg, ctx, stats, grid, execu)
+            points = _run_blocks(cfg, ctx, grid, execu, _coded_task, CODED_BLOCK_FRAMES, resolved_samples(cfg))
+            for psnr, (frames, frame_errors, bits, bit_errors) in points:
+                records += [counted_record(psnr, "ber", bit_errors, bits, *label),
+                            counted_record(psnr, "fer", frame_errors, frames, *label)]
     finally:
         execu.close()
     write_records_csv(records, cfg.output)
     return records
 
 
-def _run_gmi(cfg, ctx, stats, grid, execu) -> list:
-    records = []
-    samples = resolved_samples(cfg)
-    for p, psnr in enumerate(grid):
-        n0 = spec_from_psnr(psnr, stats).n0
-        comp = None
-        if DEMAPPERS[cfg.demapper].needs_comp:
-            comp = estimate_affine_compensation(
-                ctx, n0, cfg.comp_samples, derived_rng(cfg.seed, _TAG_COMP, p, 0)
-            )
-        sizes = _split_blocks(samples, GMI_BLOCK_SYMBOLS)
-        tasks = [(p, b, n0, num, comp) for b, num in enumerate(sizes)]
-        acc = sum((MeanAccumulator(*r) for r in execu.map(_gmi_task, tasks)), MeanAccumulator())
-        records.append(
-            SweepRecord(psnr, "gmi", acc.mean, acc.stderr, acc.n, 0,
-                        ctx.name, cfg.demapper, cfg.seed)
-        )
-    return records
+def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget):
+    """The one Monte Carlo loop: yields each grid point's PSNR with the column sums of its kept blocks.
 
-
-def _run_counted(grid, stats, execu, task_fn, block_unit, budget, target):
-    """Shared wave-scheduled loop for the two BER modes.
-
-    Yields each grid point's PSNR with the column sums of its kept block results.
+    A BER mode dispatches one block per worker in each wave and stops a
+    point once the error counts, the second entry of each block result,
+    reach its target; gmi has no target and dispatches all of a point's
+    blocks in one wave.
     """
-    wave = max(1, execu.workers)
+    target = resolved_target_errors(cfg)
+    needs_comp = DEMAPPERS[cfg.demapper].needs_comp
+    sizes = _split_blocks(budget, block_unit)
+    wave = max(1, execu.workers) if target else len(sizes)
     for p, psnr in enumerate(grid):
-        n0 = spec_from_psnr(psnr, stats).n0
-        sizes = _split_blocks(budget, block_unit)
-        kept = []
-        errors = 0
-        hit = False
-        b = 0
-        while b < len(sizes) and not hit:
-            chunk = sizes[b:b + wave]
-            tasks = [(p, b + i, n0, num) for i, num in enumerate(chunk)]
-            results = execu.map(task_fn, tasks)
-            scanned, errors, hit = _stop_scan(results, target, 1, errors)
-            kept.extend(scanned)
-            b += len(chunk)
+        n0 = n0_from_psnr(psnr)
+        comp = None
+        if needs_comp:
+            comp = estimate_affine_compensation(ctx, n0, cfg.comp_samples, derived_rng(cfg.seed, _TAG_COMP, p, 0))
+        kept, errors, b = [], 0, 0
+        while b < len(sizes) and not (target and errors >= target):
+            tasks = [(p, b + i, n0, num, comp) for i, num in enumerate(sizes[b:b + wave])]
+            b += len(tasks)
+            # Keep the prefix up to the first block meeting the error target.
+            # Scanning is sequential in block order, so the kept prefix (and
+            # with it the output) does not depend on how many blocks a wave
+            # computed.
+            for res in execu.map(task, tasks):
+                kept.append(res)
+                errors += res[1]
+                if target and errors >= target:
+                    break
         yield psnr, [sum(col) for col in zip(*kept)]
-
-
-def _run_uncoded(cfg, ctx, stats, grid, execu) -> list:
-    budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
-    points = _run_counted(grid, stats, execu, _uncoded_task, UNCODED_BLOCK_SYMBOLS,
-                          budget_syms, resolved_target_errors(cfg))
-    return [counted_record(psnr, "ber", errors, bits, ctx.name, cfg.demapper, cfg.seed)
-            for psnr, (bits, errors) in points]
-
-
-def _run_coded(cfg, ctx, stats, grid, execu) -> list:
-    code = load_code(cfg)
-    if code.n % ctx.m:
-        raise ConfigError(
-            f"code length {code.n} is not a multiple of {ctx.m} bits/symbol"
-        )
-    points = _run_counted(grid, stats, execu, _coded_task, CODED_BLOCK_FRAMES,
-                          resolved_samples(cfg), resolved_target_errors(cfg))
-    records = []
-    for psnr, (frames, frame_errors, bits, bit_errors) in points:
-        records += [counted_record(psnr, "ber", bit_errors, bits, ctx.name, cfg.demapper, cfg.seed),
-                    counted_record(psnr, "fer", frame_errors, frames, ctx.name, cfg.demapper, cfg.seed)]
-    return records
 
 
 def write_records_csv(records, path) -> None:

@@ -51,27 +51,15 @@ def counted_record(psnr_db: float, metric: str, errors: int, trials: int,
     return SweepRecord(psnr_db, metric, p, stderr, trials, errors, constellation, demapper, seed)
 
 
-@dataclass
-class MeanAccumulator:
-    """Mergeable running mean/variance from (count, sum, sum of squares)."""
+def mean_record(psnr_db: float, metric: str, n: int, s1: float, s2: float,
+                constellation: str, demapper: str, seed: int) -> SweepRecord:
+    """A sample-mean row (gmi) from the count, sum and sum of squares of the samples.
 
-    n: int = 0
-    s1: float = 0.0
-    s2: float = 0.0
-
-    def __add__(self, other: "MeanAccumulator") -> "MeanAccumulator":
-        return MeanAccumulator(self.n + other.n, self.s1 + other.s1, self.s2 + other.s2)
-
-    @property
-    def mean(self) -> float:
-        return self.s1 / self.n
-
-    @property
-    def stderr(self) -> float:
-        if self.n < 2:
-            return float("inf")
-        var = max(self.s2 / self.n - self.mean ** 2, 0.0)
-        return math.sqrt(var / self.n)
+    The standard error is infinite for fewer than two samples.
+    """
+    mean = s1 / n
+    stderr = math.sqrt(max(s2 / n - mean ** 2, 0.0) / n) if n >= 2 else float("inf")
+    return SweepRecord(psnr_db, metric, mean, stderr, n, 0, constellation, demapper, seed)
 
 
 def gmi_symbol_scores(

@@ -2,66 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qcilink import (
-    ChannelSpec,
-    Constellation,
-    build_qam,
-    normalize_peak,
-    power_stats,
-    spec_from_psnr,
-    transmit,
-)
+from qcilink import n0_from_psnr, transmit
 
 
-def _ring_stats():
-    ang = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    labs = np.array([[int(b) for b in f"{i:03b}"] for i in range(8)], dtype=np.uint8)
-    return power_stats(Constellation(pts, labs))
-
-
-class TestSpecFromPsnr:
+class TestN0FromPsnr:
     def test_n0_from_psnr(self):
-        stats = power_stats(normalize_peak(build_qam(16)))
-        spec = spec_from_psnr(10.0, stats)
-        assert spec.n0 == pytest.approx(0.1, rel=1e-14)
-
-    def test_qam16_backoff(self):
-        stats = power_stats(normalize_peak(build_qam(16)))
-        spec = spec_from_psnr(12.0, stats)
-        assert spec.obo_db == pytest.approx(10 * np.log10(9 / 5), rel=1e-12)
-        assert spec.obo_db == pytest.approx(2.5527, abs=5e-4)
-        assert spec.snr_db == pytest.approx(12.0 - spec.obo_db, abs=1e-12)
-
-    def test_constant_envelope_has_zero_backoff(self):
-        spec = spec_from_psnr(7.5, _ring_stats())
-        assert spec.obo_db == pytest.approx(0.0, abs=1e-12)
-        assert spec.snr_db == pytest.approx(7.5)
-
-    def test_requires_peak_normalization(self):
-        with pytest.raises(ValueError, match="normalize_peak"):
-            spec_from_psnr(10.0, power_stats(build_qam(16)))
+        assert n0_from_psnr(10.0) == pytest.approx(0.1, rel=1e-14)
 
     def test_db_round_trips_exact(self):
-        stats = power_stats(normalize_peak(build_qam(64)))
         for psnr in (0.0, 10.25, 23.75):
-            spec = spec_from_psnr(psnr, stats)
-            assert spec.psnr_db - spec.obo_db == pytest.approx(spec.snr_db, abs=1e-12)
-            assert -10 * np.log10(spec.n0) == pytest.approx(psnr, abs=1e-12)
-
-
-class TestChannelSpecInvariants:
-    def test_rejects_nonpositive_noise(self):
-        with pytest.raises(ValueError, match="positive"):
-            ChannelSpec(n0=0.0, psnr_db=10.0, snr_db=8.0, obo_db=2.0)
-
-    def test_rejects_psnr_below_snr(self):
-        with pytest.raises(ValueError, match="PSNR"):
-            ChannelSpec(n0=0.1, psnr_db=5.0, snr_db=8.0, obo_db=-3.0)
-
-    def test_rejects_inconsistent_backoff(self):
-        with pytest.raises(ValueError, match="obo"):
-            ChannelSpec(n0=0.1, psnr_db=10.0, snr_db=8.0, obo_db=1.0)
+            assert -10 * np.log10(n0_from_psnr(psnr)) == pytest.approx(psnr, abs=1e-12)
 
 
 class TestTransmit:

@@ -23,6 +23,10 @@ from qcilink.harness import FAMILIES, build_context, resolved_samples, resolved_
 _OPENBLAS = harness._openblas()
 
 
+def _no_block(args):
+    pytest.fail("a Monte Carlo block ran")
+
+
 class TestParseConfig:
     def test_minimal_file_fills_defaults(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -131,9 +135,8 @@ class TestFamilyDemapperPairs:
         ("file", ["exact2d", "maxlog2d"]),
     ])
     def test_complexity_kinds_per_family(self, family, kinds, qci16_file, tmp_path):
-        cfg = SimConfig(mode="complexity", family=family, M=16, demapper="exact2d",
-                        constellation_file=qci16_file, psnr_start=12.0, psnr_stop=12.0,
-                        output=str(tmp_path / "cx.csv"))
+        cfg = SimConfig(mode="complexity", family=family, M=16, constellation_file=qci16_file,
+                        psnr_start=12.0, psnr_stop=12.0, output=str(tmp_path / "cx.csv"))
         assert [r.demapper for r in run(cfg)] == kinds
 
 
@@ -288,11 +291,47 @@ class TestCli:
         assert rc == 0
         assert "16 distance evals/symbol" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, capsys):
-        rc = main(["gmi", "--family", "qci", "--M", "16", "--demapper", "bogus",
+    @pytest.mark.parametrize("command", ["gmi", "sweep", "scatter", "complexity"])
+    def test_config_error_exit_code(self, command, capsys):
+        rc = main([command, "--family", "qci", "--M", "16", "--demapper", "bogus",
                    "--psnr", "10:11:0.5"])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scatter", "complexity"])
+    @pytest.mark.parametrize("flags", [
+        ["--family", "file"],
+        ["--family", "qam", "--demapper", "qci_lcd_compensated"],
+    ])
+    def test_modes_that_do_not_demap_skip_the_family_rule(self, command, flags, qci16_file, tmp_path):
+        out = tmp_path / "o.csv"
+        rc = main([command, *flags, "--M", "16", "--constellation-file", qci16_file,
+                   "--psnr", "12:12:1", "--output", str(out)])
+        assert rc == 0
+        assert out.exists()
+
+    def test_file_complexity_runs_the_2d_kinds(self, qci16_file, tmp_path, capsys):
+        rc = main(["complexity", "--family", "file", "--constellation-file", qci16_file,
+                   "--psnr", "12:12:1", "--output", str(tmp_path / "c.csv")])
+        assert rc == 0
+        kinds = [line.split()[1].rstrip(":") for line in capsys.readouterr().out.splitlines()]
+        assert ", ".join(kinds) == "exact2d, maxlog2d"
+
+    def test_1d_constellation_file_exits_2_before_the_pool(self, monkeypatch, tmp_path, capsys):
+        pam = tmp_path / "pam4.csv"
+        assert main(["constellation", "export", "--family", "pam", "--M", "4", "--output", str(pam)]) == 0
+
+        def no_pool(cfg):
+            pytest.fail("the pool started")
+
+        monkeypatch.setattr(harness, "_Executor", no_pool)
+        monkeypatch.setattr(harness, "_gmi_task", _no_block)
+        out = tmp_path / "g.csv"
+        rc = main(["gmi", "--family", "file", "--constellation-file", str(pam), "--demapper", "exact2d",
+                   "--psnr", "11:11:1", "--output", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--M", "12"],
@@ -306,10 +345,7 @@ class TestCli:
         assert not out.exists()
 
     def test_unwritable_output_exits_3_before_any_block(self, monkeypatch, capsys):
-        def no_block(args):
-            pytest.fail("a Monte Carlo block ran before the output was checked")
-
-        monkeypatch.setattr(harness, "_gmi_task", no_block)
+        monkeypatch.setattr(harness, "_gmi_task", _no_block)
         rc = main(["gmi", "--family", "qci", "--M", "16", "--psnr", "10:12:0.5",
                    "--samples", "100000", "--workers", "1",
                    "--output", "/no/such/dir/x.csv"])
@@ -345,3 +381,12 @@ class TestCli:
         assert "fig_iq_loss_gmi_m16.csv" in names
         assert "fig_scatter_m16.csv" in names
         assert "plot_figures.py" in names
+
+    @pytest.mark.parametrize("sizes", ["16,x", "16,1024"])
+    def test_make_figures_checks_every_size_before_the_first_run(self, sizes, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(harness, "_gmi_task", _no_block)
+        outdir = tmp_path / "figs"
+        rc = main(["make-figures", "--outdir", str(outdir), "--sizes", sizes, "--workers", "1"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()

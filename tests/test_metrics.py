@@ -11,21 +11,28 @@ from qcilink import (
     horizontal_gap,
     scatter_dump,
 )
-from qcilink.metrics import MeanAccumulator, _crossing_psnr, counted_record
+from qcilink.metrics import _crossing_psnr, counted_record, mean_record
 
 
 def _rec(psnr, value, trials, errors, metric="ber"):
     return SweepRecord(psnr, metric, value, 0.0, trials, errors, "qam16", "exact2d", 1)
 
 
-def _acc(x):
-    return MeanAccumulator(x.size, float(np.sum(x)), float(np.sum(x ** 2)))
+def _sums(x):
+    """A block's (count, sum, sum of squares), as the harness's GMI task returns them."""
+    return x.size, float(np.sum(x)), float(np.sum(x ** 2))
+
+
+def _mean_row(blocks):
+    """The gmi row of block sums added in block order."""
+    n, s1, s2 = (sum(col) for col in zip(*blocks))
+    return mean_record(10.0, "gmi", n, s1, s2, "qci16", "qci_lcd", 1)
 
 
 def _gmi(ctx, kind, n0, num, seed, comp=None):
     """Mean GMI score of one block and its standard error."""
-    acc = _acc(gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(seed), comp=comp))
-    return acc.mean, acc.stderr
+    row = _mean_row([_sums(gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(seed), comp=comp))])
+    return row.value, row.stderr
 
 
 class TestGmi:
@@ -136,25 +143,24 @@ class TestCounterMerges:
         with pytest.raises(ValueError):
             _rec(10, 0.0, -1, 0)
 
-    def test_mean_accumulator_merging(self, rng):
+    def test_mean_record_of_two_blocks(self, rng):
         x = rng.normal(size=1000)
-        whole = _acc(x)
-        merged = _acc(x[:400]) + _acc(x[400:])
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.stderr == pytest.approx(whole.stderr, rel=1e-12)
+        row = _mean_row([_sums(x[:400]), _sums(x[400:])])
+        assert row.value == pytest.approx(np.mean(x), rel=1e-12)
+        assert row.stderr == pytest.approx(np.std(x) / np.sqrt(x.size), rel=1e-12)
+        assert (row.metric, row.trials, row.errors) == ("gmi", 1000, 0)
 
-    def test_identity_element(self, rng):
-        # the GMI mode folds block accumulators onto an empty one
-        a = _acc(rng.normal(size=100))
-        assert MeanAccumulator() + a == a
-        assert a + MeanAccumulator() == a
+    def test_mean_record_of_one_sample(self):
+        row = _mean_row([_sums(np.array([0.7]))])
+        assert row.value == 0.7
+        assert row.stderr == float("inf")
 
-    def test_accumulate_stream(self, rng):
+    def test_mean_record_of_a_block_stream(self, rng):
         x = rng.normal(size=1000)
-        blocks = [_acc(x[lo:lo + 250]) for lo in range(0, 1000, 250)]
-        merged = sum(blocks, MeanAccumulator())
-        assert merged.n == 1000
-        assert merged.mean == pytest.approx(np.mean(x), rel=1e-12)
+        row = _mean_row([_sums(x[lo:lo + 250]) for lo in range(0, 1000, 250)])
+        assert row.trials == 1000
+        assert row.value == pytest.approx(np.mean(x), rel=1e-12)
+        assert row.stderr == pytest.approx(np.std(x) / np.sqrt(x.size), rel=1e-12)
 
 
 class TestScatterDump:

@@ -1,0 +1,89 @@
+"""Run a fixed matrix of qcilink experiments and print the sha256 of each output.
+
+The matrix covers every valid (family, demapper) GMI run, uncoded and
+coded BER runs with early stops, scatter runs with their centers,
+complexity runs for the qam, qci and file families, and
+``make-figures --sizes 16``, each at workers 1 and 2. Running it on two
+trees and diffing the printed lists shows whether a change kept every
+output byte-identical.
+
+Run from the repository root:  python tools/identity_matrix.py OUTDIR
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qcilink import build_qci, save_constellation  # noqa: E402
+from qcilink.cli import main as cli_main  # noqa: E402
+from qcilink.demapper import DEMAPPERS  # noqa: E402
+from qcilink.harness import SimConfig, run  # noqa: E402
+
+WORKERS = (1, 2)
+SEED = 7
+
+
+def _runs(const_file: str) -> dict:
+    """Output name -> SimConfig keywords, without workers and output."""
+    runs = {}
+    for kind, spec in DEMAPPERS.items():
+        for family in spec.families:
+            # 150k symbols: one full and one partial GMI block per point
+            runs[f"gmi_{family}16_{kind}"] = dict(
+                mode="gmi", family=family, M=16, demapper=kind, constellation_file=const_file,
+                psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=150_000)
+    runs["gmi_qci64_qci_lcd_compensated"] = dict(
+        mode="gmi", family="qci", M=64, demapper="qci_lcd_compensated",
+        psnr_start=17.0, psnr_stop=17.0, samples=250_000)
+    # low PSNRs meet the error target in the first or a later block, high ones run out of budget
+    runs["uncoded_qam16"] = dict(mode="uncoded_ber", family="qam", M=16, demapper="qam_decomposed",
+                                 psnr_start=6.0, psnr_stop=18.0, psnr_step=3.0,
+                                 samples=2_000_000, target_errors=1_000)
+    runs["uncoded_qci16"] = dict(mode="uncoded_ber", family="qci", M=16, demapper="qci_lcd",
+                                 psnr_start=10.0, psnr_stop=22.0, psnr_step=3.0,
+                                 samples=1_010_000, target_errors=200)
+    runs["uncoded_file64"] = dict(mode="uncoded_ber", family="file", M=64, demapper="exact2d",
+                                  constellation_file=const_file, psnr_start=14.0, psnr_stop=26.0,
+                                  psnr_step=4.0, samples=600_000, target_errors=300)
+    for family, kind in (("qci", "qci_lcd"), ("qam", "qam_decomposed")):
+        runs[f"coded_{family}16"] = dict(mode="coded_ber", family=family, M=16, demapper=kind,
+                                         psnr_start=11.0, psnr_stop=13.0, psnr_step=1.0,
+                                         samples=100, target_errors=20)
+    # scatter and complexity runs name exact2d, the demapper every family accepts
+    for family, M in (("qci", 16), ("qam", 16), ("file", 64), ("qci", 256)):
+        runs[f"scatter_{family}{M}"] = dict(mode="scatter", family=family, M=M, demapper="exact2d",
+                                            constellation_file=const_file,
+                                            psnr_start=12.0, psnr_stop=12.0, samples=3_000)
+    for family, M in (("qam", 16), ("qci", 64), ("file", 64), ("qam", 256)):
+        runs[f"complexity_{family}{M}"] = dict(mode="complexity", family=family, M=M,
+                                               demapper="exact2d", constellation_file=const_file,
+                                               psnr_start=12.0, psnr_stop=12.0)
+    return runs
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python tools/identity_matrix.py OUTDIR")
+    outdir = Path(sys.argv[1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    const_file = outdir / "file64.csv"
+    save_constellation(build_qci(64), const_file)
+    for workers in WORKERS:
+        for name, spec in _runs(str(const_file)).items():
+            run(SimConfig(**spec, seed=SEED, workers=workers, output=str(outdir / f"w{workers}_{name}.csv")))
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(["make-figures", "--outdir", str(outdir / f"w{workers}_figures"), "--sizes", "16",
+                           "--samples", "100000", "--step", "1.0", "--seed", str(SEED),
+                           "--workers", str(workers)])
+        if rc != 0:
+            raise SystemExit(f"make-figures exited {rc}")
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(outdir))
+
+
+if __name__ == "__main__":
+    main()
