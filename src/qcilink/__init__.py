@@ -41,9 +41,6 @@ from .demapper import (
     llr_exact_2d,
     llr_maxlog_2d,
     llr_pam,
-    llr_qam_decomposed,
-    llr_qci_lcd,
-    llr_qci_remapped_2d,
     qam_context,
     qci_context,
 )

@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
         print(f"wrote scatter dump to {cfg.output}")
     elif cfg.mode == "complexity":
         for r in records:
-            print(f"M={cfg.M} {r.demapper}: {r.value:g} distance evals/symbol")
+            print(f"{r.constellation} {r.demapper}: {r.value:g} distance evals/symbol")
     else:
         print(f"wrote {len(records)} records to {cfg.output}")
     return 0
@@ -104,14 +104,11 @@ def _build_constellation(args):
         if not args.constellation_file:
             raise ConfigError("family 'file' requires --constellation-file")
         return load_constellation(args.constellation_file)
-    M = args.M or 16
-    if family == "pam":
-        return build_pam(M)
-    if family == "qam":
-        return build_qam(M)
-    if family == "qci":
-        return build_qci(M)
-    raise ConfigError(f"unknown family {family!r}")
+    build = {"pam": build_pam, "qam": build_qam, "qci": build_qci}[family]
+    try:
+        return build(args.M or 16)
+    except ValueError as exc:  # the builders reject unsupported sizes
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_into_one_csv(cfgs, path: Path) -> None:

@@ -22,7 +22,6 @@ M per symbol for the 2D paths, 2*sqrt(M) for the decomposed paths.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -253,54 +252,6 @@ def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:
     return LlrFrame(vals, distance_evals=len(ys) * pam.M)
 
 
-def llr_qam_decomposed(y, ctx: DemapContext, n0: float) -> LlrFrame:
-    """Per-axis PAM demapping of product QAM; bit-exact vs. the 2D log-MAP.
-
-    The Gaussian density factorizes over I and Q and the product labeling
-    assigns each bit to exactly one axis, so nothing is lost: 2*sqrt(M)
-    distance evals per symbol instead of M. On a QAM context the inverse
-    map of :func:`llr_qci_lcd` is the identity, so that path computes it.
-    """
-    if ctx.family != "qam" or ctx.pam_grid is None:
-        raise ValueError("decomposed demapping requires a product-QAM context")
-    return llr_qci_lcd(y, ctx, n0)
-
-
-def llr_qci_lcd(y, ctx: DemapContext, n0: float, comp: AffineCompensation | None = None) -> LlrFrame:
-    """Low-complexity path: inverse map, then per-axis PAM demapping.
-
-    Optionally applies an affine compensation to the remapped signal first.
-    On a QAM context the inverse map degenerates to the identity and this
-    equals :func:`llr_qam_decomposed`.
-    """
-    n0 = _check_n0(n0)
-    if ctx.pam_grid is None:
-        raise ValueError("this context has no PAM decomposition")
-    ys = _symbols_2d(y)
-    z = ctx.unmap(ys)
-    if comp is not None:
-        z = comp.alpha * z + comp.beta
-    fi = llr_pam(z[:, 0], ctx.pam_grid, n0)
-    fq = llr_pam(z[:, 1], ctx.pam_grid, n0)
-    map_evals = len(ys) if ctx.family == "qci" else 0
-    return LlrFrame(np.hstack([fi.values, fq.values]), distance_evals=len(ys) * 2 * ctx.pam_grid.M,
-                    map_evals=map_evals)
-
-
-def llr_qci_remapped_2d(y, ctx: DemapContext, n0: float) -> LlrFrame:
-    """Diagnostic path: inverse map, then full 2D log-MAP against the square grid.
-
-    Isolates the cost of the I/Q decomposition from the cost of the
-    Gaussian mismatch; still mismatched, but jointly over both axes.
-    """
-    n0 = _check_n0(n0)
-    ys = _symbols_2d(y)
-    z = ctx.unmap(ys)
-    frame = llr_exact_2d(z, ctx.qam_grid, n0)
-    map_evals = len(ys) if ctx.family == "qci" else 0
-    return LlrFrame(frame.values, distance_evals=frame.distance_evals, map_evals=map_evals)
-
-
 def cluster_centers(idx: np.ndarray, z: np.ndarray, M: int):
     """Mean of the 2D samples ``z`` per point index, plus the sample counts.
 
@@ -343,35 +294,61 @@ def estimate_affine_compensation(
 
 
 class Demapper(NamedTuple):
-    """One demapper kind of the run configuration."""
+    """One demapper kind of the run configuration, as the steps of its pipeline.
 
-    llr: Callable  # (y, ctx, n0, comp) -> LlrFrame
-    families: tuple  # the FAMILIES it can demap
-    needs_comp: bool = False  # requires an AffineCompensation
+    families   : the FAMILIES it can demap
+    remap      : undo the shaping map (``DemapContext.unmap``) and demap
+                 against the square grid instead of the transmitted points
+    per_axis   : split the (remapped) point into two PAM demappers,
+                 2*sqrt(M) distance evals per symbol instead of M
+    maxlog     : max-log instead of the exact log-sum-exp in a 2D demapper
+    needs_comp : apply an AffineCompensation to the remapped point
+    """
+
+    families: tuple
+    remap: bool = False
+    per_axis: bool = False
+    maxlog: bool = False
+    needs_comp: bool = False
 
 
-# The entries look the llr_* functions up by name at call time, so a
-# function replaced on this module is the one that runs.
+# Per-axis demapping is bit-exact on product QAM (the Gaussian density and
+# the labeling factor over I and Q; a qam context remaps by the identity).
+# qci_remapped_2d demaps jointly: it separates the I/Q split from the remap's mismatch.
 DEMAPPERS = {
-    "exact2d": Demapper(lambda y, ctx, n0, comp: llr_exact_2d(y, ctx.constellation, n0), FAMILIES),
-    "maxlog2d": Demapper(lambda y, ctx, n0, comp: llr_maxlog_2d(y, ctx.constellation, n0), FAMILIES),
-    "qam_decomposed": Demapper(lambda y, ctx, n0, comp: llr_qam_decomposed(y, ctx, n0), ("qam",)),
-    "qci_lcd": Demapper(lambda y, ctx, n0, comp: llr_qci_lcd(y, ctx, n0), ("qam", "qci")),
-    "qci_lcd_compensated": Demapper(
-        lambda y, ctx, n0, comp: llr_qci_lcd(y, ctx, n0, comp=comp), ("qci",), needs_comp=True),
-    "qci_remapped_2d": Demapper(lambda y, ctx, n0, comp: llr_qci_remapped_2d(y, ctx, n0), ("qam", "qci")),
+    "exact2d": Demapper(FAMILIES),
+    "maxlog2d": Demapper(FAMILIES, maxlog=True),
+    "qam_decomposed": Demapper(("qam",), remap=True, per_axis=True),
+    "qci_lcd": Demapper(("qam", "qci"), remap=True, per_axis=True),
+    "qci_lcd_compensated": Demapper(("qci",), remap=True, per_axis=True, needs_comp=True),
+    "qci_remapped_2d": Demapper(("qam", "qci"), remap=True),
 }
 DEMAPPER_KINDS = tuple(DEMAPPERS)
 
 
 def demap(kind: str, y, ctx: DemapContext, n0: float, comp: AffineCompensation | None = None) -> LlrFrame:
-    """Dispatch a demapper by configuration name.
+    """Run the pipeline of a demapper kind by configuration name.
 
     ``qci_lcd_compensated`` requires ``comp``; the other kinds ignore it.
     """
     spec = DEMAPPERS.get(kind)
     if spec is None:
         raise ValueError(f"unknown demapper kind {kind!r}; choose from {DEMAPPER_KINDS}")
+    if ctx.family not in spec.families:
+        raise ValueError(f"demapper {kind!r} supports only the families {spec.families}, not {ctx.family!r}")
     if spec.needs_comp and comp is None:
         raise ValueError(f"{kind} requires an AffineCompensation")
-    return spec.llr(y, ctx, n0, comp)
+    if spec.remap:
+        z, grid = ctx.unmap(_symbols_2d(y)), ctx.qam_grid
+        if spec.needs_comp:
+            z = comp.alpha * z + comp.beta
+    else:
+        z, grid = y, ctx.constellation
+    if spec.per_axis:
+        fi = llr_pam(z[:, 0], ctx.pam_grid, n0)
+        fq = llr_pam(z[:, 1], ctx.pam_grid, n0)
+        frame = LlrFrame(np.hstack([fi.values, fq.values]), fi.distance_evals + fq.distance_evals)
+    else:
+        frame = (llr_maxlog_2d if spec.maxlog else llr_exact_2d)(z, grid, n0)
+    map_evals = frame.num_symbols if spec.remap and ctx.family == "qci" else 0
+    return LlrFrame(frame.values, frame.distance_evals, map_evals)

@@ -198,10 +198,10 @@ def load_code(cfg: SimConfig) -> ParityCheckCode:
 _WORKER: dict = {}
 
 
-def _init_worker(cfg: SimConfig) -> None:
+def _init_worker(cfg: SimConfig, code: ParityCheckCode | None) -> None:
     _WORKER["cfg"] = cfg
     _WORKER["ctx"] = build_context(cfg)
-    _WORKER["code"] = load_code(cfg) if cfg.mode == "coded_ber" else None
+    _WORKER["code"] = code
 
 
 def _gmi_task(args):
@@ -309,9 +309,12 @@ def _share_cores_with_blas(workers: int, cores: int) -> None:
 
 
 class _Executor:
-    """Runs block tasks inline or on a process pool; results stay ordered."""
+    """Runs block tasks inline or on a process pool; results stay ordered.
 
-    def __init__(self, cfg: SimConfig):
+    Forked workers inherit ``code``, the LDPC code the caller loaded once.
+    """
+
+    def __init__(self, cfg: SimConfig, code: ParityCheckCode | None = None):
         cores = _usable_cpus()
         workers = cfg.workers if cfg.workers > 0 else cores
         self.workers = workers
@@ -319,10 +322,10 @@ class _Executor:
         _share_cores_with_blas(workers, cores)
         if workers > 1:
             self.pool = multiprocessing.get_context("fork").Pool(
-                workers, initializer=_init_worker, initargs=(cfg,)
+                workers, initializer=_init_worker, initargs=(cfg, code)
             )
         else:
-            _init_worker(cfg)
+            _init_worker(cfg, code)
 
     def map(self, fn, tasks):
         tasks = list(tasks)
@@ -380,13 +383,12 @@ def run(cfg: SimConfig) -> list:
         write_records_csv(records, cfg.output)
         return records
 
-    if cfg.mode == "coded_ber":
-        code_n = load_code(cfg).n
-        if code_n % ctx.m:
-            raise ConfigError(f"code length {code_n} is not a multiple of {ctx.m} bits/symbol")
+    code = load_code(cfg) if cfg.mode == "coded_ber" else None
+    if code is not None and code.n % ctx.m:
+        raise ConfigError(f"code length {code.n} is not a multiple of {ctx.m} bits/symbol")
 
     label = (ctx.name, cfg.demapper, cfg.seed)
-    execu = _Executor(cfg)
+    execu = _Executor(cfg, code)
     try:
         if cfg.mode == "gmi":
             points = _run_blocks(cfg, ctx, grid, execu, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))

@@ -17,10 +17,9 @@ from qcilink import (
     SimConfig,
     build_qam,
     build_qci,
+    demap,
     gray_check,
     llr_exact_2d,
-    llr_qam_decomposed,
-    llr_qci_lcd,
     qam_context,
     qci_context,
     radial_forward,
@@ -117,7 +116,7 @@ def test_criterion_03_decomposition_exactness():
         y_ch, pts = y * ctx.peak_scale, ctx.constellation
         for yi, n0i in zip(y_ch, n0):
             a = llr_exact_2d(yi, pts, n0i).values
-            b = llr_qam_decomposed(yi, ctx, n0i).values
+            b = demap("qam_decomposed", yi, ctx, n0i).values
             worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst < 1e-9
     report(3, f"I/Q-decomposed LLRs equal the 2D log-MAP, max |diff| {worst:.2e} "
@@ -143,8 +142,8 @@ def test_criterion_05_complexity_counters():
         qam, qci = qam_context(M), qci_context(M)
         y = np.zeros((16, 2))
         exact = llr_exact_2d(y, qam.constellation, 1.0).distance_evals / 16
-        decomp = llr_qam_decomposed(y, qam, 1.0).distance_evals / 16
-        lcd = llr_qci_lcd(y, qci, 1.0).distance_evals / 16
+        decomp = demap("qam_decomposed", y, qam, 1.0).distance_evals / 16
+        lcd = demap("qci_lcd", y, qci, 1.0).distance_evals / 16
         assert exact == M
         assert decomp == 2 * np.sqrt(M)
         assert lcd == 2 * np.sqrt(M)

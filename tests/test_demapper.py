@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,19 +10,17 @@ from qcilink import (
     build_pam,
     build_qam,
     build_qci,
+    DEMAPPER_KINDS,
     custom_context,
     demap,
     estimate_affine_compensation,
     llr_exact_2d,
     llr_maxlog_2d,
     llr_pam,
-    llr_qam_decomposed,
-    llr_qci_lcd,
-    llr_qci_remapped_2d,
     qam_context,
     qci_context,
 )
-from qcilink.demapper import LLR_CLAMP
+from qcilink.demapper import DEMAPPERS, LLR_CLAMP
 
 from oracles import brute_force_llr_2d, brute_force_llr_pam
 
@@ -140,37 +140,37 @@ class TestDecomposition:
         y, n0 = _random_trials(ctx.constellation, 150, seed=M + 1)
         for yi, n0i in zip(y, n0):
             a = llr_exact_2d(yi, ctx.constellation, n0i).values
-            b = llr_qam_decomposed(yi, ctx, n0i).values
+            b = demap("qam_decomposed", yi, ctx, n0i).values
             npt.assert_allclose(b, a, atol=1e-9)
 
     def test_counters(self, qam16_ctx):
         y = np.zeros((10, 2))
-        assert llr_qam_decomposed(y, qam16_ctx, 1.0).distance_evals == 10 * 8
+        assert demap("qam_decomposed", y, qam16_ctx, 1.0).distance_evals == 10 * 8
         assert llr_exact_2d(y, qam16_ctx.constellation, 1.0).distance_evals == 10 * 16
 
     def test_requires_qam_context(self, qci16_ctx):
-        with pytest.raises(ValueError, match="product"):
-            llr_qam_decomposed([0.0, 0.0], qci16_ctx, 1.0)
+        with pytest.raises(ValueError, match="families"):
+            demap("qam_decomposed", [0.0, 0.0], qci16_ctx, 1.0)
 
 
 class TestLcd:
     def test_noiseless_round_trip_signs(self, qci16_ctx):
         tx = qci16_ctx.constellation.points
-        fr = llr_qci_lcd(tx, qci16_ctx, 1e-9)
+        fr = demap("qci_lcd", tx, qci16_ctx, 1e-9)
         want_bits = qci16_ctx.constellation.labels
         npt.assert_array_equal(fr.hard_bits(), want_bits)
 
     def test_identity_compensation_is_noop(self, qci16_ctx, rng):
         y = rng.normal(0.0, 0.6, size=(100, 2))
-        plain = llr_qci_lcd(y, qci16_ctx, 0.2).values
-        comped = llr_qci_lcd(y, qci16_ctx, 0.2,
-                             comp=AffineCompensation(1.0, np.zeros(2))).values
+        plain = demap("qci_lcd", y, qci16_ctx, 0.2).values
+        comped = demap("qci_lcd_compensated", y, qci16_ctx, 0.2,
+                       comp=AffineCompensation(1.0, np.zeros(2))).values
         npt.assert_array_equal(comped, plain)
 
     def test_degenerate_on_qam_context(self, qam16_ctx, rng):
         y = rng.normal(0.0, 0.6, size=(50, 2))
-        npt.assert_array_equal(llr_qci_lcd(y, qam16_ctx, 0.3).values,
-                               llr_qam_decomposed(y, qam16_ctx, 0.3).values)
+        npt.assert_array_equal(demap("qci_lcd", y, qam16_ctx, 0.3).values,
+                               demap("qam_decomposed", y, qam16_ctx, 0.3).values)
 
     def test_hard_decision_agreement_with_ml(self, qci16_ctx, rng):
         # the low-complexity path disagrees with full ML only on a small,
@@ -180,7 +180,7 @@ class TestLcd:
             idx = rng.integers(0, 16, size=20_000)
             x = qci16_ctx.constellation.points[idx]
             y = x + rng.normal(0.0, np.sqrt(n0 / 2), size=x.shape)
-            lcd = llr_qci_lcd(y, qci16_ctx, n0).hard_bits()
+            lcd = demap("qci_lcd", y, qci16_ctx, n0).hard_bits()
             ml = llr_exact_2d(y, qci16_ctx.constellation, n0).hard_bits()
             return np.all(lcd == ml, axis=1).mean()
 
@@ -190,7 +190,7 @@ class TestLcd:
         assert above > 0.95
 
     def test_counters_and_map_evals(self, qci16_ctx):
-        fr = llr_qci_lcd(np.zeros((10, 2)), qci16_ctx, 1.0)
+        fr = demap("qci_lcd", np.zeros((10, 2)), qci16_ctx, 1.0)
         assert fr.distance_evals == 10 * 8
         assert fr.map_evals == 10
 
@@ -198,12 +198,12 @@ class TestLcd:
 class TestRemapped2d:
     def test_noiseless_signs(self, qci16_ctx):
         tx = qci16_ctx.constellation.points
-        fr = llr_qci_remapped_2d(tx, qci16_ctx, 1e-9)
+        fr = demap("qci_remapped_2d", tx, qci16_ctx, 1e-9)
         npt.assert_array_equal(fr.hard_bits(), qci16_ctx.constellation.labels)
 
     def test_degenerate_on_qam_context_equals_exact(self, qam16_ctx, rng):
         y = rng.normal(0.0, 0.7, size=(80, 2))
-        npt.assert_allclose(llr_qci_remapped_2d(y, qam16_ctx, 0.4).values,
+        npt.assert_allclose(demap("qci_remapped_2d", y, qam16_ctx, 0.4).values,
                             llr_exact_2d(y, qam16_ctx.constellation, 0.4).values,
                             atol=1e-12)
 
@@ -211,12 +211,12 @@ class TestRemapped2d:
         # the Gaussian kernel factorizes over the product labels, so joint
         # 2D demapping of the remapped point cannot differ from per-axis
         y = rng.normal(0.0, 0.7, size=(200, 2))
-        a = llr_qci_remapped_2d(y, qci16_ctx, 0.25).values
-        b = llr_qci_lcd(y, qci16_ctx, 0.25).values
+        a = demap("qci_remapped_2d", y, qci16_ctx, 0.25).values
+        b = demap("qci_lcd", y, qci16_ctx, 0.25).values
         npt.assert_allclose(a, b, atol=1e-9)
 
     def test_counter_is_full_size(self, qci16_ctx):
-        fr = llr_qci_remapped_2d(np.zeros((10, 2)), qci16_ctx, 1.0)
+        fr = demap("qci_remapped_2d", np.zeros((10, 2)), qci16_ctx, 1.0)
         assert fr.distance_evals == 10 * 16
         assert fr.map_evals == 10
 
@@ -228,8 +228,26 @@ class TestCounterLaw:
         qci = qci_context(M)
         y = np.zeros((8, 2))
         assert llr_exact_2d(y, qam.constellation, 1.0).distance_evals / 8 == M
-        assert llr_qam_decomposed(y, qam, 1.0).distance_evals / 8 == 2 * np.sqrt(M)
-        assert llr_qci_lcd(y, qci, 1.0).distance_evals / 8 == 2 * np.sqrt(M)
+        assert demap("qam_decomposed", y, qam, 1.0).distance_evals / 8 == 2 * np.sqrt(M)
+        assert demap("qci_lcd", y, qci, 1.0).distance_evals / 8 == 2 * np.sqrt(M)
+
+    @pytest.mark.parametrize("kind", DEMAPPER_KINDS)
+    @pytest.mark.parametrize("family,M", [("qam", 16), ("qam", 64), ("qci", 16), ("qci", 64), ("file", 16)])
+    def test_law_reads_off_the_row(self, kind, family, M):
+        # per_axis rows cost 2*sqrt(M) distance evals per symbol, the others M;
+        # only a remap of a qci context counts inverse-map evaluations
+        spec = DEMAPPERS[kind]
+        make = {"qam": qam_context, "qci": qci_context, "file": lambda M: custom_context(build_qci(M))}
+        ctx = make[family](M)
+        _, y = ctx.draw(37, 0.1, np.random.default_rng(M))
+        comp = AffineCompensation(1.0, np.zeros(2))
+        if family not in spec.families:
+            with pytest.raises(ValueError, match="families"):
+                demap(kind, y, ctx, 0.1, comp)
+            return
+        fr = demap(kind, y, ctx, 0.1, comp)
+        assert fr.distance_evals == 37 * (2 * math.isqrt(M) if spec.per_axis else M)
+        assert fr.map_evals == (37 if spec.remap and family == "qci" else 0)
 
 
 class TestConventions:
@@ -302,7 +320,7 @@ class TestDispatch:
 
     def test_custom_context_has_no_decomposition(self):
         ctx = custom_context(build_qci(16))
-        with pytest.raises(ValueError, match="decomposition"):
+        with pytest.raises(ValueError, match="families"):
             demap("qci_lcd", [0.0, 0.0], ctx, 1.0)
         vals = demap("exact2d", [0.0, 0.0], ctx, 1.0).values
         assert vals.shape == (1, 4)

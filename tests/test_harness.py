@@ -13,6 +13,7 @@ from qcilink import (
     parse_config,
     psnr_grid,
     run,
+    save_alist,
     save_constellation,
 )
 from qcilink.cli import main
@@ -260,6 +261,20 @@ class TestUncodedMode:
         assert rec.value < 1e-3
 
 
+class TestCodedMode:
+    def test_inline_run_loads_the_code_once(self, toy_code, monkeypatch, tmp_path):
+        path = tmp_path / "toy.alist"
+        save_alist(toy_code, path)
+        calls = []
+        load = harness.load_code
+        monkeypatch.setattr(harness, "load_code", lambda cfg: calls.append(cfg) or load(cfg))
+        records = run(SimConfig(mode="coded_ber", family="qam", M=16, demapper="qam_decomposed",
+                                code_file=str(path), psnr_start=12.0, psnr_stop=12.0, samples=25,
+                                workers=1, output=str(tmp_path / "c.csv")))
+        assert [r.metric for r in records] == ["ber", "fer"]
+        assert len(calls) == 1
+
+
 class TestScatterMode:
     def test_writes_dump(self, tmp_path):
         out = tmp_path / "sc.csv"
@@ -290,6 +305,25 @@ class TestCli:
                    "--psnr", "12:12:1", "--output", str(tmp_path / "c.csv")])
         assert rc == 0
         assert "16 distance evals/symbol" in capsys.readouterr().out
+
+    def test_complexity_lines_name_the_constellation(self, tmp_path, capsys):
+        const = tmp_path / "qci64.csv"
+        save_constellation(build_qci(64), const)
+        rc = main(["complexity", "--family", "file", "--constellation-file", str(const),
+                   "--psnr", "12:12:1", "--output", str(tmp_path / "c.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "qci64 exact2d: 64 distance evals/symbol", "qci64 maxlog2d: 64 distance evals/symbol"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gray-check", "--family", "qam", "--M", "12"],
+        ["constellation", "export", "--family", "pam", "--M", "3", "--output", "x.csv"],
+    ])
+    def test_unsupported_size_exits_2(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "config error: unsupported" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["gmi", "sweep", "scatter", "complexity"])
     def test_config_error_exit_code(self, command, capsys):

@@ -3,7 +3,10 @@
 The matrix covers every valid (family, demapper) GMI run, uncoded and
 coded BER runs with early stops, scatter runs with their centers,
 complexity runs for the qam, qci and file families, and
-``make-figures --sizes 16``, each at workers 1 and 2. Running it on two
+``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
+raw float64 LLR bytes and both counters of ``demap`` for every valid
+(family, demapper) on one fixed draw, so a demapper change is checked at
+full precision and not only through the 10-digit CSVs. Running it on two
 trees and diffing the printed lists shows whether a change kept every
 output byte-identical.
 
@@ -18,10 +21,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qcilink import build_qci, save_constellation  # noqa: E402
+import numpy as np  # noqa: E402
+
+from qcilink import build_qci, n0_from_psnr, save_constellation  # noqa: E402
 from qcilink.cli import main as cli_main  # noqa: E402
-from qcilink.demapper import DEMAPPERS  # noqa: E402
-from qcilink.harness import SimConfig, run  # noqa: E402
+from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
+from qcilink.harness import SimConfig, build_context, run  # noqa: E402
 
 WORKERS = (1, 2)
 SEED = 7
@@ -65,6 +70,24 @@ def _runs(const_file: str) -> dict:
     return runs
 
 
+def _write_llrs(outdir: Path, const_file: str) -> None:
+    """Raw LLR bytes of every valid (family, demapper) on one seeded draw, plus both counters."""
+    n0 = n0_from_psnr(12.0)
+    counters = ["name,num_symbols,distance_evals,map_evals"]
+    for kind, spec in DEMAPPERS.items():
+        for family in spec.families:
+            ctx = build_context(SimConfig(family=family, M=16, constellation_file=const_file))
+            _, y = ctx.draw(2_000, n0, np.random.default_rng(SEED))
+            comp = None
+            if spec.needs_comp:
+                comp = estimate_affine_compensation(ctx, n0, 20_000, np.random.default_rng(SEED))
+            frame = demap(kind, y, ctx, n0, comp)
+            name = f"llr_{ctx.name}_{kind}"
+            (outdir / f"{name}.f64").write_bytes(frame.values.tobytes())
+            counters.append(f"{name},{frame.num_symbols},{frame.distance_evals},{frame.map_evals}")
+    (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         raise SystemExit("usage: python tools/identity_matrix.py OUTDIR")
@@ -72,6 +95,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     const_file = outdir / "file64.csv"
     save_constellation(build_qci(64), const_file)
+    _write_llrs(outdir, str(const_file))
     for workers in WORKERS:
         for name, spec in _runs(str(const_file)).items():
             run(SimConfig(**spec, seed=SEED, workers=workers, output=str(outdir / f"w{workers}_{name}.csv")))
