@@ -4,7 +4,9 @@ The decoder is a flooding-schedule sum-product implementation in the
 log domain, vectorized over both edges and frames. LLR sign convention
 matches the demappers: positive means bit 0. The encoder is derived from
 the parity-check matrix by GF(2) row reduction; pivot columns become
-parity positions, the remaining columns carry the information bits.
+parity positions, the remaining columns carry the information bits. Each
+parity bit is a GF(2) inner product, computed on bits packed into uint64
+words: AND, XOR-accumulate over the words, then popcount parity.
 """
 
 from __future__ import annotations
@@ -88,9 +90,9 @@ class ParityCheckCode:
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """Parity of each check for hard bits of shape (..., n)."""
-        b = np.asarray(bits, dtype=np.int64)
-        gathered = b[..., self.edge_var]
-        return np.add.reduceat(gathered, self.check_ptr[:-1], axis=-1) & 1
+        # uint8 sums wrap at 256, which keeps their parity
+        gathered = np.asarray(bits, dtype=np.uint8)[..., self.edge_var]
+        return np.add.reduceat(gathered, self.check_ptr[:-1], axis=-1, dtype=np.uint8) & 1
 
     def _ensure_encoder(self):
         if self._encoder is None:
@@ -101,7 +103,7 @@ class ParityCheckCode:
                 )
             pivot_cols = np.asarray(pivots, dtype=np.int64)
             info_cols = np.setdiff1d(np.arange(self.n), pivot_cols)
-            self._encoder = (pivot_cols, info_cols, H[:, info_cols].astype(np.uint8))
+            self._encoder = (pivot_cols, info_cols, _pack_words(H[:, info_cols]))
         return self._encoder
 
 
@@ -128,6 +130,15 @@ def _gf2_rref(H: np.ndarray):
     return H, pivots
 
 
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 entries along the last axis into zero-padded uint64 words."""
+    packed = np.packbits(bits, axis=-1)
+    nbytes = packed.shape[-1]
+    words = np.zeros(packed.shape[:-1] + (nbytes + -nbytes % 8,), dtype=np.uint8)
+    words[..., :nbytes] = packed
+    return words.view(np.uint64)
+
+
 def gf2_rank(H: np.ndarray) -> int:
     return len(_gf2_rref(np.asarray(H, dtype=np.uint8))[1])
 
@@ -135,18 +146,24 @@ def gf2_rank(H: np.ndarray) -> int:
 def encode(code: ParityCheckCode, info_bits: np.ndarray) -> np.ndarray:
     """Systematic encoding; output satisfies every parity check.
 
-    Accepts (k,) or (batch, k) arrays of 0/1.
+    Accepts (k,) or (batch, k) arrays of 0/1 (or bool); any other entry
+    raises ValueError.
     """
-    u = np.asarray(info_bits, dtype=np.uint8)
+    u = np.asarray(info_bits)
+    if not np.all((u == 0) | (u == 1)):
+        raise ValueError("information bits must be 0 or 1")
     single = u.ndim == 1
-    u2 = np.atleast_2d(u)
+    u2 = np.atleast_2d(u).astype(np.uint8, copy=False)
     if u2.shape[1] != code.k:
         raise ValueError(f"expected {code.k} information bits, got {u2.shape[1]}")
-    pivot_cols, info_cols, P = code._ensure_encoder()
-    parity = (u2.astype(np.int64) @ P.T.astype(np.int64)) & 1
+    pivot_cols, info_cols, P_words = code._ensure_encoder()
+    u_words = _pack_words(u2)
+    acc = np.zeros((u2.shape[0], code.num_checks), dtype=np.uint64)
+    for j in range(u_words.shape[1]):
+        acc ^= u_words[:, j, None] & P_words[:, j]
     cw = np.zeros((u2.shape[0], code.n), dtype=np.uint8)
     cw[:, info_cols] = u2
-    cw[:, pivot_cols] = parity.astype(np.uint8)
+    cw[:, pivot_cols] = np.bitwise_count(acc) & 1
     return cw[0] if single else cw
 
 

@@ -11,6 +11,7 @@ discarded rather than folded in.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import errno
 import functools
@@ -442,12 +443,23 @@ def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget):
 
 
 def write_records_csv(records, path) -> None:
-    """Write sweep records in the shared CSV schema."""
+    """Write sweep records in the shared CSV schema.
+
+    The rows go to a temp file next to ``path`` that then replaces it, so an
+    interrupted write never leaves a truncated CSV behind.
+    """
     lines = ["psnr_db,metric,value,stderr,trials,constellation,demapper,seed"]
     for r in records:
         lines.append(
             f"{r.psnr_db:.10g},{r.metric},{r.value:.10g},{r.stderr:.10g},"
             f"{r.trials},{r.constellation},{r.demapper},{r.seed}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

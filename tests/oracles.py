@@ -8,6 +8,8 @@ here so comparisons stay meaningful near saturation.
 
 import math
 
+import numpy as np
+
 LLR_CLAMP = 60.0
 
 
@@ -65,3 +67,18 @@ def nearest_neighbor_pairs(points):
 
 def hamming(a, b):
     return sum(int(x) != int(y) for x, y in zip(a, b))
+
+
+def systematic_encode_int64(H_rref, pivot_cols, info_cols, info_bits):
+    """Codewords by the plain int64 product: parity = (u @ P.T) & 1, P = H_rref[:, info_cols]."""
+    u = np.atleast_2d(np.asarray(info_bits, dtype=np.int64))
+    P = np.asarray(H_rref, dtype=np.int64)[:, info_cols]
+    cw = np.zeros((u.shape[0], H_rref.shape[1]), dtype=np.int64)
+    cw[:, info_cols] = u
+    cw[:, pivot_cols] = (u @ P.T) & 1
+    return cw
+
+
+def syndrome_int64(H, bits):
+    """Check parities of hard bits (..., n) by the int64 product (bits @ H.T) & 1."""
+    return (np.asarray(bits, dtype=np.int64) @ np.asarray(H, dtype=np.int64).T) & 1

@@ -13,7 +13,8 @@ from qcilink import (
     load_alist,
     save_alist,
 )
-from qcilink.coding import gf2_rank, info_bits_of
+from oracles import syndrome_int64, systematic_encode_int64
+from qcilink.coding import _gf2_rref, gf2_rank, info_bits_of
 from qcilink.errors import DataFormatError
 
 
@@ -117,6 +118,46 @@ class TestEncoder:
         code = ParityCheckCode(4, [[0, 1], [0, 1], [2, 3]])
         with pytest.raises(ValueError, match="rank deficient"):
             encode(code, np.zeros(1, dtype=np.uint8))
+
+    # the toy code has k = 24 (one partial word); the bundled code has
+    # k = 1494 (23 full words and a partial last one)
+    @pytest.mark.parametrize("which", ["toy", "bundled"])
+    @pytest.mark.parametrize("shape", [(), (25,)], ids=["1d", "batched"])
+    def test_matches_int64_product(self, which, shape, toy_code, rng):
+        code = toy_code if which == "toy" else bundled_code()
+        H, pivots = _gf2_rref(code.dense_matrix())
+        info_cols = np.setdiff1d(np.arange(code.n), pivots)
+        u = rng.integers(0, 2, size=shape + (code.k,), dtype=np.uint8)
+        cw = encode(code, u)
+        assert cw.shape == shape + (code.n,) and cw.dtype == np.uint8
+        expected = systematic_encode_int64(H, pivots, info_cols, u)
+        npt.assert_array_equal(np.atleast_2d(cw), expected)
+
+    def test_encoder_is_derived_once(self, toy_code):
+        assert toy_code._ensure_encoder() is toy_code._ensure_encoder()
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_non_binary_input_rejected(self, bad, toy_code):
+        u = np.zeros((3, toy_code.k), dtype=np.asarray(bad).dtype)
+        u[1, 5] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode(toy_code, u)
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode(toy_code, u[1])
+
+    def test_bool_input_accepted(self, toy_code, rng):
+        u = rng.integers(0, 2, size=(4, toy_code.k), dtype=np.uint8)
+        npt.assert_array_equal(encode(toy_code, u.astype(bool)), encode(toy_code, u))
+
+
+class TestSyndrome:
+    def test_matches_int64_product(self, rng):
+        code = bundled_code()
+        bits = rng.integers(0, 2, size=(2, 3, code.n), dtype=np.uint8)
+        s = code.syndrome(bits)
+        assert s.shape == (2, 3, code.num_checks)
+        npt.assert_array_equal(s, syndrome_int64(code.dense_matrix(), bits))
+        npt.assert_array_equal(code.syndrome(bits[0, 0]), s[0, 0])
 
 
 class TestDecoder:

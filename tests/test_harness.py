@@ -19,6 +19,7 @@ from qcilink import (
 from qcilink.cli import main
 from qcilink.errors import ConfigError
 from qcilink.harness import FAMILIES, build_context, resolved_samples, resolved_target_errors, validate_config
+from qcilink.metrics import SweepRecord
 
 # first use of the OpenBLAS helper: a workers=1 run restores this count
 _OPENBLAS = harness._openblas()
@@ -170,6 +171,35 @@ class TestComplexityMode:
         run(SimConfig(mode="complexity", family="qam", M=16, output=str(out)))
         header = out.read_text().splitlines()[0]
         assert header == "psnr_db,metric,value,stderr,trials,constellation,demapper,seed"
+
+
+class TestCsvWrite:
+    def test_run_leaves_only_the_csv(self, tmp_path):
+        out = tmp_path / "cx.csv"
+        run(SimConfig(mode="complexity", family="qam", M=16, output=str(out)))
+        assert os.listdir(tmp_path) == ["cx.csv"]
+        assert out.read_bytes() == (
+            b"psnr_db,metric,value,stderr,trials,constellation,demapper,seed\n"
+            b"8,evals_per_symbol,16,0,256,qam16,exact2d,1\n"
+            b"8,evals_per_symbol,16,0,256,qam16,maxlog2d,1\n"
+            b"8,evals_per_symbol,8,0,256,qam16,qam_decomposed,1\n"
+            b"8,evals_per_symbol,8,0,256,qam16,qci_lcd,1\n"
+            b"8,evals_per_symbol,16,0,256,qam16,qci_remapped_2d,1\n"
+        )
+
+    def test_failed_write_keeps_the_old_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "cx.csv"
+        out.write_text("old\n")
+        records = [SweepRecord(8.0, "evals_per_symbol", 16.0, 0.0, 256, 0, "qam16", "exact2d", 1)]
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            harness.write_records_csv(records, out)
+        assert os.listdir(tmp_path) == ["cx.csv"]
+        assert out.read_text() == "old\n"
 
 
 class TestGmiMode:

@@ -6,9 +6,10 @@ complexity runs for the qam, qci and file families, and
 ``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
 raw float64 LLR bytes and both counters of ``demap`` for every valid
 (family, demapper) on one fixed draw, so a demapper change is checked at
-full precision and not only through the 10-digit CSVs. Running it on two
-trees and diffing the printed lists shows whether a change kept every
-output byte-identical.
+full precision and not only through the 10-digit CSVs, and the raw bytes
+of ``encode`` on one seeded info block for the bundled LDPC code and a
+48-bit PEG code. Running it on two trees and diffing the printed lists
+shows whether a change kept every output byte-identical.
 
 Run from the repository root:  python tools/identity_matrix.py OUTDIR
 """
@@ -23,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcilink import build_qci, n0_from_psnr, save_constellation  # noqa: E402
+from qcilink import build_peg_code, build_qci, bundled_code, encode, n0_from_psnr, save_constellation  # noqa: E402
 from qcilink.cli import main as cli_main  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
@@ -88,6 +89,13 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
     (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
 
 
+def _write_codewords(outdir: Path) -> None:
+    """Raw uint8 bytes of ``encode`` on one seeded (25, k) info block per code."""
+    for code in (bundled_code(), build_peg_code(48, 24, 3, seed=0)):
+        u = np.random.default_rng(SEED).integers(0, 2, size=(25, code.k), dtype=np.uint8)
+        (outdir / f"codewords_{code.name}.u8").write_bytes(encode(code, u).tobytes())
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         raise SystemExit("usage: python tools/identity_matrix.py OUTDIR")
@@ -96,6 +104,7 @@ def main() -> None:
     const_file = outdir / "file64.csv"
     save_constellation(build_qci(64), const_file)
     _write_llrs(outdir, str(const_file))
+    _write_codewords(outdir)
     for workers in WORKERS:
         for name, spec in _runs(str(const_file)).items():
             run(SimConfig(**spec, seed=SEED, workers=workers, output=str(outdir / f"w{workers}_{name}.csv")))
