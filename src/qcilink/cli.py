@@ -22,7 +22,7 @@ from .constellation import (
     save_constellation,
 )
 from .errors import ConfigError, DataFormatError
-from .harness import SimConfig, parse_config, run, write_records_csv
+from .harness import SimConfig, check_output, parse_config, run, write_records_csv
 
 # PSNR windows bracketing the rate-3/4 waterfall region per constellation size
 DEFAULT_FIGURE_WINDOWS = {16: (10.0, 15.0), 64: (16.0, 21.0), 256: (21.5, 26.5)}
@@ -113,9 +113,8 @@ def _build_constellation(args):
 
 def _run_into_one_csv(cfgs, path: Path) -> None:
     """Run each config in turn and write all their records to the CSV at ``path``."""
-    tmp = path.with_name("_tmp_" + path.name)
-    records = [r for cfg in cfgs for r in run(replace(cfg, output=str(tmp)))]
-    tmp.unlink(missing_ok=True)
+    check_output(path)
+    records = [r for cfg in cfgs for r in run(replace(cfg, output=None))]
     write_records_csv(records, path)
 
 

@@ -17,6 +17,13 @@ without leaving the O(sqrt(M)) complexity class.
 Every demapper returns an :class:`LlrFrame` whose ``distance_evals``
 counter records the number of point-distance computations consumed:
 M per symbol for the 2D paths, 2*sqrt(M) for the decomposed paths.
+
+The 2D kernels work on one (chunk, M) squared-distance matrix at a time.
+The exact log-MAP kernel ``_llr_from_d2`` overwrites its ``d2`` argument
+(shift, negation, scaling and ``exp`` in place); max-log transposes the
+matrix to points-major (M, chunk), so each bit subset is a gather of rows
+reduced along contiguous memory. Both give the same bytes as the plain
+out-of-place expressions.
 """
 
 from __future__ import annotations
@@ -187,22 +194,33 @@ def _llr_from_d2(d2: np.ndarray, labels: np.ndarray, n0: float) -> np.ndarray:
     Rows are shifted by their smallest distance before exponentiation; the
     shift cancels in the ratio. A fully underflowed subset yields an
     infinite LLR which the clamp folds back to +-LLR_CLAMP.
+
+    ``d2`` is overwritten: the shift, negation, scaling and ``exp`` run in
+    place, in the order of exp(-(d2 - min) / n0), so the bytes match the
+    out-of-place expression.
     """
     w0 = (labels == 0).astype(np.float64)  # (M, m)
-    e = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / n0)
+    d2 -= d2.min(axis=1, keepdims=True)
+    np.negative(d2, out=d2)
+    d2 /= n0
+    e = np.exp(d2, out=d2)
+    # two products, not one e @ [w0, 1 - w0]: BLAS blocks a wider product
+    # differently and the LLR bytes move
     s0 = e @ w0
     s1 = e @ (1.0 - w0)
     with np.errstate(divide="ignore"):
-        llr = np.log(s0) - np.log(s1)
-    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
+        llr = np.log(s0, out=s0)
+        llr -= np.log(s1, out=s1)
+    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)
 
 
 def _d2_2d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return (
-        np.sum(y ** 2, axis=1)[:, None]
-        + np.sum(pts ** 2, axis=1)[None, :]
-        - 2.0 * (y @ pts.T)
-    )
+    """(N, M) squared distances |y|^2 + |p|^2 - 2 y.p; the scale and the subtraction run in place."""
+    d2 = np.add(np.sum(y ** 2, axis=1)[:, None], np.sum(pts ** 2, axis=1)[None, :])
+    cross = y @ pts.T
+    cross *= 2.0  # a power of two: exact
+    d2 -= cross
+    return d2
 
 _CHUNK_ELEMS = 4_000_000  # keep the (chunk, M) distance matrix ~30 MB
 
@@ -235,10 +253,11 @@ def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
     bit0 = [np.nonzero(c.labels[:, i] == 0)[0] for i in range(c.m)]
     bit1 = [np.nonzero(c.labels[:, i] == 1)[0] for i in range(c.m)]
     for lo, hi in _chunked(len(ys), c.M):
-        d2 = _d2_2d(ys[lo:hi], c.points)
+        # points-major (M, n): each bit subset is a row gather reduced along contiguous rows
+        d2 = _d2_2d(ys[lo:hi], c.points).T.copy()
         for i in range(c.m):
-            out[lo:hi, i] = (d2[:, bit1[i]].min(axis=1) - d2[:, bit0[i]].min(axis=1)) / n0
-    return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP), distance_evals=len(ys) * c.M)
+            out[lo:hi, i] = (d2[bit1[i]].min(axis=0) - d2[bit0[i]].min(axis=0)) / n0
+    return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out), distance_evals=len(ys) * c.M)
 
 
 def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:

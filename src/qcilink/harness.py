@@ -69,7 +69,7 @@ class SimConfig:
     max_iters: int = 50
     seed: int = 1
     workers: int = 0          # 0 -> CPUs this process may run on
-    output: str = "sweep.csv"
+    output: str | None = "sweep.csv"  # None -> run() returns the records and writes no CSV
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
@@ -157,6 +157,8 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("max_iters must be >= 1")
     if cfg.seed < 0 or cfg.workers < 0:
         raise ConfigError("seed and workers must be nonnegative")
+    if cfg.mode == "scatter" and cfg.output is None:
+        raise ConfigError("scatter mode writes its dump to output, which must be set")
 
 
 def resolved_samples(cfg: SimConfig) -> int:
@@ -347,7 +349,7 @@ def _split_blocks(total: int, block: int) -> list:
     return sizes
 
 
-def _check_output(path) -> None:
+def check_output(path) -> None:
     """Raise an OSError now, before any Monte Carlo work, if ``path`` cannot be written."""
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
@@ -357,9 +359,10 @@ def _check_output(path) -> None:
 
 
 def run(cfg: SimConfig) -> list:
-    """Execute the configured experiment; returns records and writes the CSV."""
+    """Execute the configured experiment; returns records and writes the CSV unless ``output`` is None."""
     validate_config(cfg)
-    _check_output(cfg.output)
+    if cfg.output is not None:
+        check_output(cfg.output)
     ctx = build_context(cfg)
     grid = psnr_grid(cfg)
     records: list[SweepRecord] = []
@@ -381,7 +384,8 @@ def run(cfg: SimConfig) -> list:
                 SweepRecord(grid[0], "evals_per_symbol", per_symbol, 0.0,
                             COMPLEXITY_SYMBOLS, 0, ctx.name, kind, cfg.seed)
             )
-        write_records_csv(records, cfg.output)
+        if cfg.output is not None:
+            write_records_csv(records, cfg.output)
         return records
 
     code = load_code(cfg) if cfg.mode == "coded_ber" else None
@@ -405,7 +409,8 @@ def run(cfg: SimConfig) -> list:
                             counted_record(psnr, "fer", frame_errors, frames, *label)]
     finally:
         execu.close()
-    write_records_csv(records, cfg.output)
+    if cfg.output is not None:
+        write_records_csv(records, cfg.output)
     return records
 
 

@@ -27,6 +27,20 @@ def brute_force_llr_2d(y, points, labels, n0):
     return out
 
 
+def brute_force_maxlog_2d(y, points, labels, n0):
+    """Max-log LLR: nearest bit-1 point minus nearest bit-0 point, by direct loops."""
+    m = len(labels[0])
+    out = []
+    for i in range(m):
+        d0, d1 = [], []
+        for (u, v), lab in zip(points, labels):
+            d = (y[0] - u) ** 2 + (y[1] - v) ** 2
+            (d0 if lab[i] == 0 else d1).append(d)
+        llr = (min(d1) - min(d0)) / n0
+        out.append(max(-LLR_CLAMP, min(LLR_CLAMP, llr)))
+    return out
+
+
 def brute_force_llr_pam(y, levels, labels, n0):
     """One-dimensional counterpart with the per-axis exponent (y-x)^2/n0."""
     m = len(labels[0])

@@ -13,6 +13,7 @@ from qcilink import (
     DEMAPPER_KINDS,
     custom_context,
     demap,
+    demapper,
     estimate_affine_compensation,
     llr_exact_2d,
     llr_maxlog_2d,
@@ -22,7 +23,7 @@ from qcilink import (
 )
 from qcilink.demapper import DEMAPPERS, LLR_CLAMP
 
-from oracles import brute_force_llr_2d, brute_force_llr_pam
+from oracles import brute_force_llr_2d, brute_force_llr_pam, brute_force_maxlog_2d
 
 
 def _antipodal_pair():
@@ -101,6 +102,34 @@ class TestMaxlog:
     def test_counter_matches_exact(self):
         c = build_qam(64)
         assert llr_maxlog_2d(np.zeros((5, 2)), c, 1.0).distance_evals == 5 * 64
+
+    @pytest.mark.parametrize("c", [build_qam(16), build_qci(64), build_qci(256)], ids=lambda c: c.name)
+    def test_matches_brute_force(self, c):
+        y, n0 = _random_trials(c, 200, seed=c.M + 1)
+        labs = c.labels.tolist()
+        pts = c.points.tolist()
+        for yi, n0i in zip(y, n0):
+            got = llr_maxlog_2d(yi, c, n0i).values[0]
+            want = brute_force_maxlog_2d(yi, pts, labs, n0i)
+            npt.assert_allclose(got, want, atol=1e-9)
+
+
+class TestChunking:
+    @pytest.mark.parametrize("kind", ["exact2d", "maxlog2d", "qci_remapped_2d"])
+    def test_uneven_chunks_match_one_chunk(self, kind, monkeypatch):
+        ctx = qci_context(256)
+        n0 = 0.01
+        _, y = ctx.draw(1_003, n0, np.random.default_rng(3))
+        y_before = y.copy()
+        points_before = (ctx.constellation.points.copy(), ctx.qam_grid.points.copy())
+        whole = demap(kind, y, ctx, n0).values
+        # 300 rows per chunk at M = 256: chunks of 300, 300, 300 and 103 symbols
+        monkeypatch.setattr(demapper, "_CHUNK_ELEMS", 300 * 256)
+        chunked = demap(kind, y, ctx, n0).values
+        assert chunked.tobytes() == whole.tobytes()
+        assert y.tobytes() == y_before.tobytes()
+        assert ctx.constellation.points.tobytes() == points_before[0].tobytes()
+        assert ctx.qam_grid.points.tobytes() == points_before[1].tobytes()
 
 
 class TestPam:

@@ -8,6 +8,7 @@ from qcilink import (
     AffineCompensation,
     SimConfig,
     build_qci,
+    cli,
     demap,
     harness,
     parse_config,
@@ -18,7 +19,8 @@ from qcilink import (
 )
 from qcilink.cli import main
 from qcilink.errors import ConfigError
-from qcilink.harness import FAMILIES, build_context, resolved_samples, resolved_target_errors, validate_config
+from qcilink.harness import (FAMILIES, build_context, resolved_samples, resolved_target_errors,
+                             validate_config, write_records_csv)
 from qcilink.metrics import SweepRecord
 
 # first use of the OpenBLAS helper: a workers=1 run restores this count
@@ -186,6 +188,45 @@ class TestCsvWrite:
             b"8,evals_per_symbol,8,0,256,qam16,qci_lcd,1\n"
             b"8,evals_per_symbol,16,0,256,qam16,qci_remapped_2d,1\n"
         )
+
+    def test_no_output_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        records = run(SimConfig(mode="complexity", family="qam", M=16, output=None))
+        assert [r.demapper for r in records] == ["exact2d", "maxlog2d", "qam_decomposed", "qci_lcd",
+                                                 "qci_remapped_2d"]
+        assert os.listdir(tmp_path) == []
+
+    def test_scatter_needs_an_output(self):
+        with pytest.raises(ConfigError, match="scatter"):
+            validate_config(SimConfig(mode="scatter", output=None))
+
+    def test_make_figures_writes_each_csv_once(self, tmp_path, monkeypatch):
+        writes = []
+
+        def recorded(records, path):
+            writes.append(str(path))
+            write_records_csv(records, path)
+
+        monkeypatch.setattr(harness, "write_records_csv", recorded)
+        monkeypatch.setattr(cli, "write_records_csv", recorded)
+        outdir = tmp_path / "figs"
+        rc = main(["make-figures", "--outdir", str(outdir), "--sizes", "16", "--samples", "100000",
+                   "--step", "5.0", "--seed", "3", "--workers", "1"])
+        assert rc == 0
+        figures = {"ber_analogue": [("qam", "qam_decomposed"), ("qci", "qci_lcd"), ("qci", "exact2d")],
+                   "iq_loss": [("qci", "qci_lcd"), ("qci", "qci_remapped_2d")]}
+        assert sorted(writes) == sorted(str(outdir / f"fig_{f}_gmi_m16.csv") for f in figures)
+        # each figure CSV holds the rows of its curves' own CSVs, in curve order
+        for figure, curves in figures.items():
+            rows = []
+            for i, (family, kind) in enumerate(curves):
+                own = tmp_path / f"{figure}_{i}.csv"
+                run(SimConfig(mode="gmi", family=family, M=16, demapper=kind, psnr_start=10.0,
+                              psnr_stop=15.0, psnr_step=5.0, samples=100_000, seed=3, workers=1,
+                              output=str(own)))
+                header, *body = own.read_text().splitlines(keepends=True)
+                rows += body
+            assert (outdir / f"fig_{figure}_gmi_m16.csv").read_text() == header + "".join(rows)
 
     def test_failed_write_keeps_the_old_csv(self, tmp_path, monkeypatch):
         out = tmp_path / "cx.csv"

@@ -5,8 +5,9 @@ coded BER runs with early stops, scatter runs with their centers,
 complexity runs for the qam, qci and file families, and
 ``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
 raw float64 LLR bytes and both counters of ``demap`` for every valid
-(family, demapper) on one fixed draw, so a demapper change is checked at
-full precision and not only through the 10-digit CSVs, and the raw bytes
+(family, demapper) on one fixed draw, and of the full-2D demappers at
+M = 64 and 256 on 1, 7 and 40 000 symbols, so a demapper change is checked
+at full precision and not only through the 10-digit CSVs, and the raw bytes
 of ``encode`` on one seeded info block for the bundled LDPC code and a
 48-bit PEG code. Running it on two trees and diffing the printed lists
 shows whether a change kept every output byte-identical.
@@ -72,20 +73,33 @@ def _runs(const_file: str) -> dict:
 
 
 def _write_llrs(outdir: Path, const_file: str) -> None:
-    """Raw LLR bytes of every valid (family, demapper) on one seeded draw, plus both counters."""
+    """Raw LLR bytes of every valid (family, demapper) on one seeded draw, plus both counters.
+
+    The full-2D kernels also run on qci64 and qci256 at 1 and 7 symbols
+    (BLAS takes its small-matrix paths there) and at 40 000 symbols, which
+    spans three distance-matrix chunks at M = 256.
+    """
     n0 = n0_from_psnr(12.0)
     counters = ["name,num_symbols,distance_evals,map_evals"]
+
+    def write(name, kind, ctx, num, comp=None):
+        _, y = ctx.draw(num, n0, np.random.default_rng(SEED))
+        frame = demap(kind, y, ctx, n0, comp)
+        (outdir / f"{name}.f64").write_bytes(frame.values.tobytes())
+        counters.append(f"{name},{frame.num_symbols},{frame.distance_evals},{frame.map_evals}")
+
     for kind, spec in DEMAPPERS.items():
         for family in spec.families:
             ctx = build_context(SimConfig(family=family, M=16, constellation_file=const_file))
-            _, y = ctx.draw(2_000, n0, np.random.default_rng(SEED))
             comp = None
             if spec.needs_comp:
                 comp = estimate_affine_compensation(ctx, n0, 20_000, np.random.default_rng(SEED))
-            frame = demap(kind, y, ctx, n0, comp)
-            name = f"llr_{ctx.name}_{kind}"
-            (outdir / f"{name}.f64").write_bytes(frame.values.tobytes())
-            counters.append(f"{name},{frame.num_symbols},{frame.distance_evals},{frame.map_evals}")
+            write(f"llr_{ctx.name}_{kind}", kind, ctx, 2_000, comp)
+    for M in (64, 256):
+        ctx = build_context(SimConfig(family="qci", M=M))
+        for kind in ("exact2d", "maxlog2d", "qci_remapped_2d"):
+            for num in (1, 7, 40_000):
+                write(f"llr_{ctx.name}_{kind}_n{num}", kind, ctx, num)
     (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
 
 
