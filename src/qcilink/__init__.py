@@ -15,19 +15,16 @@ from .coding import (
     encode,
     interleave,
     load_alist,
-    save_alist,
 )
 from .constellation import (
     Constellation,
     GrayReport,
-    PowerStats,
     build_pam,
     build_qam,
     build_qci,
     gray_check,
     load_constellation,
     normalize_peak,
-    power_stats,
     save_constellation,
 )
 from .demapper import (
@@ -48,6 +45,5 @@ from .errors import ConfigError, DataFormatError
 from .geometry import radial_forward, radial_inverse
 from .harness import SimConfig, parse_config, psnr_grid, run
 from .metrics import ScatterDump, SweepRecord, gmi_symbol_scores, horizontal_gap, scatter_dump
-from .peg import build_peg_code
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""LDPC outer code: alist I/O, systematic encoding, and sum-product decoding.
+"""LDPC outer code: alist loading, systematic encoding, and sum-product decoding.
 
 The decoder is a flooding-schedule sum-product implementation in the
 log domain, vectorized over both edges and frames. LLR sign convention
@@ -74,14 +74,6 @@ class ParityCheckCode:
     def rate(self) -> float:
         return self.k / self.n
 
-    def var_lists(self) -> list:
-        """Per variable, the sorted check indices it touches."""
-        out = [[] for _ in range(self.n)]
-        for c, vs in enumerate(self.check_lists):
-            for v in vs:
-                out[int(v)].append(c)
-        return [np.asarray(x, dtype=np.int64) for x in out]
-
     def dense_matrix(self) -> np.ndarray:
         H = np.zeros((self.num_checks, self.n), dtype=np.uint8)
         for c, vs in enumerate(self.check_lists):
@@ -137,10 +129,6 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
     words = np.zeros(packed.shape[:-1] + (nbytes + -nbytes % 8,), dtype=np.uint8)
     words[..., :nbytes] = packed
     return words.view(np.uint64)
-
-
-def gf2_rank(H: np.ndarray) -> int:
-    return len(_gf2_rref(np.asarray(H, dtype=np.uint8))[1])
 
 
 def encode(code: ParityCheckCode, info_bits: np.ndarray) -> np.ndarray:
@@ -270,8 +258,11 @@ def load_alist(path) -> ParityCheckCode:
     variable-side and check-side adjacency lists must describe the same
     edge set.
     """
-    with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    try:
+        with open(path) as fh:
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"alist file is not text: {exc}") from exc
     if len(lines) < 4:
         raise DataFormatError("alist file too short")
     head = _int_tokens(lines[0], "size line")
@@ -323,27 +314,6 @@ def load_alist(path) -> ParityCheckCode:
         return ParityCheckCode(n, check_lists, name=Path(path).stem)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
-
-
-def save_alist(code: ParityCheckCode, path) -> None:
-    """Write the standard alist representation (zero-padded rows)."""
-    var_lists = code.var_lists()
-    max_dv = int(np.max(code.var_deg))
-    max_dc = int(np.max(code.check_deg))
-    lines = [
-        f"{code.n} {code.num_checks}",
-        f"{max_dv} {max_dc}",
-        " ".join(str(int(d)) for d in code.var_deg),
-        " ".join(str(int(d)) for d in code.check_deg),
-    ]
-    for vs in var_lists:
-        row = [str(int(c) + 1) for c in vs] + ["0"] * (max_dv - len(vs))
-        lines.append(" ".join(row))
-    for cs in code.check_lists:
-        row = [str(int(v) + 1) for v in cs] + ["0"] * (max_dc - len(cs))
-        lines.append(" ".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 @lru_cache(maxsize=1)

@@ -97,19 +97,6 @@ class Constellation:
 
 
 @dataclass(frozen=True)
-class PowerStats:
-    peak_power: float
-    avg_power: float
-    papr: float
-
-    def __post_init__(self):
-        if not (self.peak_power >= self.avg_power > 0.0):
-            raise ValueError("require peak_power >= avg_power > 0")
-        if self.papr < 1.0 - 1e-12:
-            raise ValueError("PAPR must be >= 1")
-
-
-@dataclass(frozen=True)
 class GrayReport:
     passed: bool
     violations: tuple  # (point index, neighbor index, hamming distance) triples
@@ -126,27 +113,18 @@ def _gray_sequence(m: int) -> np.ndarray:
     return ((g[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def build_pam(levels: int, gray: bool = True) -> Constellation:
-    """Uniformly spaced PAM on [-1, 1] with reflected-Gray (or natural) labels.
+def build_pam(levels: int) -> Constellation:
+    """Uniformly spaced PAM on [-1, 1] with reflected-Gray labels.
 
     The Gray sequence runs from the positive end down, so the all-zeros
     label sits at +1 and the LLR of the top bit is positive for positive
-    received values (2-PAM reduces to the familiar 4y/N0). With
-    ``gray=False`` the plain binary sequence is used instead, which breaks
-    the Gray property for more than two levels.
+    received values (2-PAM reduces to the familiar 4y/N0).
     """
     if levels not in SUPPORTED_PAM_SIZES:
         raise ValueError(f"unsupported PAM size {levels}; choose from {SUPPORTED_PAM_SIZES}")
     pts = np.linspace(-1.0, 1.0, levels)
-    m = levels.bit_length() - 1
-    if gray:
-        labs = _gray_sequence(m)[::-1]
-    else:
-        idx = np.arange(levels - 1, -1, -1, dtype=np.int64)
-        shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-        labs = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    tag = "" if gray else "-natural"
-    return Constellation(pts, labs, name=f"pam{levels}{tag}")
+    labs = _gray_sequence(levels.bit_length() - 1)[::-1]
+    return Constellation(pts, labs, name=f"pam{levels}")
 
 
 def build_qam(M: int) -> Constellation:
@@ -173,14 +151,6 @@ def build_qci(M: int) -> Constellation:
     """
     qam = build_qam(M)
     return Constellation(radial_forward(qam.points), qam.labels, name=f"qci{M}")
-
-
-def power_stats(c: Constellation) -> PowerStats:
-    """Exact peak power, average power, and PAPR over the point set."""
-    p = c.points ** 2 if c.dimension == 1 else np.sum(c.points ** 2, axis=1)
-    peak = float(np.max(p))
-    avg = float(np.mean(p))
-    return PowerStats(peak_power=peak, avg_power=avg, papr=peak / avg)
 
 
 def normalize_peak(c: Constellation) -> Constellation:
@@ -243,8 +213,11 @@ def load_constellation(path) -> Constellation:
     Validates power-of-two cardinality, distinct labels of uniform length,
     and well-formed rows; the header is optional but checked when present.
     """
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
+    try:
+        with open(path) as fh:
+            raw = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"constellation file is not text: {exc}") from exc
     rows = []
     dim_hint = None
     for ln in raw:
@@ -255,7 +228,10 @@ def load_constellation(path) -> Constellation:
                 for part in ln.split(","):
                     part = part.strip()
                     if part.startswith("dim="):
-                        dim_hint = int(part[4:])
+                        try:
+                            dim_hint = int(part[4:])
+                        except ValueError as exc:
+                            raise DataFormatError(f"non-integer dimension in header: {ln!r}") from exc
             continue
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 4:

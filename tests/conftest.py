@@ -6,12 +6,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the shared oracles module
 
-from qcilink import build_peg_code, qam_context, qci_context
+from qcilink import load_alist, qam_context, qci_context
 
 
 @pytest.fixture(scope="session")
-def toy_code():
-    return build_peg_code(48, 24, 3, seed=0)
+def toy_alist():
+    """The 48-bit PEG code of tools/generate_bundled_code.py (checked in test_code_tool.py)."""
+    return Path(__file__).parent / "peg_dv3_n48.alist"
+
+
+@pytest.fixture(scope="session")
+def toy_code(toy_alist):
+    return load_alist(toy_alist)
 
 
 @pytest.fixture(scope="session")

@@ -10,13 +10,16 @@ from qcilink import (
     gray_check,
     load_constellation,
     normalize_peak,
-    power_stats,
     radial_forward,
     save_constellation,
 )
 from qcilink.errors import DataFormatError
 
 from oracles import hamming, mean_symbol_power, nearest_neighbor_pairs
+
+
+def _peak_power(c):
+    return float(np.max(np.sum(c.points ** 2, axis=1)))
 
 
 class TestPam:
@@ -40,11 +43,6 @@ class TestPam:
         with pytest.raises(ValueError, match="unsupported"):
             build_pam(levels)
 
-    def test_natural_labels_break_gray(self):
-        report = gray_check(build_pam(4, gray=False))
-        assert not report.passed
-        assert any(hd == 2 for _, _, hd in report.violations)
-
 
 class TestQam:
     def test_16qam_geometry(self):
@@ -58,11 +56,11 @@ class TestQam:
 
     def test_16qam_power_stats_against_direct_sum(self):
         c = build_qam(16)
-        st = power_stats(c)
-        assert st.peak_power == pytest.approx(2.0, abs=1e-15)
-        assert st.avg_power == pytest.approx(mean_symbol_power(c.points), abs=1e-15)
-        assert st.avg_power == pytest.approx(10.0 / 9.0, abs=1e-12)
-        assert st.papr == pytest.approx(1.8, abs=1e-12)
+        peak, avg = _peak_power(c), mean_symbol_power(c.points)
+        assert peak == pytest.approx(2.0, abs=1e-15)
+        assert avg == pytest.approx(np.mean(np.sum(c.points ** 2, axis=1)), abs=1e-15)
+        assert avg == pytest.approx(10.0 / 9.0, abs=1e-12)
+        assert peak / avg == pytest.approx(1.8, abs=1e-12)
 
     def test_64qam_nearest_neighbors_one_bit(self):
         c = build_qam(64)
@@ -99,16 +97,14 @@ class TestQci:
 
     @pytest.mark.parametrize("M", [16, 64, 256])
     def test_peak_power_invariant_under_map(self, M):
-        assert power_stats(build_qci(M)).peak_power == pytest.approx(
-            power_stats(build_qam(M)).peak_power, rel=1e-14
-        )
-        assert power_stats(build_qci(M)).peak_power == pytest.approx(2.0, rel=1e-14)
+        assert _peak_power(build_qci(M)) == pytest.approx(_peak_power(build_qam(M)), rel=1e-14)
+        assert _peak_power(build_qci(M)) == pytest.approx(2.0, rel=1e-14)
 
     def test_average_power_grows_under_map(self):
-        assert power_stats(build_qci(16)).avg_power > 10.0 / 9.0
-        assert power_stats(build_qci(16)).avg_power == pytest.approx(
-            mean_symbol_power(build_qci(16).points), abs=1e-14
-        )
+        points = build_qci(16).points
+        avg = mean_symbol_power(points)
+        assert avg > 10.0 / 9.0
+        assert avg == pytest.approx(np.mean(np.sum(points ** 2, axis=1)), abs=1e-14)
 
     @pytest.mark.parametrize("M", [16, 64, 256])
     def test_gray_labeling_preserved(self, M):
@@ -120,17 +116,21 @@ class TestGrayCheck:
         assert gray_check(build_qam(64)).passed
 
     def test_binary_line_fails_at_middle_adjacency(self):
-        pts = np.array([0.0, 1.0, 2.0, 3.0])
-        labs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
-        report = gray_check(Constellation(pts, labs))
-        assert not report.passed
-        assert (1, 2, 2) in report.violations
+        natural = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        # natural binary labels on a line, ascending and as a 4-PAM on [-1, 1]
+        # counting down from +1 (the order build_pam uses for its Gray labels)
+        for pts, labs in ((np.array([0.0, 1.0, 2.0, 3.0]), natural),
+                          (np.linspace(-1.0, 1.0, 4), natural[::-1])):
+            report = gray_check(Constellation(pts, labs))
+            assert not report.passed
+            assert any(hd == 2 for _, _, hd in report.violations)
+            assert (1, 2, 2) in report.violations
 
 
 class TestNormalize:
     def test_peak_one_and_corner_position(self):
         c = normalize_peak(build_qam(16))
-        assert power_stats(c).peak_power == pytest.approx(1.0, rel=1e-14)
+        assert _peak_power(c) == pytest.approx(1.0, rel=1e-14)
         corner = c.points[np.argmax(np.sum(c.points ** 2, axis=1))]
         npt.assert_allclose(np.abs(corner), [1 / np.sqrt(2)] * 2, rtol=1e-14)
 
@@ -141,7 +141,7 @@ class TestNormalize:
         assert twice.scale == pytest.approx(once.scale, rel=1e-12)
 
     def test_average_power_after_normalization(self):
-        assert power_stats(normalize_peak(build_qam(16))).avg_power == pytest.approx(5.0 / 9.0)
+        assert mean_symbol_power(normalize_peak(build_qam(16)).points) == pytest.approx(5.0 / 9.0)
 
     def test_labels_unchanged_and_scale_recorded(self):
         c = build_qam(16)
@@ -155,9 +155,9 @@ class TestNormalize:
             normalize_peak(zero)
 
     def test_single_point_stats(self):
-        c = Constellation(np.array([[1.0, 0.0]]), np.zeros((1, 0), dtype=np.uint8))
-        st = power_stats(c)
-        assert st.peak_power == st.avg_power == st.papr == 1.0
+        c = normalize_peak(Constellation(np.array([[1.0, 0.0]]), np.zeros((1, 0), dtype=np.uint8)))
+        peak, avg = _peak_power(c), mean_symbol_power(c.points)
+        assert peak == avg == peak / avg == 1.0
 
 
 class TestValidation:

@@ -14,7 +14,6 @@ from qcilink import (
     parse_config,
     psnr_grid,
     run,
-    save_alist,
     save_constellation,
 )
 from qcilink.cli import main
@@ -333,14 +332,12 @@ class TestUncodedMode:
 
 
 class TestCodedMode:
-    def test_inline_run_loads_the_code_once(self, toy_code, monkeypatch, tmp_path):
-        path = tmp_path / "toy.alist"
-        save_alist(toy_code, path)
+    def test_inline_run_loads_the_code_once(self, toy_alist, monkeypatch, tmp_path):
         calls = []
         load = harness.load_code
         monkeypatch.setattr(harness, "load_code", lambda cfg: calls.append(cfg) or load(cfg))
         records = run(SimConfig(mode="coded_ber", family="qam", M=16, demapper="qam_decomposed",
-                                code_file=str(path), psnr_start=12.0, psnr_stop=12.0, samples=25,
+                                code_file=str(toy_alist), psnr_start=12.0, psnr_stop=12.0, samples=25,
                                 workers=1, output=str(tmp_path / "c.csv")))
         assert [r.metric for r in records] == ["ber", "fer"]
         assert len(calls) == 1
@@ -461,10 +458,25 @@ class TestCli:
         assert main(["gmi", "--psnr", "10-20-1"]) == 2
 
     def test_io_error_exit_code(self, tmp_path, capsys):
-        rc = main(["gray-check", "--family", "file",
-                   "--constellation-file", str(tmp_path / "missing.csv")])
-        assert rc == 3
-        assert "I/O error" in capsys.readouterr().err
+        bad_dim = tmp_path / "bad_dim.csv"
+        bad_dim.write_text("# qci-constellation v1, M=2, dim=x\n0, 1.0, 0.0, 0\n1, -1.0, 0.0, 1\n")
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"# \xe9\n0, 1.0, 0.0, 0\n1, -1.0, 0.0, 1\n")
+        latin1_alist = tmp_path / "latin1.alist"
+        latin1_alist.write_bytes(b"3 2\xe9\n")
+        argvs = [
+            ["gray-check", "--family", "file", "--constellation-file", str(tmp_path / "missing.csv")],
+            ["gray-check", "--family", "file", "--constellation-file", str(bad_dim)],
+            ["gray-check", "--family", "file", "--constellation-file", str(latin1)],
+            ["gmi", "--family", "file", "--demapper", "exact2d", "--constellation-file", str(latin1),
+             "--workers", "1", "--output", str(tmp_path / "g.csv")],
+            ["sweep", "--coded", "--code-file", str(latin1_alist), "--workers", "1",
+             "--output", str(tmp_path / "s.csv")],
+        ]
+        for argv in argvs:
+            rc = main(argv)
+            assert rc == 3, argv
+            assert "I/O error" in capsys.readouterr().err, argv
 
     def test_gmi_cli_writes_csv(self, tmp_path):
         out = tmp_path / "g.csv"

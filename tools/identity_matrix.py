@@ -8,8 +8,8 @@ raw float64 LLR bytes and both counters of ``demap`` for every valid
 (family, demapper) on one fixed draw, and of the full-2D demappers at
 M = 64 and 256 on 1, 7 and 40 000 symbols, so a demapper change is checked
 at full precision and not only through the 10-digit CSVs, and the raw bytes
-of ``encode`` on one seeded info block for the bundled LDPC code and a
-48-bit PEG code. Running it on two trees and diffing the printed lists
+of ``encode`` on one seeded info block for the bundled LDPC code and the
+48-bit PEG code committed as ``tests/peg_dv3_n48.alist``. Running it on two trees and diffing the printed lists
 shows whether a change kept every output byte-identical.
 
 Run from the repository root:  python tools/identity_matrix.py OUTDIR
@@ -25,13 +25,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcilink import build_peg_code, build_qci, bundled_code, encode, n0_from_psnr, save_constellation  # noqa: E402
+from qcilink import build_qci, bundled_code, encode, load_alist, n0_from_psnr, save_constellation  # noqa: E402
 from qcilink.cli import main as cli_main  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
 
 WORKERS = (1, 2)
 SEED = 7
+TOY_ALIST = Path(__file__).resolve().parents[1] / "tests" / "peg_dv3_n48.alist"
 
 
 def _runs(const_file: str) -> dict:
@@ -105,7 +106,7 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
 
 def _write_codewords(outdir: Path) -> None:
     """Raw uint8 bytes of ``encode`` on one seeded (25, k) info block per code."""
-    for code in (bundled_code(), build_peg_code(48, 24, 3, seed=0)):
+    for code in (bundled_code(), load_alist(TOY_ALIST)):
         u = np.random.default_rng(SEED).integers(0, 2, size=(25, code.k), dtype=np.uint8)
         (outdir / f"codewords_{code.name}.u8").write_bytes(encode(code, u).tobytes())
 
