@@ -43,6 +43,14 @@ class TestPam:
         with pytest.raises(ValueError, match="unsupported"):
             build_pam(levels)
 
+    def test_natural_labels_break_gray(self):
+        # the 4-PAM points with natural binary labels counting down from +1,
+        # the order build_pam uses for its Gray labels
+        natural = np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=np.uint8)
+        report = gray_check(Constellation(build_pam(4).points, natural))
+        assert not report.passed
+        assert any(hd == 2 for _, _, hd in report.violations)
+
 
 class TestQam:
     def test_16qam_geometry(self):
@@ -116,15 +124,11 @@ class TestGrayCheck:
         assert gray_check(build_qam(64)).passed
 
     def test_binary_line_fails_at_middle_adjacency(self):
-        natural = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
-        # natural binary labels on a line, ascending and as a 4-PAM on [-1, 1]
-        # counting down from +1 (the order build_pam uses for its Gray labels)
-        for pts, labs in ((np.array([0.0, 1.0, 2.0, 3.0]), natural),
-                          (np.linspace(-1.0, 1.0, 4), natural[::-1])):
-            report = gray_check(Constellation(pts, labs))
-            assert not report.passed
-            assert any(hd == 2 for _, _, hd in report.violations)
-            assert (1, 2, 2) in report.violations
+        pts = np.array([0.0, 1.0, 2.0, 3.0])
+        labs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        report = gray_check(Constellation(pts, labs))
+        assert not report.passed
+        assert (1, 2, 2) in report.violations
 
 
 class TestNormalize:
