@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .constellation import (
@@ -28,40 +28,28 @@ from .harness import SimConfig, check_output, parse_config, run, write_records_c
 DEFAULT_FIGURE_WINDOWS = {16: (10.0, 15.0), 64: (16.0, 21.0), 256: (21.5, 26.5)}
 
 
+def _run_keys() -> list:
+    """The ``SimConfig`` fields with a flag of their own; the subcommand sets ``mode`` and ``--psnr`` the ``psnr_*``."""
+    return [f.name for f in fields(SimConfig) if f.name != "mode" and not f.name.startswith("psnr_")]
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--family", choices=("qam", "qci", "file"))
-    p.add_argument("--M", type=int, dest="M")
-    p.add_argument("--constellation-file", dest="constellation_file")
-    p.add_argument("--demapper")
     p.add_argument("--psnr", help="sweep as start:stop:step in dB")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--target-errors", type=int, dest="target_errors")
-    p.add_argument("--comp-samples", type=int, dest="comp_samples")
-    p.add_argument("--code-file", dest="code_file")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--output")
+    for key in _run_keys():
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    keys = (
-        "mode", "family", "M", "constellation_file", "demapper", "samples",
-        "target_errors", "comp_samples", "code_file", "max_iters",
-        "seed", "workers", "output",
-    )
-    ov = {k: getattr(args, k, None) for k in keys}
+    """The flag values as raw strings, which ``parse_config`` parses like file values."""
+    ov = {key: getattr(args, key) for key in _run_keys()}
+    ov["mode"] = args.mode
     if args.psnr:
         parts = args.psnr.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--psnr expects start:stop:step, got {args.psnr!r}")
-        try:
-            start, stop, step = (float(x) for x in parts)
-        except ValueError as exc:
-            raise ConfigError(f"--psnr expects numbers, got {args.psnr!r}") from exc
-        ov.update(psnr_start=start, psnr_stop=stop, psnr_step=step)
-    return {k: v for k, v in ov.items() if v is not None}
+        ov["psnr_start"], ov["psnr_stop"], ov["psnr_step"] = parts
+    return ov
 
 
 def _cmd_run(args) -> int:

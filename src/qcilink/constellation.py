@@ -66,7 +66,8 @@ class Constellation:
 
     @staticmethod
     def _codes_of(labels: np.ndarray) -> np.ndarray:
-        m = labels.shape[1]
+        """Integer value of each (..., m) label, most significant bit first."""
+        m = labels.shape[-1]
         weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
         return labels.astype(np.int64) @ weights
 
@@ -82,15 +83,11 @@ class Constellation:
     def dimension(self) -> int:
         return 1 if self.points.ndim == 1 else 2
 
-    def label_codes(self) -> np.ndarray:
-        """Integer value of each label, most significant bit first."""
-        return self._codes_of(self.labels)
-
-    def index_by_code(self) -> np.ndarray:
-        """Lookup table: label integer -> point index."""
+    def indices_of(self, bits: np.ndarray) -> np.ndarray:
+        """Index of the point labeled by each row of ``bits``, an (..., m) bit array."""
         table = np.empty(self.M, dtype=np.int64)
-        table[self.label_codes()] = np.arange(self.M)
-        return table
+        table[self._codes_of(self.labels)] = np.arange(self.M)
+        return table[self._codes_of(bits)]
 
     def label_strings(self) -> list[str]:
         return ["".join(str(b) for b in row) for row in self.labels]

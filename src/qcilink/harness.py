@@ -7,6 +7,10 @@ is therefore bit-identical for a given (config, seed) no matter how many
 worker processes share the blocks. Early stopping in the BER modes scans
 the merged block sequence, so extra blocks computed by idle workers are
 discarded rather than folded in.
+
+A run builds its demap context and loads its LDPC code once, and forked
+pool workers inherit both. Every file a run writes goes to a temp file that
+then replaces the target.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ MODES = ("uncoded_ber", "coded_ber", "gmi", "scatter", "complexity")
 GMI_BLOCK_SYMBOLS = 125_000
 UNCODED_BLOCK_SYMBOLS = 25_000
 CODED_BLOCK_FRAMES = 25
-COMPLEXITY_SYMBOLS = 256
+COMP_SAMPLES = 100_000  # symbols per affine-compensation estimate
 
 # stream tags keep the per-purpose generators independent
 _TAG_GMI, _TAG_COMP, _TAG_UNCODED, _TAG_CODED, _TAG_SCATTER = range(5)
@@ -47,7 +51,7 @@ _DEFAULT_SAMPLES = {
     "uncoded_ber": 10_000_000,  # bit budget per grid point
     "coded_ber": 10_000,    # frame budget per grid point
     "scatter": 20_000,      # symbols dumped
-    "complexity": COMPLEXITY_SYMBOLS,
+    "complexity": 256,      # symbols demapped by each kind
 }
 _DEFAULT_TARGET_ERRORS = {"uncoded_ber": 100, "coded_ber": 50}
 
@@ -64,9 +68,7 @@ class SimConfig:
     psnr_step: float = 0.25
     samples: int = 0          # 0 -> per-mode default
     target_errors: int = 0    # 0 -> per-mode default (BER modes only)
-    comp_samples: int = 100_000
     code_file: str | None = None
-    max_iters: int = 50
     seed: int = 1
     workers: int = 0          # 0 -> CPUs this process may run on
     output: str | None = "sweep.csv"  # None -> run() returns the records and writes no CSV
@@ -151,10 +153,6 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("samples and target_errors must be nonnegative")
     if cfg.mode == "gmi" and resolved_samples(cfg) < GMI_MIN_SAMPLES:
         raise ConfigError(f"gmi mode needs samples >= {GMI_MIN_SAMPLES}")
-    if cfg.comp_samples < 10_000:
-        raise ConfigError("comp_samples must be >= 10000")
-    if cfg.max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
     if cfg.seed < 0 or cfg.workers < 0:
         raise ConfigError("seed and workers must be nonnegative")
     if cfg.mode == "scatter" and cfg.output is None:
@@ -196,15 +194,11 @@ def load_code(cfg: SimConfig) -> ParityCheckCode:
 
 
 # ---------------------------------------------------------------------------
-# block tasks (run in worker processes; state installed by _init_worker)
+# block tasks (run inline or in forked pool workers)
 
+# the cfg, ctx and code of the run in progress; run() sets it before the pool
+# forks, so workers inherit it, and clears it when the run ends
 _WORKER: dict = {}
-
-
-def _init_worker(cfg: SimConfig, code: ParityCheckCode | None) -> None:
-    _WORKER["cfg"] = cfg
-    _WORKER["ctx"] = build_context(cfg)
-    _WORKER["code"] = code
 
 
 def _gmi_task(args):
@@ -229,18 +223,14 @@ def _coded_task(args):
     point, block, n0, frames, _ = args
     cfg, ctx, code = _WORKER["cfg"], _WORKER["ctx"], _WORKER["code"]
     rng = derived_rng(cfg.seed, _TAG_CODED, point, block)
-    lookup = ctx.constellation.index_by_code()
-    weights = 1 << np.arange(ctx.m - 1, -1, -1, dtype=np.int64)
-
     info = rng.integers(0, 2, size=(frames, code.k), dtype=np.uint8)
     coded = encode(code, info)
     tx_bits = interleave(coded, cfg.seed)
-    codes = tx_bits.reshape(frames, -1, ctx.m).astype(np.int64) @ weights
-    idx = lookup[codes]
+    idx = ctx.constellation.indices_of(tx_bits.reshape(frames, -1, ctx.m))
     y = transmit(ctx.constellation.points[idx.reshape(-1)], n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0)
     llrs = deinterleave(frame.values.reshape(frames, -1), cfg.seed)
-    bits, _, _ = decode_bp(code, llrs, max_iters=cfg.max_iters)
+    bits, _, _ = decode_bp(code, llrs)
     info_hat = info_bits_of(code, bits)
     bit_errors = int(np.sum(info_hat != info))
     frame_errors = int(np.sum(np.any(info_hat != info, axis=1)))
@@ -312,23 +302,16 @@ def _share_cores_with_blas(workers: int, cores: int) -> None:
 
 
 class _Executor:
-    """Runs block tasks inline or on a process pool; results stay ordered.
+    """Runs block tasks inline or on a fork pool; results stay ordered."""
 
-    Forked workers inherit ``code``, the LDPC code the caller loaded once.
-    """
-
-    def __init__(self, cfg: SimConfig, code: ParityCheckCode | None = None):
+    def __init__(self, cfg: SimConfig):
         cores = _usable_cpus()
         workers = cfg.workers if cfg.workers > 0 else cores
         self.workers = workers
         self.pool = None
         _share_cores_with_blas(workers, cores)
         if workers > 1:
-            self.pool = multiprocessing.get_context("fork").Pool(
-                workers, initializer=_init_worker, initargs=(cfg, code)
-            )
-        else:
-            _init_worker(cfg, code)
+            self.pool = multiprocessing.get_context("fork").Pool(workers)
 
     def map(self, fn, tasks):
         tasks = list(tasks)
@@ -369,20 +352,20 @@ def run(cfg: SimConfig) -> list:
 
     if cfg.mode == "scatter":
         rng = derived_rng(cfg.seed, _TAG_SCATTER, 0, 0)
-        scatter_dump(ctx, n0_from_psnr(grid[0]), resolved_samples(cfg), rng, file=cfg.output)
+        _write_scatter_csv(scatter_dump(ctx, n0_from_psnr(grid[0]), resolved_samples(cfg), rng), ctx, cfg.output)
         return records
 
     if cfg.mode == "complexity":
         n0 = n0_from_psnr(grid[0])
-        _, y = ctx.draw(COMPLEXITY_SYMBOLS, n0, derived_rng(cfg.seed, _TAG_UNCODED, 0, 0))
+        num = resolved_samples(cfg)
+        _, y = ctx.draw(num, n0, derived_rng(cfg.seed, _TAG_UNCODED, 0, 0))
         # every kind that runs on this family without a compensation estimate
         kinds = [k for k, spec in DEMAPPERS.items() if ctx.family in spec.families and not spec.needs_comp]
         for kind in kinds:
             frame = demap(kind, y, ctx, n0)
             per_symbol = frame.distance_evals / frame.num_symbols
             records.append(
-                SweepRecord(grid[0], "evals_per_symbol", per_symbol, 0.0,
-                            COMPLEXITY_SYMBOLS, 0, ctx.name, kind, cfg.seed)
+                SweepRecord(grid[0], "evals_per_symbol", per_symbol, 0.0, num, 0, ctx.name, kind, cfg.seed)
             )
         if cfg.output is not None:
             write_records_csv(records, cfg.output)
@@ -393,8 +376,10 @@ def run(cfg: SimConfig) -> list:
         raise ConfigError(f"code length {code.n} is not a multiple of {ctx.m} bits/symbol")
 
     label = (ctx.name, cfg.demapper, cfg.seed)
-    execu = _Executor(cfg, code)
+    _WORKER.update(cfg=cfg, ctx=ctx, code=code)
+    execu = None
     try:
+        execu = _Executor(cfg)
         if cfg.mode == "gmi":
             points = _run_blocks(cfg, ctx, grid, execu, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
             records = [mean_record(psnr, "gmi", n, s1, s2, *label) for psnr, (n, s1, s2) in points]
@@ -408,7 +393,9 @@ def run(cfg: SimConfig) -> list:
                 records += [counted_record(psnr, "ber", bit_errors, bits, *label),
                             counted_record(psnr, "fer", frame_errors, frames, *label)]
     finally:
-        execu.close()
+        _WORKER.clear()
+        if execu is not None:
+            execu.close()
     if cfg.output is not None:
         write_records_csv(records, cfg.output)
     return records
@@ -430,7 +417,7 @@ def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget):
         n0 = n0_from_psnr(psnr)
         comp = None
         if needs_comp:
-            comp = estimate_affine_compensation(ctx, n0, cfg.comp_samples, derived_rng(cfg.seed, _TAG_COMP, p, 0))
+            comp = estimate_affine_compensation(ctx, n0, COMP_SAMPLES, derived_rng(cfg.seed, _TAG_COMP, p, 0))
         kept, errors, b = [], 0, 0
         while b < len(sizes) and not (target and errors >= target):
             tasks = [(p, b + i, n0, num, comp) for i, num in enumerate(sizes[b:b + wave])]
@@ -447,24 +434,42 @@ def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget):
         yield psnr, [sum(col) for col in zip(*kept)]
 
 
-def write_records_csv(records, path) -> None:
-    """Write sweep records in the shared CSV schema.
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Open a temp file next to ``path`` for writing; it replaces ``path`` once complete.
 
-    The rows go to a temp file next to ``path`` that then replaces it, so an
-    interrupted write never leaves a truncated CSV behind.
+    An interrupted write removes the temp file and never leaves a truncated
+    file at ``path``.
     """
-    lines = ["psnr_db,metric,value,stderr,trials,constellation,demapper,seed"]
-    for r in records:
-        lines.append(
-            f"{r.psnr_db:.10g},{r.metric},{r.value:.10g},{r.stderr:.10g},"
-            f"{r.trials},{r.constellation},{r.demapper},{r.seed}"
-        )
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_records_csv(records, path) -> None:
+    """Write sweep records in the shared CSV schema, atomically."""
+    with _atomic_open(path) as fh:
+        fh.write("psnr_db,metric,value,stderr,trials,constellation,demapper,seed\n")
+        for r in records:
+            fh.write(f"{r.psnr_db:.10g},{r.metric},{r.value:.10g},{r.stderr:.10g},"
+                     f"{r.trials},{r.constellation},{r.demapper},{r.seed}\n")
+
+
+def _write_scatter_csv(dump, ctx, path) -> None:
+    """Write a scatter dump's sample rows to ``path`` and its centers to a sibling ``*_centers.csv``, atomically."""
+    with _atomic_open(path) as fh:
+        fh.write(f"# qci-scatter v1, M={ctx.M}, constellation={ctx.name}\n")
+        fh.write("x_qam_u,x_qam_v,z_u,z_v\n")
+        for ref, z in zip(dump.qam_ref, dump.remapped):
+            fh.write(f"{ref[0]:.10g},{ref[1]:.10g},{z[0]:.10g},{z[1]:.10g}\n")
+    with _atomic_open("{}_centers{}".format(*os.path.splitext(path))) as fh:
+        fh.write(f"# qci-scatter-centers v1, M={ctx.M}, constellation={ctx.name}\n")
+        fh.write("point_index,qam_u,qam_v,center_u,center_v,count\n")
+        for i, (g, c) in enumerate(zip(ctx.qam_grid.points, dump.centers)):
+            fh.write(f"{i},{g[0]:.10g},{g[1]:.10g},{c[0]:.10g},{c[1]:.10g},{int(dump.counts[i])}\n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -144,35 +143,13 @@ def scatter_dump(
     n0: float,
     samples: int,
     rng: np.random.Generator,
-    file=None,
 ) -> ScatterDump:
     """Sample the inverse-map output cloud and its per-point centers.
 
-    With ``file`` set, writes the sample rows to that CSV and the centers
-    to a sibling ``*_centers.csv``.
+    ``harness.run`` in scatter mode writes the dump to CSV files.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     idx, y = ctx.draw(samples, n0, rng)
     z = ctx.unmap(y)
-    dump = ScatterDump(idx, ctx.qam_grid.points[idx], z, *cluster_centers(idx, z, ctx.M))
-    if file is not None:
-        _write_scatter_csv(dump, ctx, file)
-    return dump
-
-
-def _write_scatter_csv(dump: ScatterDump, ctx: DemapContext, file) -> None:
-    path = Path(file)
-    with open(path, "w") as fh:
-        fh.write(f"# qci-scatter v1, M={ctx.M}, constellation={ctx.name}\n")
-        fh.write("x_qam_u,x_qam_v,z_u,z_v\n")
-        for ref, z in zip(dump.qam_ref, dump.remapped):
-            fh.write(f"{ref[0]:.10g},{ref[1]:.10g},{z[0]:.10g},{z[1]:.10g}\n")
-    centers_path = path.with_name(path.stem + "_centers" + path.suffix)
-    with open(centers_path, "w") as fh:
-        fh.write(f"# qci-scatter-centers v1, M={ctx.M}, constellation={ctx.name}\n")
-        fh.write("point_index,qam_u,qam_v,center_u,center_v,count\n")
-        for i in range(ctx.M):
-            g = ctx.qam_grid.points[i]
-            c = dump.centers[i]
-            fh.write(f"{i},{g[0]:.10g},{g[1]:.10g},{c[0]:.10g},{c[1]:.10g},{int(dump.counts[i])}\n")
+    return ScatterDump(idx, ctx.qam_grid.points[idx], z, *cluster_centers(idx, z, ctx.M))

@@ -87,6 +87,11 @@ class TestQam:
         counts = c.labels.sum(axis=0)
         npt.assert_array_equal(counts, np.full(c.m, M // 2))
 
+    def test_indices_of_inverts_the_labels(self):
+        c = build_qam(16)
+        idx = np.random.default_rng(0).integers(0, c.M, size=(3, 5))
+        npt.assert_array_equal(c.indices_of(c.labels[idx]), idx)
+
 
 class TestQci:
     @pytest.mark.parametrize("M", [16, 64, 256])

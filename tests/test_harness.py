@@ -1,4 +1,6 @@
+import argparse
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,7 +39,6 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.seed == 1
         assert cfg.workers == 0
-        assert cfg.max_iters == 50
         assert resolved_samples(cfg) == 1_000_000
 
     def test_unknown_key_is_named(self, tmp_path):
@@ -79,12 +80,15 @@ class TestParseConfig:
         ({"mode": "gmi", "samples": 1000}, "samples"),
         ({"family": "file"}, "constellation_file"),
         ({"family": "qam", "demapper": "qci_lcd_compensated"}, "compensation"),
-        ({"comp_samples": 100}, "comp_samples"),
-        ({"max_iters": 0}, "max_iters"),
     ])
     def test_validation_errors(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(None, overrides)
+
+    @pytest.mark.parametrize("key", ["comp_samples", "max_iters"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(None, {key: "50"})
 
 
 # the (family, demapper) pairs a run may use; every other pair is a config error
@@ -167,6 +171,10 @@ class TestComplexityMode:
         assert by_kind["qci_lcd"] == 32
         assert by_kind["qci_remapped_2d"] == 256
 
+    def test_samples_sets_the_symbol_count(self):
+        records = run(SimConfig(mode="complexity", family="qci", M=16, samples=64, output=None))
+        assert {r.trials for r in records} == {64}
+
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "cx.csv"
         run(SimConfig(mode="complexity", family="qam", M=16, output=str(out)))
@@ -227,17 +235,21 @@ class TestCsvWrite:
                 rows += body
             assert (outdir / f"fig_{figure}_gmi_m16.csv").read_text() == header + "".join(rows)
 
-    def test_failed_write_keeps_the_old_csv(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("write", [
+        lambda out: harness.write_records_csv(
+            [SweepRecord(8.0, "evals_per_symbol", 16.0, 0.0, 256, 0, "qam16", "exact2d", 1)], out),
+        lambda out: run(SimConfig(mode="scatter", family="qci", M=16, samples=100, output=str(out))),
+    ], ids=["records", "scatter"])
+    def test_failed_write_keeps_the_old_csv(self, write, tmp_path, monkeypatch):
         out = tmp_path / "cx.csv"
         out.write_text("old\n")
-        records = [SweepRecord(8.0, "evals_per_symbol", 16.0, 0.0, 256, 0, "qam16", "exact2d", 1)]
 
         def interrupted(src, dst):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            harness.write_records_csv(records, out)
+            write(out)
         assert os.listdir(tmp_path) == ["cx.csv"]
         assert out.read_text() == "old\n"
 
@@ -253,6 +265,15 @@ class TestGmiMode:
         values = [r.value for r in records]
         assert values == sorted(values)
         assert all(r.metric == "gmi" and r.trials == 100_000 for r in records)
+
+    def test_inline_run_builds_one_context_and_leaves_no_worker_state(self, monkeypatch):
+        calls = []
+        build = harness.build_context
+        monkeypatch.setattr(harness, "build_context", lambda cfg: calls.append(cfg) or build(cfg))
+        run(SimConfig(mode="gmi", family="qci", M=16, psnr_start=11.0, psnr_stop=11.0, samples=100_000,
+                      workers=1, output=None))
+        assert len(calls) == 1
+        assert harness._WORKER == {}
 
     def test_workers_do_not_change_output(self, tmp_path):
         base = dict(mode="gmi", family="qci", M=16, demapper="qci_lcd",
@@ -456,6 +477,20 @@ class TestCli:
 
     def test_bad_psnr_flag_exit_code(self):
         assert main(["gmi", "--psnr", "10-20-1"]) == 2
+
+    def test_bad_flag_value_is_a_config_error(self, capsys):
+        assert main(["gmi", "--samples", "abc"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gmi", "sweep", "scatter", "complexity"])
+    def test_one_run_flag_per_config_field(self, command):
+        sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices[command]._actions if a.dest not in ("help", "config", "psnr", "mode")]
+        keys = [f.name for f in fields(SimConfig) if f.name != "mode" and not f.name.startswith("psnr_")]
+        assert [a.dest for a in actions] == keys
+        assert [opt for a in actions for opt in a.option_strings] == [
+            "--family", "--M", "--constellation-file", "--demapper", "--samples", "--target-errors",
+            "--code-file", "--seed", "--workers", "--output"]
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         bad_dim = tmp_path / "bad_dim.csv"

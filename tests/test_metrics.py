@@ -5,10 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from qcilink import (
+    SimConfig,
     SweepRecord,
     estimate_affine_compensation,
     gmi_symbol_scores,
     horizontal_gap,
+    run,
     scatter_dump,
 )
 from qcilink.metrics import _crossing_psnr, counted_record, mean_record
@@ -190,9 +192,10 @@ class TestScatterDump:
         significance = abs(proj.mean() - grid[corner] @ direction) / sem
         assert significance > 5.0
 
-    def test_csv_files_written(self, qci16_ctx, tmp_path):
+    def test_csv_files_written(self, tmp_path):
         out = tmp_path / "scatter.csv"
-        scatter_dump(qci16_ctx, 0.1, 500, np.random.default_rng(3), file=out)
+        run(SimConfig(mode="scatter", family="qci", M=16, psnr_start=10.0, psnr_stop=10.0, samples=500,
+                      output=str(out)))
         lines = out.read_text().splitlines()
         assert len(lines) == 2 + 500  # header comment + column row + samples
         centers = (tmp_path / "scatter_centers.csv").read_text().splitlines()
