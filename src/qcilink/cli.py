@@ -87,14 +87,13 @@ def _cmd_constellation(args) -> int:
 
 
 def _build_constellation(args):
-    family = args.family or "qci"
-    if family == "file":
+    if args.family == "file":
         if not args.constellation_file:
             raise ConfigError("family 'file' requires --constellation-file")
         return load_constellation(args.constellation_file)
-    build = {"pam": build_pam, "qam": build_qam, "qci": build_qci}[family]
+    build = {"pam": build_pam, "qam": build_qam, "qci": build_qci}[args.family]
     try:
-        return build(args.M or 16)
+        return build(args.M)
     except ValueError as exc:  # the builders reject unsupported sizes
         raise ConfigError(str(exc)) from exc
 
@@ -117,7 +116,7 @@ def _cmd_make_figures(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     base = SimConfig(mode="gmi", samples=args.samples, seed=args.seed,
-                     workers=args.workers or 0, psnr_step=args.step)
+                     workers=args.workers, psnr_step=args.step)
 
     for M in sizes:
         lo, hi = DEFAULT_FIGURE_WINDOWS[M]
@@ -138,7 +137,7 @@ def _cmd_make_figures(args) -> int:
     if args.with_coded:
         lo, hi = DEFAULT_FIGURE_WINDOWS[sizes[0]]
         coded = SimConfig(mode="coded_ber", M=sizes[0], psnr_start=lo + 1.0, psnr_stop=hi,
-                          psnr_step=0.5, seed=args.seed, workers=args.workers or 0)
+                          psnr_step=0.5, seed=args.seed, workers=args.workers)
         _run_into_one_csv([replace(coded, family=f, demapper=k)
                            for f, k in (("qam", "qam_decomposed"), ("qci", "qci_lcd"))],
                           outdir / f"fig_coded_ber_m{sizes[0]}.csv")

@@ -2,8 +2,9 @@
 
 The decoder is a flooding-schedule sum-product implementation in the
 log domain, vectorized over both edges and frames. LLR sign convention
-matches the demappers: positive means bit 0. The encoder is derived from
-the parity-check matrix by GF(2) row reduction; pivot columns become
+matches the demappers: positive means bit 0. A code derives its encoder
+from the parity-check matrix by GF(2) row reduction when it is built, so
+a rank-deficient matrix is rejected at load time; pivot columns become
 parity positions, the remaining columns carry the information bits. Each
 parity bit is a GF(2) inner product, computed on bits packed into uint64
 words: AND, XOR-accumulate over the words, then popcount parity.
@@ -28,7 +29,7 @@ _TANH_CLIP = 1.0 - 1e-12
 
 
 class ParityCheckCode:
-    """Sparse bipartite parity-check structure with cached edge arrays.
+    """Sparse bipartite parity-check structure with its edge arrays and systematic encoder.
 
     check_lists : per check, the (0-based, sorted) variable indices it touches
     """
@@ -54,17 +55,22 @@ class ParityCheckCode:
         self.check_deg = np.array([len(a) for a in cl], dtype=np.int64)
         self.check_ptr = np.concatenate([[0], np.cumsum(self.check_deg)])
         self.edge_var = np.concatenate(cl)
-        self.num_edges = int(self.edge_var.size)
+        self.check_of_edge = np.repeat(np.arange(self.num_checks), self.check_deg)
         self.var_deg = np.bincount(self.edge_var, minlength=self.n)
         if np.any(self.var_deg == 0):
             bad = int(np.argmin(self.var_deg))
             raise ValueError(f"variable {bad} participates in no check")
         self.var_ptr = np.concatenate([[0], np.cumsum(self.var_deg)])
         # var-major traversal: positions into the check-major edge arrays
-        check_of_edge = np.repeat(np.arange(self.num_checks), self.check_deg)
-        self.perm_vc = np.lexsort((check_of_edge, self.edge_var))
+        self.perm_vc = np.lexsort((self.check_of_edge, self.edge_var))
         self.var_of_edge_vm = np.repeat(np.arange(self.n), self.var_deg)
-        self._encoder = None
+        # systematic encoder: pivot columns carry parity, the rest information
+        H, pivots = _gf2_rref(self.dense_matrix())
+        if len(pivots) != self.num_checks:
+            raise ValueError("parity-check matrix is rank deficient; no systematic encoder exists")
+        self.pivot_cols = np.asarray(pivots, dtype=np.int64)
+        self.info_cols = np.setdiff1d(np.arange(self.n), self.pivot_cols)
+        self.parity_words = _pack_words(H[:, self.info_cols])
 
     @property
     def k(self) -> int:
@@ -85,18 +91,6 @@ class ParityCheckCode:
         # uint8 sums wrap at 256, which keeps their parity
         gathered = np.asarray(bits, dtype=np.uint8)[..., self.edge_var]
         return np.add.reduceat(gathered, self.check_ptr[:-1], axis=-1, dtype=np.uint8) & 1
-
-    def _ensure_encoder(self):
-        if self._encoder is None:
-            H, pivots = _gf2_rref(self.dense_matrix())
-            if len(pivots) != self.num_checks:
-                raise ValueError(
-                    "parity-check matrix is rank deficient; no systematic encoder exists"
-                )
-            pivot_cols = np.asarray(pivots, dtype=np.int64)
-            info_cols = np.setdiff1d(np.arange(self.n), pivot_cols)
-            self._encoder = (pivot_cols, info_cols, _pack_words(H[:, info_cols]))
-        return self._encoder
 
 
 def _gf2_rref(H: np.ndarray):
@@ -144,21 +138,19 @@ def encode(code: ParityCheckCode, info_bits: np.ndarray) -> np.ndarray:
     u2 = np.atleast_2d(u).astype(np.uint8, copy=False)
     if u2.shape[1] != code.k:
         raise ValueError(f"expected {code.k} information bits, got {u2.shape[1]}")
-    pivot_cols, info_cols, P_words = code._ensure_encoder()
     u_words = _pack_words(u2)
     acc = np.zeros((u2.shape[0], code.num_checks), dtype=np.uint64)
     for j in range(u_words.shape[1]):
-        acc ^= u_words[:, j, None] & P_words[:, j]
+        acc ^= u_words[:, j, None] & code.parity_words[:, j]
     cw = np.zeros((u2.shape[0], code.n), dtype=np.uint8)
-    cw[:, info_cols] = u2
-    cw[:, pivot_cols] = np.bitwise_count(acc) & 1
+    cw[:, code.info_cols] = u2
+    cw[:, code.pivot_cols] = np.bitwise_count(acc) & 1
     return cw[0] if single else cw
 
 
 def info_bits_of(code: ParityCheckCode, codewords: np.ndarray) -> np.ndarray:
     """Extract the information positions from (systematic) codewords."""
-    _, info_cols, _ = code._ensure_encoder()
-    return np.asarray(codewords)[..., info_cols]
+    return np.asarray(codewords)[..., code.info_cols]
 
 
 def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
@@ -181,15 +173,12 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     out_conv = np.zeros(B, dtype=bool)
     out_iters = np.full(B, max_iters, dtype=np.int64)
 
-    ev, cp, vp = code.edge_var, code.check_ptr, code.var_ptr
+    cp, vp, ce = code.check_ptr, code.var_ptr, code.check_of_edge
     pvc, vve = code.perm_vc, code.var_of_edge_vm
-    check_idx = np.repeat(np.arange(code.num_checks), code.check_deg)
 
     live = np.arange(B)          # original frame index of each active row
     Lch = L.copy()
-    Lq = Lch[:, ev]
-    Lr = np.zeros_like(Lq)
-    post = Lch.copy()
+    Lq = Lch[:, code.edge_var]
 
     for it in range(1, max_iters + 1):
         # check-node update (leave-one-out via log-magnitude sums and sign parity)
@@ -198,8 +187,8 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         neg = (t < 0.0).astype(np.int64)
         seg_mag = np.add.reduceat(mag, cp[:-1], axis=1)
         seg_par = np.add.reduceat(neg, cp[:-1], axis=1)
-        loo_mag = seg_mag[:, check_idx] - mag
-        loo_sign = 1.0 - 2.0 * ((seg_par[:, check_idx] - neg) & 1)
+        loo_mag = seg_mag[:, ce] - mag
+        loo_sign = 1.0 - 2.0 * ((seg_par[:, ce] - neg) & 1)
         Lr = 2.0 * np.arctanh(np.minimum(np.exp(loo_mag), _TANH_CLIP)) * loo_sign
 
         # variable-node update
@@ -220,8 +209,7 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
             keep = np.nonzero(~ok)[0]
             if keep.size == 0:
                 break
-            live, Lch, Lq, Lr = live[keep], Lch[keep], Lq[keep], Lr[keep]
-            post = post[keep]
+            live, Lch, Lq, post = live[keep], Lch[keep], Lq[keep], post[keep]
 
     if live.size:
         out_bits[live] = (post < 0.0).astype(np.uint8)

@@ -91,15 +91,12 @@ class DemapContext:
     qam_grid      : peak-normalized square QAM it is the image of
                     (identical object for the plain QAM family)
     pam_grid      : matching peak-normalized component PAM
-    peak_scale    : factor taking canonical [-1,1] coordinates to channel
-                    coordinates
     """
 
     family: str  # one of FAMILIES
     constellation: Constellation
     qam_grid: Constellation
     pam_grid: Constellation | None
-    peak_scale: float
 
     @property
     def M(self) -> int:
@@ -121,7 +118,7 @@ class DemapContext:
         """
         if self.family != "qci":
             return np.asarray(y, dtype=np.float64)
-        s = self.peak_scale
+        s = self.constellation.scale
         return s * radial_inverse(np.asarray(y, dtype=np.float64) / s)
 
     def draw(self, num: int, n0: float, rng: np.random.Generator):
@@ -141,7 +138,7 @@ def _component_pam(M: int, s: float) -> Constellation:
 def qam_context(M: int) -> DemapContext:
     """Context for transmitting peak-normalized square QAM."""
     tx = normalize_peak(build_qam(M))
-    return DemapContext("qam", tx, tx, _component_pam(M, tx.scale), tx.scale)
+    return DemapContext("qam", tx, tx, _component_pam(M, tx.scale))
 
 
 def qci_context(M: int) -> DemapContext:
@@ -152,7 +149,7 @@ def qci_context(M: int) -> DemapContext:
     """
     tx = normalize_peak(build_qci(M))
     s = tx.scale
-    return DemapContext("qci", tx, _scaled(build_qam(M), s), _component_pam(M, s), s)
+    return DemapContext("qci", tx, _scaled(build_qam(M), s), _component_pam(M, s))
 
 
 def custom_context(c: Constellation) -> DemapContext:
@@ -160,7 +157,7 @@ def custom_context(c: Constellation) -> DemapContext:
     if c.dimension != 2:
         raise ConfigError(f"family 'file' needs a 2D constellation, not a {c.dimension}D one")
     tx = normalize_peak(c)
-    return DemapContext("file", tx, tx, None, tx.scale)
+    return DemapContext("file", tx, tx, None)
 
 
 def _check_n0(n0: float) -> float:

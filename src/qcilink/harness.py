@@ -351,6 +351,7 @@ def run(cfg: SimConfig) -> list:
     records: list[SweepRecord] = []
 
     if cfg.mode == "scatter":
+        check_output(_centers_path(cfg.output))
         rng = derived_rng(cfg.seed, _TAG_SCATTER, 0, 0)
         _write_scatter_csv(scatter_dump(ctx, n0_from_psnr(grid[0]), resolved_samples(cfg), rng), ctx, cfg.output)
         return records
@@ -461,6 +462,11 @@ def write_records_csv(records, path) -> None:
                      f"{r.trials},{r.constellation},{r.demapper},{r.seed}\n")
 
 
+def _centers_path(path) -> str:
+    """The ``*_centers.csv`` sibling that holds a scatter dump's centers."""
+    return "{}_centers{}".format(*os.path.splitext(path))
+
+
 def _write_scatter_csv(dump, ctx, path) -> None:
     """Write a scatter dump's sample rows to ``path`` and its centers to a sibling ``*_centers.csv``, atomically."""
     with _atomic_open(path) as fh:
@@ -468,7 +474,7 @@ def _write_scatter_csv(dump, ctx, path) -> None:
         fh.write("x_qam_u,x_qam_v,z_u,z_v\n")
         for ref, z in zip(dump.qam_ref, dump.remapped):
             fh.write(f"{ref[0]:.10g},{ref[1]:.10g},{z[0]:.10g},{z[1]:.10g}\n")
-    with _atomic_open("{}_centers{}".format(*os.path.splitext(path))) as fh:
+    with _atomic_open(_centers_path(path)) as fh:
         fh.write(f"# qci-scatter-centers v1, M={ctx.M}, constellation={ctx.name}\n")
         fh.write("point_index,qam_u,qam_v,center_u,center_v,count\n")
         for i, (g, c) in enumerate(zip(ctx.qam_grid.points, dump.centers)):

@@ -15,6 +15,14 @@ def toy_alist():
     return Path(__file__).parent / "peg_dv3_n48.alist"
 
 
+@pytest.fixture
+def rank_deficient_alist(tmp_path):
+    """A well-formed alist whose first two checks coincide, so no systematic encoder exists."""
+    path = tmp_path / "rank_deficient.alist"
+    path.write_text("4 3\n2 2\n2 2 1 1\n2 2 2\n1 2\n1 2\n3 0\n3 0\n1 2\n1 2\n3 4\n")
+    return path
+
+
 @pytest.fixture(scope="session")
 def toy_code(toy_alist):
     return load_alist(toy_alist)

@@ -113,7 +113,7 @@ def test_criterion_03_decomposition_exactness():
     for M in (16, 64):
         ctx = qam_context(M)
         c, y, n0 = _demapper_trials(M, 1000, seed=M)
-        y_ch, pts = y * ctx.peak_scale, ctx.constellation
+        y_ch, pts = y * ctx.constellation.scale, ctx.constellation
         for yi, n0i in zip(y_ch, n0):
             a = llr_exact_2d(yi, pts, n0i).values
             b = demap("qam_decomposed", yi, ctx, n0i).values

@@ -5,6 +5,7 @@ import pytest
 from qcilink import (
     ParityCheckCode,
     bundled_code,
+    coding,
     decode_bp,
     deinterleave,
     encode,
@@ -67,6 +68,10 @@ class TestAlistIo:
         with pytest.raises(DataFormatError, match="range"):
             load_alist(path)
 
+    def test_rank_deficient_matrix_is_a_format_error(self, rank_deficient_alist):
+        with pytest.raises(DataFormatError, match="rank deficient"):
+            load_alist(rank_deficient_alist)
+
 
 class TestEncoder:
     def test_all_zero_info_gives_all_zero_codeword(self, toy_code):
@@ -90,9 +95,8 @@ class TestEncoder:
             encode(toy_code, np.zeros(toy_code.k + 1, dtype=np.uint8))
 
     def test_rank_deficient_matrix_rejected(self):
-        code = ParityCheckCode(4, [[0, 1], [0, 1], [2, 3]])
         with pytest.raises(ValueError, match="rank deficient"):
-            encode(code, np.zeros(1, dtype=np.uint8))
+            ParityCheckCode(4, [[0, 1], [0, 1], [2, 3]])
 
     # the toy code has k = 24 (one partial word); the bundled code has
     # k = 1494 (23 full words and a partial last one)
@@ -108,8 +112,17 @@ class TestEncoder:
         expected = systematic_encode_int64(H, pivots, info_cols, u)
         npt.assert_array_equal(np.atleast_2d(cw), expected)
 
-    def test_encoder_is_derived_once(self, toy_code):
-        assert toy_code._ensure_encoder() is toy_code._ensure_encoder()
+    def test_encoder_is_derived_when_the_code_is_built(self, toy_alist, monkeypatch, rng):
+        code = load_alist(toy_alist)
+
+        def no_rref(H):
+            pytest.fail("the encoder was derived after the code was built")
+
+        monkeypatch.setattr(coding, "_gf2_rref", no_rref)
+        u = rng.integers(0, 2, size=(3, code.k), dtype=np.uint8)
+        cw = encode(code, u)
+        assert not code.syndrome(cw).any()
+        npt.assert_array_equal(info_bits_of(code, cw), u)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5])
     def test_non_binary_input_rejected(self, bad, toy_code):

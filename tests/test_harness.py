@@ -11,6 +11,7 @@ from qcilink import (
     SimConfig,
     build_qci,
     cli,
+    coding,
     demap,
     harness,
     parse_config,
@@ -363,6 +364,31 @@ class TestCodedMode:
         assert [r.metric for r in records] == ["ber", "fer"]
         assert len(calls) == 1
 
+    def test_pool_workers_inherit_the_encoder(self, toy_alist, monkeypatch, tmp_path):
+        parent, rref = os.getpid(), coding._gf2_rref
+
+        def rref_in_parent_only(H):
+            if os.getpid() != parent:
+                raise RuntimeError("a pool worker derived the encoder")
+            return rref(H)
+
+        monkeypatch.setattr(coding, "_gf2_rref", rref_in_parent_only)
+        records = run(SimConfig(mode="coded_ber", family="qam", M=16, demapper="qam_decomposed",
+                                code_file=str(toy_alist), psnr_start=20.0, psnr_stop=20.0, samples=50,
+                                workers=2, output=str(tmp_path / "c.csv")))
+        # no errors at 20 dB, so the whole 50-frame budget runs
+        assert [r.trials for r in records] == [50 * 24, 50]
+
+    def test_rank_deficient_code_file_exits_3_before_any_block(self, rank_deficient_alist, monkeypatch,
+                                                                tmp_path, capsys):
+        monkeypatch.setattr(harness, "_coded_task", _no_block)
+        out = tmp_path / "c.csv"
+        rc = main(["sweep", "--coded", "--family", "qam", "--demapper", "qam_decomposed",
+                   "--code-file", str(rank_deficient_alist), "--workers", "1", "--output", str(out)])
+        assert rc == 3
+        assert "rank deficient" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScatterMode:
     def test_writes_dump(self, tmp_path):
@@ -407,6 +433,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["gray-check", "--family", "qam", "--M", "12"],
         ["constellation", "export", "--family", "pam", "--M", "3", "--output", "x.csv"],
+        ["gray-check", "--family", "qam", "--M", "0"],
+        ["constellation", "export", "--M", "0", "--output", "x.csv"],
     ])
     def test_unsupported_size_exits_2(self, argv, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
@@ -474,6 +502,16 @@ class TestCli:
                    "--output", "/no/such/dir/x.csv"])
         assert rc == 3
         assert "I/O error" in capsys.readouterr().err
+
+    def test_scatter_checks_its_centers_file_before_drawing(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "sc.csv"
+        out.write_text("old\n")
+        (tmp_path / "sc_centers.csv").mkdir()
+        monkeypatch.setattr(harness, "scatter_dump", lambda *a: pytest.fail("the scatter dump was drawn"))
+        rc = main(["scatter", "--psnr", "12:12:1", "--samples", "100", "--output", str(out)])
+        assert rc == 3
+        assert "I/O error" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
 
     def test_bad_psnr_flag_exit_code(self):
         assert main(["gmi", "--psnr", "10-20-1"]) == 2

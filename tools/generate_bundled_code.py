@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcilink.coding import BUNDLED_CODE_NAME, ParityCheckCode, encode  # noqa: E402
+from qcilink.coding import BUNDLED_CODE_NAME, ParityCheckCode  # noqa: E402
 
 N, CHECKS, DV = 1992, 498, 3
 DEST = Path(__file__).resolve().parents[1] / "src" / "qcilink" / "codes" / BUNDLED_CODE_NAME
@@ -130,10 +130,9 @@ def save_alist(code: ParityCheckCode, path) -> None:
 def main() -> None:
     for seed in range(16):
         t0 = time.time()
-        code = build_peg_code(N, CHECKS, DV, seed=seed)
         try:
-            # deriving the systematic encoder rejects a rank-deficient matrix
-            encode(code, np.zeros(code.k, dtype=np.uint8))
+            # building the code derives its systematic encoder, which a rank-deficient matrix lacks
+            code = build_peg_code(N, CHECKS, DV, seed=seed)
         except ValueError:
             print(f"seed {seed}: rank deficient ({time.time() - t0:.1f}s)")
             continue

@@ -7,10 +7,14 @@ complexity runs for the qam, qci and file families, and
 raw float64 LLR bytes and both counters of ``demap`` for every valid
 (family, demapper) on one fixed draw, and of the full-2D demappers at
 M = 64 and 256 on 1, 7 and 40 000 symbols, so a demapper change is checked
-at full precision and not only through the 10-digit CSVs, and the raw bytes
-of ``encode`` on one seeded info block for the bundled LDPC code and the
-48-bit PEG code committed as ``tests/peg_dv3_n48.alist``. Running it on two trees and diffing the printed lists
-shows whether a change kept every output byte-identical.
+at full precision and not only through the 10-digit CSVs. For the bundled
+LDPC code and the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``
+it writes the raw bytes of ``encode`` on one seeded info block, and of the
+bits, converged flags and iteration counts that ``decode_bp`` returns for
+those codewords sent as BPSK over seeded AWGN at three noise levels per
+code, where some frames converge within a few iterations and others hit
+the 50-iteration cap. Running it on two trees and diffing the printed
+lists shows whether a change kept every output byte-identical.
 
 Run from the repository root:  python tools/identity_matrix.py OUTDIR
 """
@@ -25,7 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcilink import build_qci, bundled_code, encode, load_alist, n0_from_psnr, save_constellation  # noqa: E402
+from qcilink import (build_qci, bundled_code, decode_bp, encode, load_alist, n0_from_psnr,  # noqa: E402
+                     save_constellation)
 from qcilink.cli import main as cli_main  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
@@ -33,6 +38,9 @@ from qcilink.harness import SimConfig, build_context, run  # noqa: E402
 WORKERS = (1, 2)
 SEED = 7
 TOY_ALIST = Path(__file__).resolve().parents[1] / "tests" / "peg_dv3_n48.alist"
+# BPSK noise standard deviations per code: all frames converge early at the
+# first, some and then most frames hit the iteration cap at the other two
+BUNDLED_SIGMAS, TOY_SIGMAS = (0.5, 0.6, 0.65), (0.6, 0.8, 0.9)
 
 
 def _runs(const_file: str) -> dict:
@@ -104,11 +112,17 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
     (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
 
 
-def _write_codewords(outdir: Path) -> None:
-    """Raw uint8 bytes of ``encode`` on one seeded (25, k) info block per code."""
-    for code in (bundled_code(), load_alist(TOY_ALIST)):
-        u = np.random.default_rng(SEED).integers(0, 2, size=(25, code.k), dtype=np.uint8)
-        (outdir / f"codewords_{code.name}.u8").write_bytes(encode(code, u).tobytes())
+def _write_codes(outdir: Path) -> None:
+    """Raw bytes of ``encode`` on one seeded (25, k) info block per code, and of ``decode_bp`` on its codewords."""
+    for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS)):
+        rng = np.random.default_rng(SEED)
+        cw = encode(code, rng.integers(0, 2, size=(25, code.k), dtype=np.uint8))
+        (outdir / f"codewords_{code.name}.u8").write_bytes(cw.tobytes())
+        noise = rng.standard_normal(cw.shape)
+        for sigma in sigmas:
+            bits, converged, iters = decode_bp(code, 2.0 * (1.0 - 2.0 * cw + sigma * noise) / sigma ** 2)
+            for part, arr in (("bits.u8", bits), ("converged.b1", converged), ("iters.i64", iters)):
+                (outdir / f"decoded_{code.name}_sigma{sigma}_{part}").write_bytes(arr.tobytes())
 
 
 def main() -> None:
@@ -119,7 +133,7 @@ def main() -> None:
     const_file = outdir / "file64.csv"
     save_constellation(build_qci(64), const_file)
     _write_llrs(outdir, str(const_file))
-    _write_codewords(outdir)
+    _write_codes(outdir)
     for workers in WORKERS:
         for name, spec in _runs(str(const_file)).items():
             run(SimConfig(**spec, seed=SEED, workers=workers, output=str(outdir / f"w{workers}_{name}.csv")))
