@@ -2,7 +2,8 @@
 
 Subcommands wire the library into reproducible batch experiments; outputs
 are CSV files (plotting is left to the emitted matplotlib script). Exit
-codes: 0 success, 2 configuration error, 3 I/O error.
+codes: 0 success, 2 configuration error, 3 I/O error, 4 check failed
+(``gray-check`` found violations).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _cmd_gray_check(args) -> int:
         print(f"{c.name}: Gray labeling OK ({c.M} points)")
     else:
         print(f"{c.name}: {len(report.violations)} Gray violations, first: {report.violations[0]}")
-    return 0
+    return 0 if report.passed else 4
 
 
 def _cmd_constellation(args) -> int:

@@ -98,9 +98,6 @@ class GrayReport:
     passed: bool
     violations: tuple  # (point index, neighbor index, hamming distance) triples
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def _gray_sequence(m: int) -> np.ndarray:
     """Binary-reflected Gray codes for indices 0..2^m-1 as an (M, m) bit array."""

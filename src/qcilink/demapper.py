@@ -18,10 +18,14 @@ Every demapper returns an :class:`LlrFrame` whose ``distance_evals``
 counter records the number of point-distance computations consumed:
 M per symbol for the 2D paths, 2*sqrt(M) for the decomposed paths.
 
-The 2D kernels work on one (chunk, M) squared-distance matrix at a time.
-The exact log-MAP kernel ``_llr_from_d2`` overwrites its ``d2`` argument
-(shift, negation, scaling and ``exp`` in place); max-log transposes the
-matrix to points-major (M, chunk), so each bit subset is a gather of rows
+The 2D kernels build their squared distances one row sub-block at a time
+(``_BLOCK_ELEMS`` elements, 0.5 MB), so every elementwise pass over them
+runs in L2 cache. The exact log-MAP kernel writes each sub-block's shifted,
+scaled ``exp`` into its rows of one (chunk, M) buffer, allocated once per
+call, and takes the two BLAS label products over a whole chunk
+(``_CHUNK_ELEMS`` elements): BLAS blocks a product by its row count, so the
+chunk, not the sub-block, fixes the LLR bytes. Max-log transposes each
+sub-block to points-major (M, rows), so each bit subset is a gather of rows
 reduced along contiguous memory. Both give the same bytes as the plain
 out-of-place expressions.
 """
@@ -185,22 +189,26 @@ def _symbols_1d(y) -> np.ndarray:
     return arr
 
 
-def _llr_from_d2(d2: np.ndarray, labels: np.ndarray, n0: float) -> np.ndarray:
-    """Stable log-sum-exp LLRs from squared distances, one column per bit.
+def _shifted_exp(d2: np.ndarray, n0: float, out: np.ndarray) -> np.ndarray:
+    """exp(-(d2 - min) / n0) per row, written to ``out``; ``d2`` is overwritten.
 
     Rows are shifted by their smallest distance before exponentiation; the
-    shift cancels in the ratio. A fully underflowed subset yields an
-    infinite LLR which the clamp folds back to +-LLR_CLAMP.
-
-    ``d2`` is overwritten: the shift, negation, scaling and ``exp`` run in
-    place, in the order of exp(-(d2 - min) / n0), so the bytes match the
+    shift cancels in the LLR ratio. ``min - d2`` is exactly ``-(d2 - min)``
+    up to the sign of zero, which ``exp`` hides, so the bytes match the
     out-of-place expression.
     """
+    np.subtract(d2.min(axis=1, keepdims=True), d2, out=d2)
+    np.divide(d2, n0, out=out)
+    return np.exp(out, out=out)
+
+
+def _label_llr(e: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Clamped LLRs from shifted exponentials ``e`` (rows, M), one column per bit.
+
+    A fully underflowed subset yields an infinite LLR which the clamp folds
+    back to +-LLR_CLAMP.
+    """
     w0 = (labels == 0).astype(np.float64)  # (M, m)
-    d2 -= d2.min(axis=1, keepdims=True)
-    np.negative(d2, out=d2)
-    d2 /= n0
-    e = np.exp(d2, out=d2)
     # two products, not one e @ [w0, 1 - w0]: BLAS blocks a wider product
     # differently and the LLR bytes move
     s0 = e @ w0
@@ -212,20 +220,36 @@ def _llr_from_d2(d2: np.ndarray, labels: np.ndarray, n0: float) -> np.ndarray:
 
 
 def _d2_2d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(N, M) squared distances |y|^2 + |p|^2 - 2 y.p; the scale and the subtraction run in place."""
+    """(N, M) squared distances |y|^2 + |p|^2 - 2 y.p; doubling y is exact."""
     d2 = np.add(np.sum(y ** 2, axis=1)[:, None], np.sum(pts ** 2, axis=1)[None, :])
-    cross = y @ pts.T
-    cross *= 2.0  # a power of two: exact
-    d2 -= cross
+    d2 -= (2.0 * y) @ pts.T
     return d2
 
-_CHUNK_ELEMS = 4_000_000  # keep the (chunk, M) distance matrix ~30 MB
+# rows of each chunk: of each BLAS label product and of the exact kernel's
+# one exp buffer (32 MB); smaller products move the LLR bytes
+_CHUNK_ELEMS = 4_000_000
+# rows of each distance sub-block within a chunk (0.5 MB), so its passes stay in L2 cache
+_BLOCK_ELEMS = 62_500
 
 
-def _chunked(n_rows: int, M: int):
+def _chunks(n_rows: int, M: int):
     step = max(1, _CHUNK_ELEMS // max(M, 1))
     for lo in range(0, n_rows, step):
         yield lo, min(lo + step, n_rows)
+
+
+def _sub_blocks(lo: int, hi: int, M: int):
+    """Row sub-blocks of the chunk [lo, hi), none of one row unless the chunk is.
+
+    numpy multiplies a single row through gemv, whose bytes differ from the
+    gemm rows of a larger block, so a one-row remainder joins the block
+    before it.
+    """
+    step = max(2, _BLOCK_ELEMS // M)
+    while lo < hi:
+        b = hi if hi - lo <= step + 1 else lo + step
+        yield lo, b
+        lo = b
 
 
 def llr_exact_2d(y, c: Constellation, n0: float) -> LlrFrame:
@@ -235,8 +259,11 @@ def llr_exact_2d(y, c: Constellation, n0: float) -> LlrFrame:
         raise ValueError("llr_exact_2d requires a 2D constellation")
     ys = _symbols_2d(y)
     out = np.empty((len(ys), c.m))
-    for lo, hi in _chunked(len(ys), c.M):
-        out[lo:hi] = _llr_from_d2(_d2_2d(ys[lo:hi], c.points), c.labels, n0)
+    e = np.empty((min(len(ys), max(1, _CHUNK_ELEMS // c.M)), c.M))
+    for lo, hi in _chunks(len(ys), c.M):
+        for a, b in _sub_blocks(lo, hi, c.M):
+            _shifted_exp(_d2_2d(ys[a:b], c.points), n0, out=e[a - lo:b - lo])
+        out[lo:hi] = _label_llr(e[:hi - lo], c.labels)
     return LlrFrame(out, distance_evals=len(ys) * c.M)
 
 
@@ -249,11 +276,12 @@ def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
     out = np.empty((len(ys), c.m))
     bit0 = [np.nonzero(c.labels[:, i] == 0)[0] for i in range(c.m)]
     bit1 = [np.nonzero(c.labels[:, i] == 1)[0] for i in range(c.m)]
-    for lo, hi in _chunked(len(ys), c.M):
-        # points-major (M, n): each bit subset is a row gather reduced along contiguous rows
-        d2 = _d2_2d(ys[lo:hi], c.points).T.copy()
-        for i in range(c.m):
-            out[lo:hi, i] = (d2[bit1[i]].min(axis=0) - d2[bit0[i]].min(axis=0)) / n0
+    for lo, hi in _chunks(len(ys), c.M):
+        for a, b in _sub_blocks(lo, hi, c.M):
+            # points-major (M, rows): each bit subset is a row gather reduced along contiguous rows
+            d2 = _d2_2d(ys[a:b], c.points).T.copy()
+            for i in range(c.m):
+                out[a:b, i] = (d2[bit1[i]].min(axis=0) - d2[bit0[i]].min(axis=0)) / n0
     return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out), distance_evals=len(ys) * c.M)
 
 
@@ -264,7 +292,7 @@ def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:
         raise ValueError("llr_pam requires a 1D constellation")
     ys = _symbols_1d(y_axis)
     d2 = (ys[:, None] - pam.points[None, :]) ** 2
-    vals = _llr_from_d2(d2, pam.labels, n0)
+    vals = _label_llr(_shifted_exp(d2, n0, out=d2), pam.labels)
     return LlrFrame(vals, distance_evals=len(ys) * pam.M)
 
 

@@ -133,10 +133,6 @@ class ScatterDump:
     centers: np.ndarray      # (M, 2) mean remapped point per constellation point
     counts: np.ndarray       # (M,)
 
-    @property
-    def samples(self) -> int:
-        return int(self.point_index.size)
-
 
 def scatter_dump(
     ctx: DemapContext,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -117,19 +118,38 @@ class TestMaxlog:
 class TestChunking:
     @pytest.mark.parametrize("kind", ["exact2d", "maxlog2d", "qci_remapped_2d"])
     def test_uneven_chunks_match_one_chunk(self, kind, monkeypatch):
+        n0 = 0.01
+        for M in (16, 256, 1024):
+            ctx = qci_context(M)
+            _, y = ctx.draw(1_003, n0, np.random.default_rng(3))
+            y_before = y.copy()
+            points_before = (ctx.constellation.points.copy(), ctx.qam_grid.points.copy())
+            monkeypatch.setattr(demapper, "_CHUNK_ELEMS", 1_003 * M)
+            monkeypatch.setattr(demapper, "_BLOCK_ELEMS", 1_003 * M)
+            whole = demap(kind, y, ctx, n0).values
+            # chunks of 300, 300, 300 and 103 rows; 13-row sub-blocks split them as
+            # 22 * 13 + 14 (a one-row remainder joins the block before it) and 7 * 13 + 12
+            monkeypatch.setattr(demapper, "_CHUNK_ELEMS", 300 * M)
+            monkeypatch.setattr(demapper, "_BLOCK_ELEMS", 13 * M)
+            chunked = demap(kind, y, ctx, n0).values
+            assert chunked.tobytes() == whole.tobytes(), f"M={M}"
+            assert y.tobytes() == y_before.tobytes()
+            assert ctx.constellation.points.tobytes() == points_before[0].tobytes()
+            assert ctx.qam_grid.points.tobytes() == points_before[1].tobytes()
+
+    @pytest.mark.parametrize("kind, limit_mb", [("exact2d", 48), ("qci_remapped_2d", 48), ("maxlog2d", 16)])
+    def test_peak_memory(self, kind, limit_mb):
+        # one (chunk, M) exp buffer of 32 MB per call for the exact kinds, none for max-log
         ctx = qci_context(256)
         n0 = 0.01
-        _, y = ctx.draw(1_003, n0, np.random.default_rng(3))
-        y_before = y.copy()
-        points_before = (ctx.constellation.points.copy(), ctx.qam_grid.points.copy())
-        whole = demap(kind, y, ctx, n0).values
-        # 300 rows per chunk at M = 256: chunks of 300, 300, 300 and 103 symbols
-        monkeypatch.setattr(demapper, "_CHUNK_ELEMS", 300 * 256)
-        chunked = demap(kind, y, ctx, n0).values
-        assert chunked.tobytes() == whole.tobytes()
-        assert y.tobytes() == y_before.tobytes()
-        assert ctx.constellation.points.tobytes() == points_before[0].tobytes()
-        assert ctx.qam_grid.points.tobytes() == points_before[1].tobytes()
+        _, y = ctx.draw(40_000, n0, np.random.default_rng(4))
+        tracemalloc.start()
+        try:
+            demap(kind, y, ctx, n0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
 
 class TestPam:

@@ -8,7 +8,9 @@ import pytest
 from qcilink import (
     DEMAPPER_KINDS,
     AffineCompensation,
+    Constellation,
     SimConfig,
+    build_pam,
     build_qci,
     cli,
     coding,
@@ -405,6 +407,15 @@ class TestCli:
     def test_gray_check_ok(self, capsys):
         assert main(["gray-check", "--family", "qci", "--M", "64"]) == 0
         assert "Gray labeling OK" in capsys.readouterr().out
+
+    def test_gray_check_exit_codes(self, tmp_path, capsys):
+        # 4-PAM with natural binary labels: the middle pair differs in both bits
+        natural = np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=np.uint8)
+        path = tmp_path / "pam4_natural.csv"
+        save_constellation(Constellation(build_pam(4).points, natural), path)
+        assert main(["gray-check", "--family", "file", "--constellation-file", str(path)]) == 4
+        assert "Gray violations" in capsys.readouterr().out
+        assert main(["gray-check", "--family", "qam", "--M", "64"]) == 0
 
     def test_constellation_export_round_trip(self, tmp_path, capsys):
         out = tmp_path / "qci16.csv"

@@ -168,7 +168,7 @@ class TestCounterMerges:
 class TestScatterDump:
     def test_row_and_center_counts(self, qci16_ctx):
         dump = scatter_dump(qci16_ctx, 0.05, 5000, np.random.default_rng(0))
-        assert dump.samples == 5000
+        assert dump.point_index.size == 5000
         assert dump.centers.shape == (16, 2)
         assert dump.counts.sum() == 5000
 

@@ -6,15 +6,17 @@ complexity runs for the qam, qci and file families, and
 ``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
 raw float64 LLR bytes and both counters of ``demap`` for every valid
 (family, demapper) on one fixed draw, and of the full-2D demappers at
-M = 64 and 256 on 1, 7 and 40 000 symbols, so a demapper change is checked
-at full precision and not only through the 10-digit CSVs. For the bundled
+M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, so a demapper change
+is checked at full precision and not only through the 10-digit CSVs. For the bundled
 LDPC code and the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``
 it writes the raw bytes of ``encode`` on one seeded info block, and of the
 bits, converged flags and iteration counts that ``decode_bp`` returns for
 those codewords sent as BPSK over seeded AWGN at three noise levels per
 code, where some frames converge within a few iterations and others hit
 the 50-iteration cap. Running it on two trees and diffing the printed
-lists shows whether a change kept every output byte-identical.
+lists shows whether a change kept every output byte-identical; diff a
+demapper change both at the default thread count and with
+``OPENBLAS_NUM_THREADS=1``, since BLAS splits its products by thread.
 
 Run from the repository root:  python tools/identity_matrix.py OUTDIR
 """
@@ -84,9 +86,11 @@ def _runs(const_file: str) -> dict:
 def _write_llrs(outdir: Path, const_file: str) -> None:
     """Raw LLR bytes of every valid (family, demapper) on one seeded draw, plus both counters.
 
-    The full-2D kernels also run on qci64 and qci256 at 1 and 7 symbols
-    (BLAS takes its small-matrix paths there) and at 40 000 symbols, which
-    spans three distance-matrix chunks at M = 256.
+    The full-2D kernels also run on qci16, qci64, qci256 and qci1024 at 1
+    and 7 symbols (BLAS takes its small-matrix paths there) and at 40 000
+    symbols, which spans three chunks at M = 256 and eleven at M = 1024,
+    each cut into many distance sub-blocks. M = 16 and 1024 are the sizes
+    where a change of BLAS blocking has moved LLR bytes.
     """
     n0 = n0_from_psnr(12.0)
     counters = ["name,num_symbols,distance_evals,map_evals"]
@@ -104,7 +108,7 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
             if spec.needs_comp:
                 comp = estimate_affine_compensation(ctx, n0, 20_000, np.random.default_rng(SEED))
             write(f"llr_{ctx.name}_{kind}", kind, ctx, 2_000, comp)
-    for M in (64, 256):
+    for M in (16, 64, 256, 1024):
         ctx = build_context(SimConfig(family="qci", M=M))
         for kind in ("exact2d", "maxlog2d", "qci_remapped_2d"):
             for num in (1, 7, 40_000):
