@@ -8,10 +8,22 @@ a rank-deficient matrix is rejected at load time; pivot columns become
 parity positions, the remaining columns carry the information bits. Each
 parity bit is a GF(2) inner product, computed on bits packed into uint64
 words: AND, XOR-accumulate over the words, then popcount parity.
+
+Messages stay check-major: (frames, edges) arrays in the order of the
+check lists. One check-node kernel maps variable-to-check messages to
+check-to-variable ones: tanh of the clamped half message, then per check a
+sum of log-magnitudes and a uint8 sign parity (``np.add.reduceat``), each
+edge's leave-one-out share gathered back with ``np.take``, exp and artanh,
+and the sign applied as an XOR of the float's sign bit. The variable
+update gathers each variable's j-th edge ("slot" j) and sums the slots in
+the order ``np.add.reduceat`` would. ``decode_bp`` allocates its work
+arrays once per call and runs every step in place on them; converged
+frames leave the batch, and the rows still running move to the front.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -26,6 +38,8 @@ BUNDLED_CODE_NAME = "peg_dv3_n1992_r34.alist"
 # check-node product never saturates to exactly +-1.
 _MSG_CLAMP = 36.0
 _TANH_CLIP = 1.0 - 1e-12
+# index of the byte holding a float64's sign bit
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 class ParityCheckCode:
@@ -60,10 +74,16 @@ class ParityCheckCode:
         if np.any(self.var_deg == 0):
             bad = int(np.argmin(self.var_deg))
             raise ValueError(f"variable {bad} participates in no check")
-        self.var_ptr = np.concatenate([[0], np.cumsum(self.var_deg)])
-        # var-major traversal: positions into the check-major edge arrays
-        self.perm_vc = np.lexsort((self.check_of_edge, self.edge_var))
-        self.var_of_edge_vm = np.repeat(np.arange(self.n), self.var_deg)
+        # slot j of a variable is its j-th edge in check order; slots[j] holds
+        # the check-major indices of those edges and their variables, for the
+        # variables of degree > j
+        var_major = np.argsort(self.edge_var, kind="stable")
+        var_start = np.cumsum(self.var_deg) - self.var_deg
+        slot_of = np.arange(self.edge_var.size) - np.repeat(var_start, self.var_deg)
+        self.slots = []
+        for j in range(int(self.var_deg.max())):
+            edges = var_major[slot_of == j]
+            self.slots.append((edges, self.edge_var[edges]))
         # systematic encoder: pivot columns carry parity, the rest information
         H, pivots = _gf2_rref(self.dense_matrix())
         if len(pivots) != self.num_checks:
@@ -153,6 +173,43 @@ def info_bits_of(code: ParityCheckCode, codewords: np.ndarray) -> np.ndarray:
     return np.asarray(codewords)[..., code.info_cols]
 
 
+def _check_update(q, r, neg, par, seg_mag, seg_par, code: ParityCheckCode) -> None:
+    """Sum-product check-node update on check-major (b, edges) messages.
+
+    Writes into ``r`` what each check sends back along each edge: twice the
+    artanh of the product of tanh(q/2) over the check's other edges, taken
+    as a sum of log-magnitudes and a sign parity over the whole check less
+    the edge's own term. ``q`` is overwritten with its log-magnitudes;
+    ``neg`` and ``par`` (uint8, shaped like ``q``) and ``seg_mag`` and
+    ``seg_par`` (float64 and uint8, (b, checks)) are work buffers.
+    """
+    starts, check = code.check_ptr[:-1], code.check_of_edge
+    np.clip(q, -_MSG_CLAMP, _MSG_CLAMP, out=q)
+    np.multiply(q, 0.5, out=q)
+    np.tanh(q, out=q)
+    np.less(q, 0.0, out=neg.view(bool))
+    np.abs(q, out=q)
+    np.maximum(q, 1e-300, out=q)
+    np.log(q, out=q)
+    np.add.reduceat(q, starts, axis=1, out=seg_mag)
+    # uint8 sums wrap at 256, which keeps their parity
+    np.add.reduceat(neg, starts, axis=1, dtype=np.uint8, out=seg_par)
+    np.take(seg_mag, check, axis=1, out=r, mode="clip")
+    np.subtract(r, q, out=r)
+    np.exp(r, out=r)
+    np.minimum(r, _TANH_CLIP, out=r)
+    np.arctanh(r, out=r)
+    np.multiply(r, 2.0, out=r)
+    # an odd leave-one-out parity negates the message: XOR it into the sign
+    # bit, the top bit of the float's most significant byte. A uint8 product
+    # with 128 keeps only the parity bit, moved to the top.
+    np.take(seg_par, check, axis=1, out=par, mode="clip")
+    np.bitwise_xor(par, neg, out=par)
+    np.multiply(par, 128, out=par)
+    sign = r.view(np.uint8)[:, _SIGN_BYTE::8]
+    np.bitwise_xor(sign, par, out=sign)
+
+
 def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     """Flooding-schedule sum-product decoding with syndrome early exit.
 
@@ -162,57 +219,80 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    L = np.asarray(llrs, dtype=np.float64)
-    single = L.ndim == 1
-    L = np.atleast_2d(L)
-    if L.shape[1] != code.n:
-        raise ValueError(f"expected {code.n} LLRs per frame, got {L.shape[1]}")
-    B = L.shape[0]
+    single = np.ndim(llrs) == 1
+    Lch = np.array(llrs, dtype=np.float64, order="C", ndmin=2)
+    if Lch.shape[1] != code.n:
+        raise ValueError(f"expected {code.n} LLRs per frame, got {Lch.shape[1]}")
+    B, n = Lch.shape
+    E, C = code.edge_var.size, code.num_checks
+    starts = code.check_ptr[:-1]
 
-    out_bits = np.zeros((B, code.n), dtype=np.uint8)
+    out_bits = np.zeros((B, n), dtype=np.uint8)
     out_conv = np.zeros(B, dtype=bool)
     out_iters = np.full(B, max_iters, dtype=np.int64)
 
-    cp, vp, ce = code.check_ptr, code.var_ptr, code.check_of_edge
-    pvc, vve = code.perm_vc, code.var_of_edge_vm
+    # Every work array is allocated here; iteration views take the first b
+    # rows, the frames still running, which stay contiguous.
+    Lq, Lr = np.empty((2, B, E))
+    neg, par = np.empty((2, B, E), dtype=np.uint8)
+    seg_mag = np.empty((B, C))
+    seg_par = np.empty((B, C), dtype=np.uint8)
+    post, rest = np.empty((2, B, n))
+    slot_buf, part_buf = np.empty((2, B * n))
+    hard, nonzero = np.empty((2, B, n), dtype=bool)
 
-    live = np.arange(B)          # original frame index of each active row
-    Lch = L.copy()
-    Lq = Lch[:, code.edge_var]
-
+    live = np.arange(B)          # original frame index of each running row
+    b = B
+    np.take(Lch, code.edge_var, axis=1, out=Lq, mode="clip")
     for it in range(1, max_iters + 1):
-        # check-node update (leave-one-out via log-magnitude sums and sign parity)
-        t = np.tanh(0.5 * np.clip(Lq, -_MSG_CLAMP, _MSG_CLAMP))
-        mag = np.log(np.maximum(np.abs(t), 1e-300))
-        neg = (t < 0.0).astype(np.int64)
-        seg_mag = np.add.reduceat(mag, cp[:-1], axis=1)
-        seg_par = np.add.reduceat(neg, cp[:-1], axis=1)
-        loo_mag = seg_mag[:, ce] - mag
-        loo_sign = 1.0 - 2.0 * ((seg_par[:, ce] - neg) & 1)
-        Lr = 2.0 * np.arctanh(np.minimum(np.exp(loo_mag), _TANH_CLIP)) * loo_sign
+        q, r, p, s = Lq[:b], Lr[:b], post[:b], rest[:b]
+        _check_update(q, r, neg[:b], par[:b], seg_mag[:b], seg_par[:b], code)
 
-        # variable-node update
-        Lr_vm = Lr[:, pvc]
-        post = Lch + np.add.reduceat(Lr_vm, vp[:-1], axis=1)
-        Lq_vm = post[:, vve] - Lr_vm
-        Lq[:, pvc] = Lq_vm
+        # variable-node update: post = Lch + (slot 0 + (slot 1 + slot 2 + ...)),
+        # the order np.add.reduceat sums up to 8 edges per variable. -0.0
+        # starts the inner sum because x + -0.0 == x for every x.
+        s.fill(-0.0)
+        for edges, vs in code.slots[1:]:
+            k = vs.size
+            slot = slot_buf[:b * k].reshape(b, k)
+            np.take(r, edges, axis=1, out=slot, mode="clip")
+            if k == n:
+                np.add(s, slot, out=s)
+            else:  # only the variables of degree > j have a slot j
+                part = part_buf[:b * k].reshape(b, k)
+                np.take(s, vs, axis=1, out=part, mode="clip")
+                np.add(part, slot, out=part)
+                s[:, vs] = part
+        np.take(r, code.slots[0][0], axis=1, out=p, mode="clip")
+        np.add(p, s, out=p)
+        np.add(Lch[:b], p, out=p)
+        np.take(p, code.edge_var, axis=1, out=q, mode="clip")
+        np.subtract(q, r, out=q)
 
         # converged = zero syndrome with every bit strictly decided; an
         # all-zero input would otherwise "converge" on the zero word.
-        hard = (post < 0.0).astype(np.uint8)
-        ok = ~code.syndrome(hard).any(axis=1) & (post != 0.0).all(axis=1)
-        if np.any(ok):
-            done = np.nonzero(ok)[0]
-            out_bits[live[done]] = hard[done]
-            out_conv[live[done]] = True
-            out_iters[live[done]] = it
-            keep = np.nonzero(~ok)[0]
-            if keep.size == 0:
-                break
-            live, Lch, Lq, post = live[keep], Lch[keep], Lq[keep], post[keep]
+        h, sp = hard[:b], seg_par[:b]
+        np.less(p, 0.0, out=h)
+        np.take(h.view(np.uint8), code.edge_var, axis=1, out=neg[:b], mode="clip")
+        np.add.reduceat(neg[:b], starts, axis=1, dtype=np.uint8, out=sp)
+        np.bitwise_and(sp, 1, out=sp)
+        np.not_equal(p, 0.0, out=nonzero[:b])
+        ok = ~sp.any(axis=1) & nonzero[:b].all(axis=1)
+        if it < max_iters and not ok.any():
+            continue
+        out_bits[live] = h
+        out_conv[live] = ok
+        out_iters[live[ok]] = it
+        keep = np.flatnonzero(~ok)
+        if keep.size == 0 or it == max_iters:
+            break
+        # move the running rows to the front; Lr and post are rebuilt from
+        # Lq and Lch before they are read again, so they take the moved rows
+        np.take(q, keep, axis=0, out=Lr[:keep.size], mode="clip")
+        np.take(Lch[:b], keep, axis=0, out=post[:keep.size], mode="clip")
+        Lq, Lr, Lch, post = Lr, Lq, post, Lch
+        live, b = live[keep], keep.size
 
-    if live.size:
-        out_bits[live] = (post < 0.0).astype(np.uint8)
     if single:
         return out_bits[0], bool(out_conv[0]), int(out_iters[0])
     return out_bits, out_conv, out_iters

@@ -96,3 +96,45 @@ def systematic_encode_int64(H_rref, pivot_cols, info_cols, info_bits):
 def syndrome_int64(H, bits):
     """Check parities of hard bits (..., n) by the int64 product (bits @ H.T) & 1."""
     return (np.asarray(bits, dtype=np.int64) @ np.asarray(H, dtype=np.int64).T) & 1
+
+
+def _reduceat_sum(terms):
+    """first + (second + third + ...): numpy's np.add.reduceat order for up to 8 terms.
+
+    From 9 terms on, numpy adds the terms after the first pairwise.
+    """
+    rest = -0.0  # x + -0.0 == x for every x, signed zeros included
+    for t in terms[1:]:
+        rest += t
+    return terms[0] + rest
+
+
+def flooding_decode_loops(check_lists, n, llrs, max_iters):
+    """One frame of flooding sum-product decoding by plain loops over checks and variables.
+
+    Same messages, clamps, arithmetic order and early-exit rule as
+    ``coding.decode_bp``; tanh, log, exp and artanh are numpy's float64
+    functions, so the two agree bit for bit while no check or variable has
+    more than 8 edges. Returns (bits, converged, iterations).
+    """
+    checks_of = [[c for c, vs in enumerate(check_lists) if v in vs] for v in range(n)]
+    q = {(c, v): float(llrs[v]) for c, vs in enumerate(check_lists) for v in vs}
+    for it in range(1, max_iters + 1):
+        r = {}
+        for c, vs in enumerate(check_lists):
+            t = [np.tanh(0.5 * min(max(q[c, v], -36.0), 36.0)) for v in vs]
+            mag = [np.log(max(abs(x), 1e-300)) for x in t]
+            total = _reduceat_sum(mag)
+            negatives = sum(x < 0.0 for x in t)
+            for v, x, lm in zip(vs, t, mag):
+                msg = 2.0 * np.arctanh(min(np.exp(total - lm), 1.0 - 1e-12))
+                r[c, v] = -msg if (negatives - (x < 0.0)) % 2 else msg
+        post = []
+        for v in range(n):
+            post.append(float(llrs[v]) + _reduceat_sum([r[c, v] for c in checks_of[v]]))
+            for c in checks_of[v]:
+                q[c, v] = post[v] - r[c, v]
+        bits = [int(p < 0.0) for p in post]
+        if all(p != 0.0 for p in post) and all(sum(bits[v] for v in vs) % 2 == 0 for vs in check_lists):
+            return bits, True, it
+    return bits, False, max_iters

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,9 +14,30 @@ from qcilink import (
     interleave,
     load_alist,
 )
-from oracles import syndrome_int64, systematic_encode_int64
+from oracles import flooding_decode_loops, syndrome_int64, systematic_encode_int64
 from qcilink.coding import _gf2_rref, info_bits_of
 from qcilink.errors import DataFormatError
+
+# n = 20, rate 1/2, variable degrees 1-5 and check degrees 3-8: the decoder
+# gathers partial slots, and every sum stays within the 8 terms up to which
+# numpy's reduceat adds in the oracle's order
+IRREGULAR_CHECKS = [
+    [0, 9, 15, 16, 19], [5, 10, 16], [1, 2, 5, 6, 7, 15, 16, 17], [3, 4, 10, 11, 14, 15, 17],
+    [5, 8, 9, 10, 13, 14, 19], [1, 2, 3, 8, 9, 11, 12, 16], [3, 4, 5, 10, 15, 17, 19],
+    [4, 10, 14, 19], [4, 5, 11, 13, 14, 17, 19], [2, 3, 4, 6, 15, 17, 18],
+]
+
+
+@pytest.fixture(scope="module")
+def irregular_code():
+    return ParityCheckCode(20, IRREGULAR_CHECKS, name="irregular_n20")
+
+
+def _noisy_llrs(code, frames, sigma, seed):
+    """BPSK LLRs of seeded random codewords over AWGN with noise deviation sigma."""
+    rng = np.random.default_rng(seed)
+    cw = encode(code, rng.integers(0, 2, size=(frames, code.k), dtype=np.uint8))
+    return 2.0 * (1.0 - 2.0 * cw + sigma * rng.standard_normal(cw.shape)) / sigma ** 2
 
 
 class TestPegConstruction:
@@ -189,6 +212,52 @@ class TestDecoder:
             decode_bp(toy_code, np.zeros(toy_code.n - 1))
         with pytest.raises(ValueError, match="max_iters"):
             decode_bp(toy_code, np.zeros(toy_code.n), max_iters=0)
+
+    @pytest.mark.parametrize("which, sigma", [("toy", 0.9), ("toy", 1.0), ("irregular", 0.9), ("irregular", 1.0)])
+    def test_matches_loop_oracle(self, which, sigma, toy_code, irregular_code):
+        code = toy_code if which == "toy" else irregular_code
+        llr = _noisy_llrs(code, 16, sigma, seed=5)
+        bits, conv, iters = decode_bp(code, llr)
+        # some frames converge within a few iterations, others hit the cap
+        assert iters.min() <= 5 and not conv.all()
+        check_lists = [vs.tolist() for vs in code.check_lists]
+        for f in range(len(llr)):
+            o_bits, o_conv, o_iters = flooding_decode_loops(check_lists, code.n, llr[f], 50)
+            npt.assert_array_equal(bits[f], o_bits)
+            assert (conv[f], iters[f]) == (o_conv, o_iters)
+
+    def test_batch_equals_frames_decoded_alone(self, toy_code):
+        llr = _noisy_llrs(toy_code, 16, 0.9, seed=5)
+        bits, conv, iters = decode_bp(toy_code, llr)
+        # frames leave the batch at different iterations, so running rows move
+        assert len(np.unique(iters)) > 3 and not conv.all()
+        for f in range(len(llr)):
+            b, c, i = decode_bp(toy_code, llr[f])
+            assert bits[f].tobytes() == b.tobytes()
+            assert (conv[f], iters[f]) == (c, i)
+
+    def test_read_only_input_is_not_written(self, toy_code):
+        llr = _noisy_llrs(toy_code, 4, 0.8, seed=3)
+        expected = decode_bp(toy_code, llr.copy())
+        llr.setflags(write=False)
+        for got, want in ((decode_bp(toy_code, llr), expected),
+                          (decode_bp(toy_code, llr[1]), [x[1] for x in expected])):
+            npt.assert_array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_memory_stays_within_eight_message_arrays(self):
+        # the bound is 8 float64 arrays of (frames, edges); every frame here
+        # runs all 50 iterations
+        code = bundled_code()
+        llr = _noisy_llrs(code, 25, 0.65, seed=6)
+        tracemalloc.start()
+        try:
+            _, conv, iters = decode_bp(code, llr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not conv.any() and (iters == 50).all()
+        assert peak < 8 * llr.shape[0] * code.edge_var.size * 8
 
     def test_high_snr_ber_floor_bundled_code(self):
         # binary-input AWGN sanity floor: Es/N0 = 6 dB is deep inside the

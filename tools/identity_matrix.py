@@ -8,12 +8,13 @@ raw float64 LLR bytes and both counters of ``demap`` for every valid
 (family, demapper) on one fixed draw, and of the full-2D demappers at
 M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, so a demapper change
 is checked at full precision and not only through the 10-digit CSVs. For the bundled
-LDPC code and the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``
-it writes the raw bytes of ``encode`` on one seeded info block, and of the
-bits, converged flags and iteration counts that ``decode_bp`` returns for
-those codewords sent as BPSK over seeded AWGN at three noise levels per
-code, where some frames converge within a few iterations and others hit
-the 50-iteration cap. Running it on two trees and diffing the printed
+LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``
+and a seeded irregular 400-bit code with variable degrees 1 to 8, built
+here, it writes the raw bytes of ``encode`` on one seeded info block, and
+of the bits, converged flags and iteration counts that ``decode_bp``
+returns for those codewords sent as BPSK over seeded AWGN at three noise
+levels per code, where some frames converge within a few iterations and
+others hit the 50-iteration cap. Running it on two trees and diffing the printed
 lists shows whether a change kept every output byte-identical; diff a
 demapper change both at the default thread count and with
 ``OPENBLAS_NUM_THREADS=1``, since BLAS splits its products by thread.
@@ -31,8 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcilink import (build_qci, bundled_code, decode_bp, encode, load_alist, n0_from_psnr,  # noqa: E402
-                     save_constellation)
+from qcilink import (ParityCheckCode, build_qci, bundled_code, decode_bp, encode, load_alist,  # noqa: E402
+                     n0_from_psnr, save_constellation)
 from qcilink.cli import main as cli_main  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
@@ -42,7 +43,7 @@ SEED = 7
 TOY_ALIST = Path(__file__).resolve().parents[1] / "tests" / "peg_dv3_n48.alist"
 # BPSK noise standard deviations per code: all frames converge early at the
 # first, some and then most frames hit the iteration cap at the other two
-BUNDLED_SIGMAS, TOY_SIGMAS = (0.5, 0.6, 0.65), (0.6, 0.8, 0.9)
+BUNDLED_SIGMAS, TOY_SIGMAS, IRREGULAR_SIGMAS = (0.5, 0.6, 0.65), (0.6, 0.8, 0.9), (0.5, 0.85, 0.9)
 
 
 def _runs(const_file: str) -> dict:
@@ -116,9 +117,25 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
     (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
 
 
+def _irregular_code() -> ParityCheckCode:
+    """Rate-1/2 code of 400 bits; variable v joins v % 8 + 1 checks drawn at random.
+
+    Up to 8 edges per variable, the decoder's per-variable sums run in
+    the order of numpy's reduceat. This seed gives a full-rank matrix with
+    no empty check.
+    """
+    rng = np.random.default_rng(SEED)
+    checks = [[] for _ in range(200)]
+    for v in range(400):
+        for c in rng.choice(200, size=v % 8 + 1, replace=False):
+            checks[c].append(v)
+    return ParityCheckCode(400, checks, name="irregular_n400")
+
+
 def _write_codes(outdir: Path) -> None:
     """Raw bytes of ``encode`` on one seeded (25, k) info block per code, and of ``decode_bp`` on its codewords."""
-    for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS)):
+    for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS),
+                         (_irregular_code(), IRREGULAR_SIGMAS)):
         rng = np.random.default_rng(SEED)
         cw = encode(code, rng.integers(0, 2, size=(25, code.k), dtype=np.uint8))
         (outdir / f"codewords_{code.name}.u8").write_bytes(cw.tobytes())
