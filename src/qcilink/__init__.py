@@ -14,6 +14,7 @@ from .coding import (
     deinterleave,
     encode,
     interleave,
+    interleaver_permutation,
     load_alist,
 )
 from .constellation import (

@@ -77,8 +77,6 @@ def _cmd_gray_check(args) -> int:
 
 
 def _cmd_constellation(args) -> int:
-    if args.action != "export":
-        raise ConfigError(f"unknown constellation action {args.action!r}")
     c = _build_constellation(args)
     if args.peak_normalize:
         c = normalize_peak(c)

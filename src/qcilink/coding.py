@@ -106,12 +106,6 @@ class ParityCheckCode:
             H[c, vs] = 1
         return H
 
-    def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        """Parity of each check for hard bits of shape (..., n)."""
-        # uint8 sums wrap at 256, which keeps their parity
-        gathered = np.asarray(bits, dtype=np.uint8)[..., self.edge_var]
-        return np.add.reduceat(gathered, self.check_ptr[:-1], axis=-1, dtype=np.uint8) & 1
-
 
 def _gf2_rref(H: np.ndarray):
     """Reduced row echelon form over GF(2); returns (matrix, pivot columns)."""
@@ -298,18 +292,22 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     return out_bits, out_conv, out_iters
 
 
-def interleave(values: np.ndarray, seed: int) -> np.ndarray:
-    """Seeded pseudo-random permutation along the last axis."""
-    x = np.asarray(values)
-    perm = np.random.default_rng(seed).permutation(x.shape[-1])
-    return x[..., perm]
+def interleaver_permutation(n: int, seed: int) -> np.ndarray:
+    """The seeded pseudo-random permutation of ``n`` bit positions."""
+    return np.random.default_rng(seed).permutation(n)
 
 
-def deinterleave(values: np.ndarray, seed: int) -> np.ndarray:
-    """Inverse of :func:`interleave` for the same seed."""
+def interleave(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Permute the last axis: position i takes entry ``perm[i]``."""
+    return np.asarray(values)[..., perm]
+
+
+def deinterleave(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`interleave` for the same permutation."""
     x = np.asarray(values)
-    perm = np.random.default_rng(seed).permutation(x.shape[-1])
-    return x[..., np.argsort(perm)]
+    out = np.empty_like(x)
+    out[..., perm] = x
+    return out
 
 
 def _int_tokens(line: str, where: str) -> list:

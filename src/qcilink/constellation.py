@@ -23,6 +23,8 @@ SUPPORTED_PAM_SIZES = (2, 4, 8, 16, 32, 64)
 SUPPORTED_QAM_SIZES = (16, 64, 256, 1024, 4096)
 
 CSV_HEADER_PREFIX = "# qci-constellation v1"
+# neighbors within this relative margin of a point's minimum distance are nearest
+GRAY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,11 @@ def normalize_peak(c: Constellation) -> Constellation:
     return replace(c, points=c.points * factor, scale=c.scale * factor)
 
 
-def gray_check(c: Constellation, rel_tol: float = 1e-9) -> GrayReport:
+def gray_check(c: Constellation) -> GrayReport:
     """Check that every nearest neighbor of every point differs in exactly one bit.
 
-    All neighbors within ``rel_tol`` (relative) of the minimum distance count
-    as nearest, since mapped constellations have irrational spacings and
+    All neighbors within ``GRAY_REL_TOL`` (relative) of the minimum distance
+    count as nearest, since mapped constellations have irrational spacings and
     exact ties do not survive floating point.
     """
     pts = c.points.reshape(c.M, -1)
@@ -176,7 +178,7 @@ def gray_check(c: Constellation, rel_tol: float = 1e-9) -> GrayReport:
     hd = np.count_nonzero(c.labels[:, None, :] != c.labels[None, :, :], axis=-1)
     violations = []
     for i in range(c.M):
-        neighbors = np.nonzero(d2[i] <= dmin[i] * (1.0 + rel_tol) ** 2)[0]
+        neighbors = np.nonzero(d2[i] <= dmin[i] * (1.0 + GRAY_REL_TOL) ** 2)[0]
         for j in neighbors:
             if hd[i, j] != 1:
                 violations.append((int(i), int(j), int(hd[i, j])))

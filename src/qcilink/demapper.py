@@ -18,16 +18,14 @@ Every demapper returns an :class:`LlrFrame` whose ``distance_evals``
 counter records the number of point-distance computations consumed:
 M per symbol for the 2D paths, 2*sqrt(M) for the decomposed paths.
 
-The 2D kernels build their squared distances one row sub-block at a time
-(``_BLOCK_ELEMS`` elements, 0.5 MB), so every elementwise pass over them
-runs in L2 cache. The exact log-MAP kernel writes each sub-block's shifted,
-scaled ``exp`` into its rows of one (chunk, M) buffer, allocated once per
-call, and takes the two BLAS label products over a whole chunk
-(``_CHUNK_ELEMS`` elements): BLAS blocks a product by its row count, so the
-chunk, not the sub-block, fixes the LLR bytes. Max-log transposes each
-sub-block to points-major (M, rows), so each bit subset is a gather of rows
-reduced along contiguous memory. Both give the same bytes as the plain
-out-of-place expressions.
+Every kernel works one row block at a time (``_BLOCK_ELEMS`` elements,
+0.5 MB of distances), so each elementwise pass over a block runs in L2
+cache, and writes the block's LLRs straight into its rows of the output.
+Exact log-MAP, over 2D points or PAM levels, is one loop that differs only
+in its distance function: distances, shifted ``exp`` in place, then the two
+BLAS label products. Max-log transposes each block to points-major
+(M, rows), so each bit subset is a gather of rows reduced along contiguous
+memory.
 """
 
 from __future__ import annotations
@@ -189,8 +187,8 @@ def _symbols_1d(y) -> np.ndarray:
     return arr
 
 
-def _shifted_exp(d2: np.ndarray, n0: float, out: np.ndarray) -> np.ndarray:
-    """exp(-(d2 - min) / n0) per row, written to ``out``; ``d2`` is overwritten.
+def _shifted_exp(d2: np.ndarray, n0: float) -> np.ndarray:
+    """exp(-(d2 - min) / n0) per row, computed in place in ``d2``.
 
     Rows are shifted by their smallest distance before exponentiation; the
     shift cancels in the LLR ratio. ``min - d2`` is exactly ``-(d2 - min)``
@@ -198,25 +196,8 @@ def _shifted_exp(d2: np.ndarray, n0: float, out: np.ndarray) -> np.ndarray:
     out-of-place expression.
     """
     np.subtract(d2.min(axis=1, keepdims=True), d2, out=d2)
-    np.divide(d2, n0, out=out)
-    return np.exp(out, out=out)
-
-
-def _label_llr(e: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Clamped LLRs from shifted exponentials ``e`` (rows, M), one column per bit.
-
-    A fully underflowed subset yields an infinite LLR which the clamp folds
-    back to +-LLR_CLAMP.
-    """
-    w0 = (labels == 0).astype(np.float64)  # (M, m)
-    # two products, not one e @ [w0, 1 - w0]: BLAS blocks a wider product
-    # differently and the LLR bytes move
-    s0 = e @ w0
-    s1 = e @ (1.0 - w0)
-    with np.errstate(divide="ignore"):
-        llr = np.log(s0, out=s0)
-        llr -= np.log(s1, out=s1)
-    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)
+    np.divide(d2, n0, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def _d2_2d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -225,31 +206,40 @@ def _d2_2d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
     d2 -= (2.0 * y) @ pts.T
     return d2
 
-# rows of each chunk: of each BLAS label product and of the exact kernel's
-# one exp buffer (32 MB); smaller products move the LLR bytes
-_CHUNK_ELEMS = 4_000_000
-# rows of each distance sub-block within a chunk (0.5 MB), so its passes stay in L2 cache
+
+def _d2_1d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(N, M) squared distances of axis samples to PAM levels."""
+    return (y[:, None] - pts[None, :]) ** 2
+
+
+# elements of each row block (0.5 MB), so every pass over a block's (rows, M)
+# distances stays in L2 cache
 _BLOCK_ELEMS = 62_500
 
 
-def _chunks(n_rows: int, M: int):
-    step = max(1, _CHUNK_ELEMS // max(M, 1))
-    for lo in range(0, n_rows, step):
-        yield lo, min(lo + step, n_rows)
+def _blocks(n: int, M: int):
+    step = max(1, _BLOCK_ELEMS // M)
+    for a in range(0, n, step):
+        yield a, min(a + step, n)
 
 
-def _sub_blocks(lo: int, hi: int, M: int):
-    """Row sub-blocks of the chunk [lo, hi), none of one row unless the chunk is.
+def _log_map(ys: np.ndarray, c: Constellation, n0: float, d2_of) -> LlrFrame:
+    """Exact log-MAP LLRs, one row block at a time; ``d2_of(rows, points)`` gives the distances.
 
-    numpy multiplies a single row through gemv, whose bytes differ from the
-    gemm rows of a larger block, so a one-row remainder joins the block
-    before it.
+    A fully underflowed bit subset yields an infinite LLR, which the clamp
+    folds back to +-LLR_CLAMP.
     """
-    step = max(2, _BLOCK_ELEMS // M)
-    while lo < hi:
-        b = hi if hi - lo <= step + 1 else lo + step
-        yield lo, b
-        lo = b
+    w0 = (c.labels == 0).astype(np.float64)  # (M, m)
+    w1 = 1.0 - w0
+    out = np.empty((len(ys), c.m))
+    for a, b in _blocks(len(ys), c.M):
+        e = _shifted_exp(d2_of(ys[a:b], c.points), n0)
+        # two products, not one e @ [w0, w1]: BLAS blocks a wider product
+        # differently and the LLR bytes move
+        s0, s1 = e @ w0, e @ w1
+        with np.errstate(divide="ignore"):
+            np.subtract(np.log(s0, out=s0), np.log(s1, out=s1), out=out[a:b])
+    return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out), distance_evals=len(ys) * c.M)
 
 
 def llr_exact_2d(y, c: Constellation, n0: float) -> LlrFrame:
@@ -257,14 +247,7 @@ def llr_exact_2d(y, c: Constellation, n0: float) -> LlrFrame:
     n0 = _check_n0(n0)
     if c.dimension != 2:
         raise ValueError("llr_exact_2d requires a 2D constellation")
-    ys = _symbols_2d(y)
-    out = np.empty((len(ys), c.m))
-    e = np.empty((min(len(ys), max(1, _CHUNK_ELEMS // c.M)), c.M))
-    for lo, hi in _chunks(len(ys), c.M):
-        for a, b in _sub_blocks(lo, hi, c.M):
-            _shifted_exp(_d2_2d(ys[a:b], c.points), n0, out=e[a - lo:b - lo])
-        out[lo:hi] = _label_llr(e[:hi - lo], c.labels)
-    return LlrFrame(out, distance_evals=len(ys) * c.M)
+    return _log_map(_symbols_2d(y), c, n0, _d2_2d)
 
 
 def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
@@ -276,12 +259,11 @@ def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
     out = np.empty((len(ys), c.m))
     bit0 = [np.nonzero(c.labels[:, i] == 0)[0] for i in range(c.m)]
     bit1 = [np.nonzero(c.labels[:, i] == 1)[0] for i in range(c.m)]
-    for lo, hi in _chunks(len(ys), c.M):
-        for a, b in _sub_blocks(lo, hi, c.M):
-            # points-major (M, rows): each bit subset is a row gather reduced along contiguous rows
-            d2 = _d2_2d(ys[a:b], c.points).T.copy()
-            for i in range(c.m):
-                out[a:b, i] = (d2[bit1[i]].min(axis=0) - d2[bit0[i]].min(axis=0)) / n0
+    for a, b in _blocks(len(ys), c.M):
+        # points-major (M, rows): each bit subset is a row gather reduced along contiguous rows
+        d2 = _d2_2d(ys[a:b], c.points).T.copy()
+        for i in range(c.m):
+            out[a:b, i] = (d2[bit1[i]].min(axis=0) - d2[bit0[i]].min(axis=0)) / n0
     return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out), distance_evals=len(ys) * c.M)
 
 
@@ -290,10 +272,7 @@ def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:
     n0 = _check_n0(n0)
     if pam.dimension != 1:
         raise ValueError("llr_pam requires a 1D constellation")
-    ys = _symbols_1d(y_axis)
-    d2 = (ys[:, None] - pam.points[None, :]) ** 2
-    vals = _label_llr(_shifted_exp(d2, n0, out=d2), pam.labels)
-    return LlrFrame(vals, distance_evals=len(ys) * pam.M)
+    return _log_map(_symbols_1d(y_axis), pam, n0, _d2_1d)
 
 
 def cluster_centers(idx: np.ndarray, z: np.ndarray, M: int):

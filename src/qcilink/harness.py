@@ -8,9 +8,9 @@ worker processes share the blocks. Early stopping in the BER modes scans
 the merged block sequence, so extra blocks computed by idle workers are
 discarded rather than folded in.
 
-A run builds its demap context and loads its LDPC code once, and forked
-pool workers inherit both. Every file a run writes goes to a temp file that
-then replaces the target.
+A run builds its demap context, loads its LDPC code and derives its
+interleaver permutation once, and forked pool workers inherit them. Every
+file a run writes goes to a temp file that then replaces the target.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import n0_from_psnr, transmit
-from .coding import ParityCheckCode, bundled_code, decode_bp, deinterleave, encode, info_bits_of, interleave, load_alist
+from .coding import (ParityCheckCode, bundled_code, decode_bp, deinterleave, encode, info_bits_of, interleave,
+                     interleaver_permutation, load_alist)
 from .constellation import SUPPORTED_QAM_SIZES, load_constellation
 from .demapper import (DEMAPPER_KINDS, DEMAPPERS, FAMILIES, custom_context, demap, estimate_affine_compensation,
                        qam_context, qci_context)
@@ -196,8 +197,9 @@ def load_code(cfg: SimConfig) -> ParityCheckCode:
 # ---------------------------------------------------------------------------
 # block tasks (run inline or in forked pool workers)
 
-# the cfg, ctx and code of the run in progress; run() sets it before the pool
-# forks, so workers inherit it, and clears it when the run ends
+# the cfg, ctx, code and interleaver permutation of the run in progress;
+# run() sets it before the pool forks, so workers inherit it, and clears it
+# when the run ends
 _WORKER: dict = {}
 
 
@@ -221,15 +223,15 @@ def _uncoded_task(args):
 
 def _coded_task(args):
     point, block, n0, frames, _ = args
-    cfg, ctx, code = _WORKER["cfg"], _WORKER["ctx"], _WORKER["code"]
+    cfg, ctx, code, perm = _WORKER["cfg"], _WORKER["ctx"], _WORKER["code"], _WORKER["perm"]
     rng = derived_rng(cfg.seed, _TAG_CODED, point, block)
     info = rng.integers(0, 2, size=(frames, code.k), dtype=np.uint8)
     coded = encode(code, info)
-    tx_bits = interleave(coded, cfg.seed)
+    tx_bits = interleave(coded, perm)
     idx = ctx.constellation.indices_of(tx_bits.reshape(frames, -1, ctx.m))
     y = transmit(ctx.constellation.points[idx.reshape(-1)], n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0)
-    llrs = deinterleave(frame.values.reshape(frames, -1), cfg.seed)
+    llrs = deinterleave(frame.values.reshape(frames, -1), perm)
     bits, _, _ = decode_bp(code, llrs)
     info_hat = info_bits_of(code, bits)
     bit_errors = int(np.sum(info_hat != info))
@@ -376,8 +378,9 @@ def run(cfg: SimConfig) -> list:
     if code is not None and code.n % ctx.m:
         raise ConfigError(f"code length {code.n} is not a multiple of {ctx.m} bits/symbol")
 
+    perm = interleaver_permutation(code.n, cfg.seed) if code is not None else None
     label = (ctx.name, cfg.demapper, cfg.seed)
-    _WORKER.update(cfg=cfg, ctx=ctx, code=code)
+    _WORKER.update(cfg=cfg, ctx=ctx, code=code, perm=perm)
     execu = None
     try:
         execu = _Executor(cfg)

@@ -116,30 +116,39 @@ class TestMaxlog:
 
 
 class TestChunking:
-    @pytest.mark.parametrize("kind", ["exact2d", "maxlog2d", "qci_remapped_2d"])
+    @pytest.mark.parametrize("kind", ["exact2d", "maxlog2d", "qci_remapped_2d", "qci_lcd"])
     def test_uneven_chunks_match_one_chunk(self, kind, monkeypatch):
         n0 = 0.01
         for M in (16, 256, 1024):
             ctx = qci_context(M)
+            # row width of the kernel: M points, or sqrt(M) levels per axis
+            width = math.isqrt(M) if DEMAPPERS[kind].per_axis else M
             _, y = ctx.draw(1_003, n0, np.random.default_rng(3))
             y_before = y.copy()
             points_before = (ctx.constellation.points.copy(), ctx.qam_grid.points.copy())
-            monkeypatch.setattr(demapper, "_CHUNK_ELEMS", 1_003 * M)
-            monkeypatch.setattr(demapper, "_BLOCK_ELEMS", 1_003 * M)
+            monkeypatch.setattr(demapper, "_BLOCK_ELEMS", 1_003 * width)
             whole = demap(kind, y, ctx, n0).values
-            # chunks of 300, 300, 300 and 103 rows; 13-row sub-blocks split them as
-            # 22 * 13 + 14 (a one-row remainder joins the block before it) and 7 * 13 + 12
-            monkeypatch.setattr(demapper, "_CHUNK_ELEMS", 300 * M)
-            monkeypatch.setattr(demapper, "_BLOCK_ELEMS", 13 * M)
-            chunked = demap(kind, y, ctx, n0).values
-            assert chunked.tobytes() == whole.tobytes(), f"M={M}"
+            # 77 blocks of 13 rows and a last one of 2; the block size sets the
+            # rows of the exact kinds' label products, whose bytes then move
+            monkeypatch.setattr(demapper, "_BLOCK_ELEMS", 13 * width)
+            blocked = demap(kind, y, ctx, n0).values
+            if kind == "maxlog2d":
+                assert blocked.tobytes() == whole.tobytes(), f"M={M}"
+            else:
+                npt.assert_allclose(blocked, whole, rtol=0, atol=1e-12, err_msg=f"M={M}")
+            # 6 blocks of 167 rows and a last one of one row, which numpy
+            # multiplies through gemv rather than gemm
+            monkeypatch.setattr(demapper, "_BLOCK_ELEMS", 167 * width)
+            one_row_tail = demap(kind, y, ctx, n0).values
+            npt.assert_allclose(one_row_tail, whole, rtol=0, atol=1e-12, err_msg=f"M={M}")
             assert y.tobytes() == y_before.tobytes()
             assert ctx.constellation.points.tobytes() == points_before[0].tobytes()
             assert ctx.qam_grid.points.tobytes() == points_before[1].tobytes()
 
-    @pytest.mark.parametrize("kind, limit_mb", [("exact2d", 48), ("qci_remapped_2d", 48), ("maxlog2d", 16)])
+    @pytest.mark.parametrize("kind, limit_mb", [("exact2d", 16), ("qci_remapped_2d", 16), ("maxlog2d", 16)])
     def test_peak_memory(self, kind, limit_mb):
-        # one (chunk, M) exp buffer of 32 MB per call for the exact kinds, none for max-log
+        # every kernel holds one 0.5 MB block of distances at a time, next to
+        # its (N, m) output and the remap kinds' (N, 2) remapped copy
         ctx = qci_context(256)
         n0 = 0.01
         _, y = ctx.draw(40_000, n0, np.random.default_rng(4))

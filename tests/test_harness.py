@@ -16,6 +16,7 @@ from qcilink import (
     coding,
     demap,
     harness,
+    load_constellation,
     parse_config,
     psnr_grid,
     run,
@@ -381,6 +382,33 @@ class TestCodedMode:
         # no errors at 20 dB, so the whole 50-frame budget runs
         assert [r.trials for r in records] == [50 * 24, 50]
 
+    def test_pool_workers_inherit_the_interleaver(self, toy_alist, monkeypatch, tmp_path):
+        parent, derive, calls = os.getpid(), harness.interleaver_permutation, []
+
+        def derive_in_parent_only(n, seed):
+            if os.getpid() != parent:
+                raise RuntimeError("a pool worker derived the interleaver permutation")
+            calls.append(seed)
+            return derive(n, seed)
+
+        monkeypatch.setattr(harness, "interleaver_permutation", derive_in_parent_only)
+        records = run(SimConfig(mode="coded_ber", family="qam", M=16, demapper="qam_decomposed",
+                                code_file=str(toy_alist), psnr_start=20.0, psnr_stop=20.0, samples=50,
+                                workers=2, output=str(tmp_path / "c.csv")))
+        assert [r.trials for r in records] == [50 * 24, 50]
+        assert calls == [1]
+
+    def test_code_length_not_a_multiple_of_the_bits_exits_2_before_any_block(self, toy_alist, monkeypatch,
+                                                                              tmp_path, capsys):
+        monkeypatch.setattr(harness, "_coded_task", _no_block)
+        out = tmp_path / "c.csv"
+        # 48 bits do not fill whole 10-bit qci1024 symbols
+        rc = main(["sweep", "--coded", "--family", "qci", "--M", "1024", "--code-file", str(toy_alist),
+                   "--workers", "1", "--output", str(out)])
+        assert rc == 2
+        assert "not a multiple of 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_deficient_code_file_exits_3_before_any_block(self, rank_deficient_alist, monkeypatch,
                                                                 tmp_path, capsys):
         monkeypatch.setattr(harness, "_coded_task", _no_block)
@@ -425,6 +453,17 @@ class TestCli:
         loaded = load_constellation(out)
         assert loaded.M == 16
         np.testing.assert_array_equal(loaded.points, build_qci(16).points)
+
+    def test_constellation_export_peak_normalize(self, tmp_path, capsys):
+        out = tmp_path / "qci64.csv"
+        assert main(["constellation", "export", "--family", "qci", "--M", "64", "--peak-normalize",
+                     "--output", str(out)]) == 0
+        peak = np.max(np.sum(load_constellation(out).points ** 2, axis=1))
+        assert peak == pytest.approx(1.0, abs=1e-15)
+
+    def test_gray_check_file_needs_a_constellation_file(self, capsys):
+        assert main(["gray-check", "--family", "file"]) == 2
+        assert "requires --constellation-file" in capsys.readouterr().err
 
     def test_complexity_command(self, tmp_path, capsys):
         rc = main(["complexity", "--family", "qci", "--M", "64",

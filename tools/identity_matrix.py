@@ -5,9 +5,11 @@ coded BER runs with early stops, scatter runs with their centers,
 complexity runs for the qam, qci and file families, and
 ``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
 raw float64 LLR bytes and both counters of ``demap`` for every valid
-(family, demapper) on one fixed draw, and of the full-2D demappers at
-M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, so a demapper change
-is checked at full precision and not only through the 10-digit CSVs. For the bundled
+(family, demapper) on one fixed draw, of the full-2D demappers at
+M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, and of the per-axis
+demappers ``qci_lcd`` and ``qam_decomposed`` at the same sizes on 40 000
+symbols, so a demapper change is checked at full precision and not only
+through the 10-digit CSVs. For the bundled
 LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``
 and a seeded irregular 400-bit code with variable degrees 1 to 8, built
 here, it writes the raw bytes of ``encode`` on one seeded info block, and
@@ -89,9 +91,10 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
 
     The full-2D kernels also run on qci16, qci64, qci256 and qci1024 at 1
     and 7 symbols (BLAS takes its small-matrix paths there) and at 40 000
-    symbols, which spans three chunks at M = 256 and eleven at M = 1024,
-    each cut into many distance sub-blocks. M = 16 and 1024 are the sizes
-    where a change of BLAS blocking has moved LLR bytes.
+    symbols, which the kernels cut into many row blocks. M = 16 and 1024
+    are the sizes where a change of BLAS blocking has moved LLR bytes. The
+    per-axis kernels run at the same sizes on 40 000 symbols, qci_lcd on
+    the qci family and qam_decomposed on the qam family.
     """
     n0 = n0_from_psnr(12.0)
     counters = ["name,num_symbols,distance_evals,map_evals"]
@@ -114,6 +117,9 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
         for kind in ("exact2d", "maxlog2d", "qci_remapped_2d"):
             for num in (1, 7, 40_000):
                 write(f"llr_{ctx.name}_{kind}_n{num}", kind, ctx, num)
+        for family, kind in (("qci", "qci_lcd"), ("qam", "qam_decomposed")):
+            ctx = build_context(SimConfig(family=family, M=M))
+            write(f"llr_{ctx.name}_{kind}_n40000", kind, ctx, 40_000)
     (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
 
 
