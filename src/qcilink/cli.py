@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from .constellation import (
@@ -23,7 +23,7 @@ from .constellation import (
     save_constellation,
 )
 from .errors import ConfigError, DataFormatError
-from .harness import SimConfig, check_output, parse_config, run, write_records_csv
+from .harness import SimConfig, check_output, parse_config, run, validate_config, write_records_csv
 
 # PSNR windows bracketing the rate-3/4 waterfall region per constellation size
 DEFAULT_FIGURE_WINDOWS = {16: (10.0, 15.0), 64: (16.0, 21.0), 256: (21.5, 26.5)}
@@ -97,13 +97,6 @@ def _build_constellation(args):
         raise ConfigError(str(exc)) from exc
 
 
-def _run_into_one_csv(cfgs, path: Path) -> None:
-    """Run each config in turn and write all their records to the CSV at ``path``."""
-    check_output(path)
-    records = [r for cfg in cfgs for r in run(replace(cfg, output=None))]
-    write_records_csv(records, path)
-
-
 def _cmd_make_figures(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
@@ -113,10 +106,11 @@ def _cmd_make_figures(args) -> int:
         if M not in DEFAULT_FIGURE_WINDOWS:
             raise ConfigError(f"no default PSNR window for M={M}; choose from {tuple(DEFAULT_FIGURE_WINDOWS)}")
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     base = SimConfig(mode="gmi", samples=args.samples, seed=args.seed,
                      workers=args.workers, psnr_step=args.step)
 
+    # each figure CSV -> the configs of its curves, in curve order
+    plan = {}
     for M in sizes:
         lo, hi = DEFAULT_FIGURE_WINDOWS[M]
         common = replace(base, M=M, psnr_start=lo, psnr_stop=hi)
@@ -124,22 +118,32 @@ def _cmd_make_figures(args) -> int:
             ("ber_analogue", [("qam", "qam_decomposed"), ("qci", "qci_lcd"), ("qci", "exact2d")]),
             ("iq_loss", [("qci", "qci_lcd"), ("qci", "qci_remapped_2d")]),
         ):
-            _run_into_one_csv([replace(common, family=f, demapper=k) for f, k in curves],
-                              outdir / f"fig_{figure}_gmi_m{M}.csv")
-
-    scatter_cfg = SimConfig(mode="scatter", family="qci", M=sizes[0],
-                            psnr_start=args.scatter_psnr, psnr_stop=args.scatter_psnr,
-                            samples=20_000, seed=args.seed,
-                            output=str(outdir / f"fig_scatter_m{sizes[0]}.csv"))
-    run(scatter_cfg)
-
+            plan[outdir / f"fig_{figure}_gmi_m{M}.csv"] = [
+                replace(common, family=f, demapper=k) for f, k in curves]
     if args.with_coded:
         lo, hi = DEFAULT_FIGURE_WINDOWS[sizes[0]]
         coded = SimConfig(mode="coded_ber", M=sizes[0], psnr_start=lo + 1.0, psnr_stop=hi,
                           psnr_step=0.5, seed=args.seed, workers=args.workers)
-        _run_into_one_csv([replace(coded, family=f, demapper=k)
-                           for f, k in (("qam", "qam_decomposed"), ("qci", "qci_lcd"))],
-                          outdir / f"fig_coded_ber_m{sizes[0]}.csv")
+        plan[outdir / f"fig_coded_ber_m{sizes[0]}.csv"] = [
+            replace(coded, family=f, demapper=k) for f, k in (("qam", "qam_decomposed"), ("qci", "qci_lcd"))]
+    scatter_cfg = SimConfig(mode="scatter", family="qci", M=sizes[0],
+                            psnr_start=args.scatter_psnr, psnr_stop=args.scatter_psnr,
+                            samples=20_000, seed=args.seed,
+                            output=str(outdir / f"fig_scatter_m{sizes[0]}.csv"))
+    # the whole plan is checked before the first run
+    for cfg in (scatter_cfg, *(cfg for cfgs in plan.values() for cfg in cfgs)):
+        validate_config(cfg)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for path in plan:
+        check_output(path)
+
+    records = {}  # a curve that two figures share runs once
+    for path, cfgs in plan.items():
+        for cfg in cfgs:
+            if astuple(cfg) not in records:
+                records[astuple(cfg)] = run(replace(cfg, output=None))
+        write_records_csv([r for cfg in cfgs for r in records[astuple(cfg)]], path)
+    run(scatter_cfg)
 
     _write_plot_script(outdir)
     print(f"figure CSVs written to {outdir}")

@@ -384,7 +384,11 @@ def load_alist(path) -> ParityCheckCode:
 
 @lru_cache(maxsize=1)
 def bundled_code() -> ParityCheckCode:
-    """The packaged rate-3/4 code (n divisible by every supported bits/symbol)."""
+    """The packaged rate-3/4 code.
+
+    n = 1992 fills whole symbols of m = 4, 6, 8 and 12 bits (M = 16, 64, 256
+    and 4096), but not of 10 bits, so M = 1024 cannot carry it.
+    """
     ref = resources.files("qcilink.codes").joinpath(BUNDLED_CODE_NAME)
     with resources.as_file(ref) as p:
         return load_alist(p)

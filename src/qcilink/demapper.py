@@ -6,9 +6,10 @@ exponents are ||y - x||^2 / n0, i.e. noise variance n0/2 per dimension; the
 one-dimensional PAM demapper uses the matching per-axis exponent
 (y - x)^2 / n0.
 
-The low-complexity path for disc-shaped constellations applies the inverse
-radial map before demapping. In channel coordinates (peak power 1) that
-remap is conjugated by the normalization scale s: y -> s * f_inv(y / s).
+The low-complexity path for disc-shaped constellations is two steps: apply
+the inverse radial map to the received point, then demap I and Q as two
+one-dimensional PAM problems. The radial map commutes with positive
+scaling, so it applies in channel coordinates (peak power 1) as it is.
 The Gaussian assumption with the channel's true n0 is then deliberately
 kept even though the remapped noise is no longer Gaussian; the affine
 gain/offset compensation partially corrects the resulting moment mismatch
@@ -115,13 +116,12 @@ class DemapContext:
     def unmap(self, y: np.ndarray) -> np.ndarray:
         """Undo the constellation-shaping map in channel coordinates.
 
-        Identity for the QAM and file families; the scale-conjugated
-        inverse radial map for the disc-shaped family.
+        Identity for the QAM and file families; for the disc-shaped family
+        the inverse radial map, which commutes with the peak normalization.
         """
         if self.family != "qci":
             return np.asarray(y, dtype=np.float64)
-        s = self.constellation.scale
-        return s * radial_inverse(np.asarray(y, dtype=np.float64) / s)
+        return radial_inverse(y)
 
     def draw(self, num: int, n0: float, rng: np.random.Generator):
         """``num`` uniformly drawn point indices and their noisy channel outputs."""
@@ -368,10 +368,10 @@ def demap(kind: str, y, ctx: DemapContext, n0: float, comp: AffineCompensation |
     else:
         z, grid = y, ctx.constellation
     if spec.per_axis:
-        fi = llr_pam(z[:, 0], ctx.pam_grid, n0)
-        fq = llr_pam(z[:, 1], ctx.pam_grid, n0)
-        frame = LlrFrame(np.hstack([fi.values, fq.values]), fi.distance_evals + fq.distance_evals)
+        # I and Q samples alternate, so each row of m LLRs is a symbol's I bits, then its Q bits
+        frame = llr_pam(z.reshape(-1), ctx.pam_grid, n0)
     else:
         frame = (llr_maxlog_2d if spec.maxlog else llr_exact_2d)(z, grid, n0)
-    map_evals = frame.num_symbols if spec.remap and ctx.family == "qci" else 0
-    return LlrFrame(frame.values, frame.distance_evals, map_evals)
+    values = frame.values.reshape(-1, ctx.m)
+    map_evals = len(values) if spec.remap and ctx.family == "qci" else 0
+    return LlrFrame(values, frame.distance_evals, map_evals)

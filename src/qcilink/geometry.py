@@ -4,7 +4,10 @@ The forward map rescales every point along its ray from the origin so that
 the square of half-width t lands on the circle of radius sqrt(2)*t; the
 inverse applies the reciprocal radial factor. Both maps are defined on all
 of R^2 (noisy received points fall outside the nominal domains) and invert
-each other exactly up to floating-point round-off.
+each other exactly up to floating-point round-off. Both commute with
+positive scaling, f(c*p) = c*f(p) for c > 0, because the radial factor
+depends only on the direction of p; so they apply unchanged to
+peak-normalized coordinates.
 
 Points are array-likes whose last axis holds the two coordinates (u, v);
 a single (u, v) pair or any (..., 2) batch is accepted.

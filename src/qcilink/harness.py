@@ -143,13 +143,20 @@ def validate_config(cfg: SimConfig) -> None:
         what = " (compensation of the inverse radial map)" if spec.needs_comp else ""
         raise ConfigError(f"demapper {cfg.demapper!r}{what} supports only the families "
                           f"{spec.families}, not {cfg.family!r}")
-    if spec.needs_comp and cfg.mode in ("uncoded_ber", "coded_ber"):
-        raise ConfigError(f"demapper {cfg.demapper!r} needs a compensation estimate, "
-                          "which only gmi mode makes")
+    if not all(math.isfinite(v) for v in (cfg.psnr_start, cfg.psnr_stop, cfg.psnr_step)):
+        raise ConfigError("psnr_start, psnr_stop and psnr_step must be finite")
     if cfg.psnr_step <= 0.0:
         raise ConfigError("psnr_step must be positive")
     if cfg.psnr_start > cfg.psnr_stop:
         raise ConfigError("psnr_start must not exceed psnr_stop")
+    # n0 falls with the PSNR, so valid ends make every grid point's n0 valid
+    for psnr in (cfg.psnr_start, cfg.psnr_stop):
+        try:
+            n0 = n0_from_psnr(psnr)
+        except OverflowError:
+            n0 = math.inf
+        if not 0.0 < n0 < math.inf:
+            raise ConfigError(f"PSNR {psnr:g} dB gives no positive finite noise power 10^({-psnr:g}/10)")
     if cfg.samples < 0 or cfg.target_errors < 0:
         raise ConfigError("samples and target_errors must be nonnegative")
     if cfg.mode == "gmi" and resolved_samples(cfg) < GMI_MIN_SAMPLES:
@@ -212,17 +219,17 @@ def _gmi_task(args):
 
 
 def _uncoded_task(args):
-    point, block, n0, num, _ = args
+    point, block, n0, num, comp = args
     cfg, ctx = _WORKER["cfg"], _WORKER["ctx"]
     rng = derived_rng(cfg.seed, _TAG_UNCODED, point, block)
     idx, y = ctx.draw(num, n0, rng)
-    frame = demap(cfg.demapper, y, ctx, n0)
+    frame = demap(cfg.demapper, y, ctx, n0, comp)
     errors = int(np.sum(frame.hard_bits() != ctx.constellation.labels[idx]))
     return num * ctx.m, errors
 
 
 def _coded_task(args):
-    point, block, n0, frames, _ = args
+    point, block, n0, frames, comp = args
     cfg, ctx, code, perm = _WORKER["cfg"], _WORKER["ctx"], _WORKER["code"], _WORKER["perm"]
     rng = derived_rng(cfg.seed, _TAG_CODED, point, block)
     info = rng.integers(0, 2, size=(frames, code.k), dtype=np.uint8)
@@ -230,7 +237,7 @@ def _coded_task(args):
     tx_bits = interleave(coded, perm)
     idx = ctx.constellation.indices_of(tx_bits.reshape(frames, -1, ctx.m))
     y = transmit(ctx.constellation.points[idx.reshape(-1)], n0, rng)
-    frame = demap(cfg.demapper, y, ctx, n0)
+    frame = demap(cfg.demapper, y, ctx, n0, comp)
     llrs = deinterleave(frame.values.reshape(frames, -1), perm)
     bits, _, _ = decode_bp(code, llrs)
     info_hat = info_bits_of(code, bits)

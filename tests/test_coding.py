@@ -92,6 +92,25 @@ class TestAlistIo:
         with pytest.raises(DataFormatError, match="range"):
             load_alist(path)
 
+    # each file breaks one field of a valid alist with 3 variables and 2 checks
+    @pytest.mark.parametrize("text,match", [
+        ("3 2\n1 2\n1 1 1\n", "too short"),
+        ("3\n1 2\n1 1 1\n2 1\n1\n1\n2\n1 2\n3 0\n", "'n m'"),
+        ("0 2\n1 2\n1 1 1\n2 1\n1\n1\n2\n1 2\n3 0\n", "positive"),
+        ("3 2\n1\n1 1 1\n2 1\n1\n1\n2\n1 2\n3 0\n", "max_dv max_dc"),
+        ("3 2\n1 2\n1 1\n2 1\n1\n1\n2\n1 2\n3 0\n", "3 variable degrees"),
+        ("3 2\n1 2\n1 1 1\n2\n1\n1\n2\n1 2\n3 0\n", "2 check degrees"),
+        ("3 2\n1 1\n1 1 1\n2 1\n1\n1\n2\n1 2\n3 0\n", "maximum degree exceeded"),
+        ("3 2\n1 2\n1 0 1\n2 1\n1\n0\n2\n1 2\n3 0\n", "degree >= 1"),
+        ("3 2\n1 2\n1 1 1\n2 1\n1\n1\n2\n1 1\n3 0\n", "repeats an index"),
+    ], ids=["too-short", "size-line", "nonpositive-size", "max-degree-line", "variable-degree-count",
+            "check-degree-count", "max-degree-exceeded", "zero-variable-degree", "repeated-index"])
+    def test_malformed_header_or_list_rejected(self, text, match, tmp_path):
+        path = tmp_path / "bad.alist"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
+            load_alist(path)
+
     def test_rank_deficient_matrix_is_a_format_error(self, rank_deficient_alist):
         with pytest.raises(DataFormatError, match="rank deficient"):
             load_alist(rank_deficient_alist)

@@ -183,6 +183,16 @@ class TestValidation:
             Constellation(np.array([-1.0, 0.0, 1.0]),
                           np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8))
 
+    @pytest.mark.parametrize("points,labels,match", [
+        (np.zeros((2, 3)), [[0], [1]], "points must have shape"),
+        ([np.nan, 1.0], [[0], [1]], "finite"),
+        ([-1.0, 1.0], [0, 1], "labels must have shape"),
+        ([-1.0, 1.0], [[0], [2]], "binary"),
+    ], ids=["points-shape", "non-finite-point", "labels-shape", "non-binary-label"])
+    def test_malformed_arrays_rejected(self, points, labels, match):
+        with pytest.raises(ValueError, match=match):
+            Constellation(np.asarray(points, dtype=float), np.asarray(labels, dtype=np.uint8))
+
     def test_points_immutable(self):
         c = build_qam(16)
         with pytest.raises(ValueError):
@@ -216,6 +226,16 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("0, 1.0, 0.0, 00\n1, 0.5, 0.0, 01\n2, -1.0, 0.0, 10\n")
         with pytest.raises(DataFormatError, match="power of two"):
+            load_constellation(path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("0, 1.0, 0.0, 0\n1, -1.0, 0.0, 10\n", "inconsistent lengths"),
+        ("0, 1.0, 0.0, 00\n1, -1.0, 0.0, 01\n", "2 rows but labels carry 2 bits"),
+    ], ids=["label-lengths", "rows-not-2-to-the-bits"])
+    def test_labels_that_do_not_fit_the_rows(self, text, match, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
             load_constellation(path)
 
     def test_duplicate_label_named(self, tmp_path):

@@ -62,6 +62,16 @@ def test_ray_preservation():
     assert np.all(np.sum(pts * out, axis=1) >= 0.0)
 
 
+@pytest.mark.parametrize("fn", [radial_forward, radial_inverse])
+def test_commutes_with_positive_scaling(fn):
+    # the radial factor depends only on the ray, so peak normalization commutes with both maps
+    rng = np.random.default_rng(12)
+    pts = rng.normal(0.0, 2.0, size=(200_000, 2))
+    c = 10.0 ** rng.uniform(-3.0, 3.0, size=(200_000, 1))
+    err = np.linalg.norm(fn(c * pts) - c * fn(pts), axis=1) / np.linalg.norm(c * pts, axis=1)
+    assert np.max(err) <= 2e-15
+
+
 def test_square_boundary_maps_to_circle():
     t = np.linspace(-1.0, 1.0, 501)
     edges = np.concatenate([

@@ -136,9 +136,18 @@ class TestFamilyDemapperPairs:
         assert np.all(np.isfinite(frame.values))
 
     @pytest.mark.parametrize("mode", ["uncoded_ber", "coded_ber"])
-    def test_compensated_kind_needs_gmi_mode(self, mode):
-        with pytest.raises(ConfigError, match="compensation"):
-            validate_config(SimConfig(mode=mode, family="qci", demapper="qci_lcd_compensated"))
+    def test_compensated_kind_runs_in_ber_modes(self, mode, toy_alist, tmp_path):
+        # each grid point estimates its own compensation, which the BER blocks demap with
+        csvs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            run(SimConfig(mode=mode, family="qci", M=16, demapper="qci_lcd_compensated",
+                          code_file=str(toy_alist), psnr_start=11.0, psnr_stop=12.0, psnr_step=1.0,
+                          samples=200_000 if mode == "uncoded_ber" else 50, target_errors=100,
+                          seed=5, workers=workers, output=str(out)))
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) == (3 if mode == "uncoded_ber" else 5)
 
     @pytest.mark.parametrize("family,kinds", [
         ("qam", ["exact2d", "maxlog2d", "qam_decomposed", "qci_lcd", "qci_remapped_2d"]),
@@ -220,10 +229,14 @@ class TestCsvWrite:
 
         monkeypatch.setattr(harness, "write_records_csv", recorded)
         monkeypatch.setattr(cli, "write_records_csv", recorded)
+        modes = []
+        monkeypatch.setattr(cli, "run", lambda cfg: modes.append(cfg.mode) or run(cfg))
         outdir = tmp_path / "figs"
         rc = main(["make-figures", "--outdir", str(outdir), "--sizes", "16", "--samples", "100000",
                    "--step", "5.0", "--seed", "3", "--workers", "1"])
         assert rc == 0
+        # the qci_lcd curve both figures share runs once
+        assert modes.count("gmi") == 4
         figures = {"ber_analogue": [("qam", "qam_decomposed"), ("qci", "qci_lcd"), ("qci", "exact2d")],
                    "iq_loss": [("qci", "qci_lcd"), ("qci", "qci_remapped_2d")]}
         assert sorted(writes) == sorted(str(outdir / f"fig_{f}_gmi_m16.csv") for f in figures)
@@ -402,12 +415,13 @@ class TestCodedMode:
                                                                               tmp_path, capsys):
         monkeypatch.setattr(harness, "_coded_task", _no_block)
         out = tmp_path / "c.csv"
-        # 48 bits do not fill whole 10-bit qci1024 symbols
-        rc = main(["sweep", "--coded", "--family", "qci", "--M", "1024", "--code-file", str(toy_alist),
-                   "--workers", "1", "--output", str(out)])
-        assert rc == 2
-        assert "not a multiple of 10" in capsys.readouterr().err
-        assert not out.exists()
+        # neither the 48-bit test code nor the bundled 1992-bit code fills whole 10-bit qci1024 symbols
+        for code_flags in (["--code-file", str(toy_alist)], []):
+            rc = main(["sweep", "--coded", "--family", "qci", "--M", "1024", *code_flags,
+                       "--workers", "1", "--output", str(out)])
+            assert rc == 2, code_flags
+            assert "not a multiple of 10" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_rank_deficient_code_file_exits_3_before_any_block(self, rank_deficient_alist, monkeypatch,
                                                                 tmp_path, capsys):
@@ -566,6 +580,19 @@ class TestCli:
     def test_bad_psnr_flag_exit_code(self):
         assert main(["gmi", "--psnr", "10-20-1"]) == 2
 
+    @pytest.mark.parametrize("psnr", ["nan:12:1", "10:inf:1", "10:12:nan", "-1e9:-1e9:1", "1e9:1e9:1"])
+    def test_psnr_without_a_finite_positive_n0_exits_2_before_any_block(self, psnr, monkeypatch, tmp_path,
+                                                                         capsys):
+        monkeypatch.setattr(harness, "_gmi_task", _no_block)
+        start, stop, step = psnr.split(":")
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"psnr_start = {start}\npsnr_stop = {stop}\npsnr_step = {step}\n")
+        out = tmp_path / "g.csv"
+        for flags in ([f"--psnr={psnr}"], ["--config", str(config)]):
+            assert main(["gmi", *flags, "--workers", "1", "--output", str(out)]) == 2, flags
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_bad_flag_value_is_a_config_error(self, capsys):
         assert main(["gmi", "--samples", "abc"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -622,11 +649,12 @@ class TestCli:
         assert "fig_scatter_m16.csv" in names
         assert "plot_figures.py" in names
 
-    @pytest.mark.parametrize("sizes", ["16,x", "16,1024"])
-    def test_make_figures_checks_every_size_before_the_first_run(self, sizes, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [["--sizes", "16,x"], ["--sizes", "16,1024"], ["--scatter-psnr", "nan"]],
+                             ids=["16,x", "16,1024", "scatter-psnr-nan"])
+    def test_make_figures_checks_every_size_before_the_first_run(self, flags, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(harness, "_gmi_task", _no_block)
         outdir = tmp_path / "figs"
-        rc = main(["make-figures", "--outdir", str(outdir), "--sizes", sizes, "--workers", "1"])
+        rc = main(["make-figures", "--outdir", str(outdir), *flags, "--workers", "1"])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not outdir.exists()

@@ -1,7 +1,8 @@
 """Run a fixed matrix of qcilink experiments and print the sha256 of each output.
 
 The matrix covers every valid (family, demapper) GMI run, uncoded and
-coded BER runs with early stops, scatter runs with their centers,
+coded BER runs with early stops (on qci16 also with
+``qci_lcd_compensated``), scatter runs with their centers,
 complexity runs for the qam, qci and file families, and
 ``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
 raw float64 LLR bytes and both counters of ``demap`` for every valid
@@ -74,6 +75,9 @@ def _runs(const_file: str) -> dict:
         runs[f"coded_{family}16"] = dict(mode="coded_ber", family=family, M=16, demapper=kind,
                                          psnr_start=11.0, psnr_stop=13.0, psnr_step=1.0,
                                          samples=100, target_errors=20)
+    # a compensated BER run estimates its gain and offset at every grid point, as gmi does
+    for name in ("uncoded_qci16", "coded_qci16"):
+        runs[f"{name}_qci_lcd_compensated"] = dict(runs[name], demapper="qci_lcd_compensated")
     # scatter and complexity runs name exact2d, the demapper every family accepts
     for family, M in (("qci", 16), ("qam", 16), ("file", 64), ("qci", 256)):
         runs[f"scatter_{family}{M}"] = dict(mode="scatter", family=family, M=M, demapper="exact2d",
