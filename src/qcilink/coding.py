@@ -1,7 +1,7 @@
 """LDPC outer code: alist loading, systematic encoding, and sum-product decoding.
 
-The decoder is a flooding-schedule sum-product implementation in the
-log domain, vectorized over both edges and frames. LLR sign convention
+The decoder is a flooding-schedule sum-product implementation by the tanh
+product rule, vectorized over both edges and frames. LLR sign convention
 matches the demappers: positive means bit 0. A code derives its encoder
 from the parity-check matrix by GF(2) row reduction when it is built, so
 a rank-deficient matrix is rejected at load time; pivot columns become
@@ -9,21 +9,26 @@ parity positions, the remaining columns carry the information bits. Each
 parity bit is a GF(2) inner product, computed on bits packed into uint64
 words: AND, XOR-accumulate over the words, then popcount parity.
 
-Messages stay check-major: (frames, edges) arrays in the order of the
-check lists. One check-node kernel maps variable-to-check messages to
-check-to-variable ones: tanh of the clamped half message, then per check a
-sum of log-magnitudes and a uint8 sign parity (``np.add.reduceat``), each
-edge's leave-one-out share gathered back with ``np.take``, exp and artanh,
-and the sign applied as an XOR of the float's sign bit. The variable
-update gathers each variable's j-th edge ("slot" j) and sums the slots in
-the order ``np.add.reduceat`` would. ``decode_bp`` allocates its work
-arrays once per call and runs every step in place on them; converged
-frames leave the batch, and the rows still running move to the front.
+Messages live in a slot-major check layout: column j*C + i of a (frames,
+D*C) array holds the j-th edge of the i-th check, where C is the number of
+checks, D the largest check degree, and the checks are taken in order of
+falling degree. A check of degree d < D leaves slots d..D-1 empty; these
+filler columns form the tail of each slot. Every message is carried at
+half scale (half the LLR), which saves the x0.5 and x2 passes of each
+iteration and moves no sign, zero or bit, since halving is exact. One
+check-node kernel is the tanh product rule: tanh of the clamped message,
+fillers set to exactly 1.0, and each edge's reply the artanh of its prefix
+product times its suffix product over the check's other edges. The
+variable update gathers each variable's j-th edge ("slot" j) and sums the
+slots in the order ``np.add.reduceat`` would. The syndrome is an XOR over
+the slots of the hard bits gathered into the same layout. ``decode_bp``
+allocates its work arrays once per call and runs every step in place on
+them; converged frames leave the batch, and the rows still running move
+to the front.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -34,12 +39,10 @@ from .errors import DataFormatError
 
 BUNDLED_CODE_NAME = "peg_dv3_n1992_r34.alist"
 
-# Message clamp: tanh(36/2) stays strictly below 1 in float64, so the
-# check-node product never saturates to exactly +-1.
-_MSG_CLAMP = 36.0
+# Clamp of the half-scale messages (36 on the LLR scale): tanh(18) stays
+# strictly below 1 in float64, so only a filler's tanh is exactly 1.
+_HALF_CLAMP = 18.0
 _TANH_CLIP = 1.0 - 1e-12
-# index of the byte holding a float64's sign bit
-_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 class ParityCheckCode:
@@ -65,17 +68,27 @@ class ParityCheckCode:
                 raise ValueError(f"check {c} lists a variable twice")
             cl.append(arr)
         self.check_lists = cl
-        # check-major edge arrays
         self.check_deg = np.array([len(a) for a in cl], dtype=np.int64)
-        self.check_ptr = np.concatenate([[0], np.cumsum(self.check_deg)])
         self.edge_var = np.concatenate(cl)
-        self.check_of_edge = np.repeat(np.arange(self.num_checks), self.check_deg)
         self.var_deg = np.bincount(self.edge_var, minlength=self.n)
         if np.any(self.var_deg == 0):
             bad = int(np.argmin(self.var_deg))
             raise ValueError(f"variable {bad} participates in no check")
+        # slot-major check layout: column j*C + i holds the j-th edge of the
+        # i-th check by falling degree, so the fillers of slot j are its
+        # columns from live = (number of checks of degree > j) on
+        C, D = self.num_checks, int(self.check_deg.max())
+        rank = np.empty(C, dtype=np.int64)
+        rank[np.argsort(-self.check_deg, kind="stable")] = np.arange(C)
+        check_start = np.cumsum(self.check_deg) - self.check_deg
+        edge_slot = np.arange(self.edge_var.size) - np.repeat(check_start, self.check_deg)
+        col_of_edge = edge_slot * C + np.repeat(rank, self.check_deg)
+        self.col_var = np.zeros(D * C, dtype=np.int64)  # fillers read variable 0
+        self.col_var[col_of_edge] = self.edge_var
+        live = (self.check_deg > np.arange(D)[:, None]).sum(axis=1)
+        self.filler_slots = [(j, int(k)) for j, k in enumerate(live) if k < C]
         # slot j of a variable is its j-th edge in check order; slots[j] holds
-        # the check-major indices of those edges and their variables, for the
+        # the layout columns of those edges and their variables, for the
         # variables of degree > j
         var_major = np.argsort(self.edge_var, kind="stable")
         var_start = np.cumsum(self.var_deg) - self.var_deg
@@ -83,7 +96,7 @@ class ParityCheckCode:
         self.slots = []
         for j in range(int(self.var_deg.max())):
             edges = var_major[slot_of == j]
-            self.slots.append((edges, self.edge_var[edges]))
+            self.slots.append((col_of_edge[edges], self.edge_var[edges]))
         # systematic encoder: pivot columns carry parity, the rest information
         H, pivots = _gf2_rref(self.dense_matrix())
         if len(pivots) != self.num_checks:
@@ -167,41 +180,36 @@ def info_bits_of(code: ParityCheckCode, codewords: np.ndarray) -> np.ndarray:
     return np.asarray(codewords)[..., code.info_cols]
 
 
-def _check_update(q, r, neg, par, seg_mag, seg_par, code: ParityCheckCode) -> None:
-    """Sum-product check-node update on check-major (b, edges) messages.
+def _fill(a: np.ndarray, value, code: ParityCheckCode) -> None:
+    """Set the filler columns of a slot-major (b, D, C) array to ``value``."""
+    for j, live in code.filler_slots:
+        a[:, j, live:] = value
 
-    Writes into ``r`` what each check sends back along each edge: twice the
-    artanh of the product of tanh(q/2) over the check's other edges, taken
-    as a sum of log-magnitudes and a sign parity over the whole check less
-    the edge's own term. ``q`` is overwritten with its log-magnitudes;
-    ``neg`` and ``par`` (uint8, shaped like ``q``) and ``seg_mag`` and
-    ``seg_par`` (float64 and uint8, (b, checks)) are work buffers.
+
+def _check_update(q, r, code: ParityCheckCode) -> None:
+    """Sum-product check-node update on slot-major (b, D*C) half-scale messages.
+
+    Writes into ``r`` what each check sends back along each edge, at half
+    scale: the artanh of the product of tanh(q) over the check's other
+    edges, taken as the edge's prefix product (1.0 at slot 0, then slot by
+    slot from the left) times its suffix product (slot by slot from the
+    right). Fillers enter as tanh exactly 1.0, so they change no product.
+    ``q`` is overwritten: each slot j >= 1 ends up holding the product of
+    the tanh values of slots j..D-1.
     """
-    starts, check = code.check_ptr[:-1], code.check_of_edge
-    np.clip(q, -_MSG_CLAMP, _MSG_CLAMP, out=q)
-    np.multiply(q, 0.5, out=q)
+    b = q.shape[0]
+    np.clip(q, -_HALF_CLAMP, _HALF_CLAMP, out=q)
     np.tanh(q, out=q)
-    np.less(q, 0.0, out=neg.view(bool))
-    np.abs(q, out=q)
-    np.maximum(q, 1e-300, out=q)
-    np.log(q, out=q)
-    np.add.reduceat(q, starts, axis=1, out=seg_mag)
-    # uint8 sums wrap at 256, which keeps their parity
-    np.add.reduceat(neg, starts, axis=1, dtype=np.uint8, out=seg_par)
-    np.take(seg_mag, check, axis=1, out=r, mode="clip")
-    np.subtract(r, q, out=r)
-    np.exp(r, out=r)
-    np.minimum(r, _TANH_CLIP, out=r)
+    t, r3 = q.reshape(b, -1, code.num_checks), r.reshape(b, -1, code.num_checks)
+    _fill(t, 1.0, code)
+    r3[:, 0] = 1.0
+    for j in range(1, t.shape[1]):
+        np.multiply(r3[:, j - 1], t[:, j - 1], out=r3[:, j])
+    for j in range(t.shape[1] - 2, 0, -1):
+        np.multiply(t[:, j], t[:, j + 1], out=t[:, j])
+    np.multiply(r3[:, :-1], t[:, 1:], out=r3[:, :-1])
+    np.clip(r, -_TANH_CLIP, _TANH_CLIP, out=r)
     np.arctanh(r, out=r)
-    np.multiply(r, 2.0, out=r)
-    # an odd leave-one-out parity negates the message: XOR it into the sign
-    # bit, the top bit of the float's most significant byte. A uint8 product
-    # with 128 keeps only the parity bit, moved to the top.
-    np.take(seg_par, check, axis=1, out=par, mode="clip")
-    np.bitwise_xor(par, neg, out=par)
-    np.multiply(par, 128, out=par)
-    sign = r.view(np.uint8)[:, _SIGN_BYTE::8]
-    np.bitwise_xor(sign, par, out=sign)
 
 
 def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
@@ -218,8 +226,7 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     if Lch.shape[1] != code.n:
         raise ValueError(f"expected {code.n} LLRs per frame, got {Lch.shape[1]}")
     B, n = Lch.shape
-    E, C = code.edge_var.size, code.num_checks
-    starts = code.check_ptr[:-1]
+    L, C = code.col_var.size, code.num_checks
 
     out_bits = np.zeros((B, n), dtype=np.uint8)
     out_conv = np.zeros(B, dtype=bool)
@@ -227,29 +234,29 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
 
     # Every work array is allocated here; iteration views take the first b
     # rows, the frames still running, which stay contiguous.
-    Lq, Lr = np.empty((2, B, E))
-    neg, par = np.empty((2, B, E), dtype=np.uint8)
-    seg_mag = np.empty((B, C))
-    seg_par = np.empty((B, C), dtype=np.uint8)
+    Lq, Lr = np.empty((2, B, L))
+    col_bits = np.empty((B, L), dtype=np.uint8)
+    parity = np.empty((B, C), dtype=np.uint8)
     post, rest = np.empty((2, B, n))
     slot_buf, part_buf = np.empty((2, B * n))
     hard, nonzero = np.empty((2, B, n), dtype=bool)
 
     live = np.arange(B)          # original frame index of each running row
     b = B
-    np.take(Lch, code.edge_var, axis=1, out=Lq, mode="clip")
+    np.multiply(Lch, 0.5, out=Lch)  # every message from here on is at half scale
+    np.take(Lch, code.col_var, axis=1, out=Lq, mode="clip")
     for it in range(1, max_iters + 1):
         q, r, p, s = Lq[:b], Lr[:b], post[:b], rest[:b]
-        _check_update(q, r, neg[:b], par[:b], seg_mag[:b], seg_par[:b], code)
+        _check_update(q, r, code)
 
         # variable-node update: post = Lch + (slot 0 + (slot 1 + slot 2 + ...)),
         # the order np.add.reduceat sums up to 8 edges per variable. -0.0
         # starts the inner sum because x + -0.0 == x for every x.
         s.fill(-0.0)
-        for edges, vs in code.slots[1:]:
+        for cols, vs in code.slots[1:]:
             k = vs.size
             slot = slot_buf[:b * k].reshape(b, k)
-            np.take(r, edges, axis=1, out=slot, mode="clip")
+            np.take(r, cols, axis=1, out=slot, mode="clip")
             if k == n:
                 np.add(s, slot, out=s)
             else:  # only the variables of degree > j have a slot j
@@ -260,16 +267,17 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         np.take(r, code.slots[0][0], axis=1, out=p, mode="clip")
         np.add(p, s, out=p)
         np.add(Lch[:b], p, out=p)
-        np.take(p, code.edge_var, axis=1, out=q, mode="clip")
+        np.take(p, code.col_var, axis=1, out=q, mode="clip")
         np.subtract(q, r, out=q)
 
         # converged = zero syndrome with every bit strictly decided; an
         # all-zero input would otherwise "converge" on the zero word.
-        h, sp = hard[:b], seg_par[:b]
+        h, g, sp = hard[:b], col_bits[:b], parity[:b]
         np.less(p, 0.0, out=h)
-        np.take(h.view(np.uint8), code.edge_var, axis=1, out=neg[:b], mode="clip")
-        np.add.reduceat(neg[:b], starts, axis=1, dtype=np.uint8, out=sp)
-        np.bitwise_and(sp, 1, out=sp)
+        np.take(h.view(np.uint8), code.col_var, axis=1, out=g, mode="clip")
+        g = g.reshape(b, -1, C)
+        _fill(g, 0, code)
+        np.bitwise_xor.reduce(g, axis=1, out=sp)
         np.not_equal(p, 0.0, out=nonzero[:b])
         ok = ~sp.any(axis=1) & nonzero[:b].all(axis=1)
         if it < max_iters and not ok.any():

@@ -43,6 +43,12 @@ GMI_BLOCK_SYMBOLS = 125_000
 UNCODED_BLOCK_SYMBOLS = 25_000
 CODED_BLOCK_FRAMES = 25
 COMP_SAMPLES = 100_000  # symbols per affine-compensation estimate
+MAX_GRID_POINTS = 10_000
+# Largest noise power (PSNR -3000 dB). Noise of power n0 puts received points
+# at squared distances of a few n0, and a block sums up to COMP_SAMPLES of
+# them; at n0 <= 1e300 all of these stay far below the float64 maximum
+# (1.8e308), so no distance, exponent or score overflows to inf or NaN.
+MAX_N0 = 1e300
 
 # stream tags keep the per-purpose generators independent
 _TAG_GMI, _TAG_COMP, _TAG_UNCODED, _TAG_CODED, _TAG_SCATTER = range(5)
@@ -155,8 +161,14 @@ def validate_config(cfg: SimConfig) -> None:
             n0 = n0_from_psnr(psnr)
         except OverflowError:
             n0 = math.inf
-        if not 0.0 < n0 < math.inf:
-            raise ConfigError(f"PSNR {psnr:g} dB gives no positive finite noise power 10^({-psnr:g}/10)")
+        if not 0.0 < n0 <= MAX_N0:
+            raise ConfigError(f"PSNR {psnr:.12g} dB gives the noise power 10^({-psnr:.12g}/10), outside "
+                              f"(0, {MAX_N0:g}]; a larger one overflows the noisy points' squared distances")
+    # psnr_grid builds floor(span + 1e-9) + 1 points; a NaN or inf span fails too
+    span = (cfg.psnr_stop - cfg.psnr_start) / cfg.psnr_step
+    if not span + 1e-9 < MAX_GRID_POINTS:
+        raise ConfigError(f"the PSNR grid {cfg.psnr_start:g}:{cfg.psnr_stop:g}:{cfg.psnr_step:g} has "
+                          f"more than {MAX_GRID_POINTS} points")
     if cfg.samples < 0 or cfg.target_errors < 0:
         raise ConfigError("samples and target_errors must be nonnegative")
     if cfg.mode == "gmi" and resolved_samples(cfg) < GMI_MIN_SAMPLES:

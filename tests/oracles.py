@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 LLR_CLAMP = 60.0
+TANH_CLIP = 1.0 - 1e-12  # the decoder's bound on a check-node product
 
 
 def brute_force_llr_2d(y, points, labels, n0):
@@ -112,26 +113,31 @@ def _reduceat_sum(terms):
 def flooding_decode_loops(check_lists, n, llrs, max_iters):
     """One frame of flooding sum-product decoding by plain loops over checks and variables.
 
-    Same messages, clamps, arithmetic order and early-exit rule as
-    ``coding.decode_bp``; tanh, log, exp and artanh are numpy's float64
-    functions, so the two agree bit for bit while no check or variable has
-    more than 8 edges. Returns (bits, converged, iterations).
+    The tanh product rule of ``coding.decode_bp`` in its order: messages at
+    half scale, the same clamps, and each check's reply the artanh of the
+    edge's prefix product (left to right) times its suffix product (right
+    to left). Multiplying by 1.0 is exact, so the decoder's filler slots
+    change nothing here. tanh and artanh are numpy's float64 functions, so
+    the two agree bit for bit while no variable has more than 8 edges.
+    Returns (bits, converged, iterations).
     """
     checks_of = [[c for c, vs in enumerate(check_lists) if v in vs] for v in range(n)]
-    q = {(c, v): float(llrs[v]) for c, vs in enumerate(check_lists) for v in vs}
+    half = [0.5 * float(x) for x in llrs]
+    q = {(c, v): half[v] for c, vs in enumerate(check_lists) for v in vs}
     for it in range(1, max_iters + 1):
         r = {}
         for c, vs in enumerate(check_lists):
-            t = [np.tanh(0.5 * min(max(q[c, v], -36.0), 36.0)) for v in vs]
-            mag = [np.log(max(abs(x), 1e-300)) for x in t]
-            total = _reduceat_sum(mag)
-            negatives = sum(x < 0.0 for x in t)
-            for v, x, lm in zip(vs, t, mag):
-                msg = 2.0 * np.arctanh(min(np.exp(total - lm), 1.0 - 1e-12))
-                r[c, v] = -msg if (negatives - (x < 0.0)) % 2 else msg
+            t = [np.tanh(min(max(q[c, v], -18.0), 18.0)) for v in vs]
+            prefix = [1.0]
+            for x in t[:-1]:
+                prefix.append(prefix[-1] * x)
+            suffix = 1.0
+            for j in reversed(range(len(vs))):
+                r[c, vs[j]] = np.arctanh(min(max(prefix[j] * suffix, -TANH_CLIP), TANH_CLIP))
+                suffix *= t[j]
         post = []
         for v in range(n):
-            post.append(float(llrs[v]) + _reduceat_sum([r[c, v] for c in checks_of[v]]))
+            post.append(half[v] + _reduceat_sum([r[c, v] for c in checks_of[v]]))
             for c in checks_of[v]:
                 q[c, v] = post[v] - r[c, v]
         bits = [int(p < 0.0) for p in post]

@@ -29,9 +29,21 @@ IRREGULAR_CHECKS = [
 ]
 
 
+# n = 12, rate 1/2, check degrees 1, 2, 4, 5, 6 and 7: every check but the
+# last leaves filler slots in the decoder's layout, and the degree-1 check
+# replies with the empty leave-one-out product
+HANDBUILT_CHECKS = [[0], [1, 2], [2, 3, 4, 5], [0, 3, 6, 7, 8], [1, 4, 6, 9, 10, 11],
+                    [2, 5, 7, 8, 9, 10, 11]]
+
+
 @pytest.fixture(scope="module")
 def irregular_code():
     return ParityCheckCode(20, IRREGULAR_CHECKS, name="irregular_n20")
+
+
+@pytest.fixture(scope="module")
+def handbuilt_code():
+    return ParityCheckCode(12, HANDBUILT_CHECKS, name="handbuilt_n12")
 
 
 def _noisy_llrs(code, frames, sigma, seed):
@@ -223,9 +235,10 @@ class TestDecoder:
         with pytest.raises(ValueError, match="max_iters"):
             decode_bp(toy_code, np.zeros(toy_code.n), max_iters=0)
 
-    @pytest.mark.parametrize("which, sigma", [("toy", 0.9), ("toy", 1.0), ("irregular", 0.9), ("irregular", 1.0)])
-    def test_matches_loop_oracle(self, which, sigma, toy_code, irregular_code):
-        code = toy_code if which == "toy" else irregular_code
+    @pytest.mark.parametrize("which, sigma", [("toy", 0.9), ("toy", 1.0), ("irregular", 0.9), ("irregular", 1.0),
+                                              ("handbuilt", 0.9), ("handbuilt", 1.0)])
+    def test_matches_loop_oracle(self, which, sigma, toy_code, irregular_code, handbuilt_code):
+        code = {"toy": toy_code, "irregular": irregular_code, "handbuilt": handbuilt_code}[which]
         llr = _noisy_llrs(code, 16, sigma, seed=5)
         bits, conv, iters = decode_bp(code, llr)
         # some frames converge within a few iterations, others hit the cap

@@ -283,6 +283,14 @@ class TestGmiMode:
         assert values == sorted(values)
         assert all(r.metric == "gmi" and r.trials == 100_000 for r in records)
 
+    @pytest.mark.parametrize("family, kind", [("qci", "qci_lcd"), ("qam", "exact2d")])
+    def test_most_negative_admitted_psnr_gives_a_finite_gmi(self, family, kind):
+        # -3000 dB gives n0 = 1e300 = harness.MAX_N0 exactly
+        assert harness.n0_from_psnr(-3000.0) == harness.MAX_N0
+        records = run(SimConfig(mode="gmi", family=family, M=16, demapper=kind, psnr_start=-3000.0,
+                                psnr_stop=-3000.0, samples=100_000, workers=1, output=None))
+        assert np.isfinite(records[0].value) and np.isfinite(records[0].stderr)
+
     def test_inline_run_builds_one_context_and_leaves_no_worker_state(self, monkeypatch):
         calls = []
         build = harness.build_context
@@ -583,6 +591,20 @@ class TestCli:
     @pytest.mark.parametrize("psnr", ["nan:12:1", "10:inf:1", "10:12:nan", "-1e9:-1e9:1", "1e9:1e9:1"])
     def test_psnr_without_a_finite_positive_n0_exits_2_before_any_block(self, psnr, monkeypatch, tmp_path,
                                                                          capsys):
+        monkeypatch.setattr(harness, "_gmi_task", _no_block)
+        start, stop, step = psnr.split(":")
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"psnr_start = {start}\npsnr_stop = {stop}\npsnr_step = {step}\n")
+        out = tmp_path / "g.csv"
+        for flags in ([f"--psnr={psnr}"], ["--config", str(config)]):
+            assert main(["gmi", *flags, "--workers", "1", "--output", str(out)]) == 2, flags
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
+    # a grid of inf points, one of 20 001 points, and ends whose n0 exceeds harness.MAX_N0 (1e300)
+    @pytest.mark.parametrize("psnr", ["10:11:1e-320", "-100:100:0.01", "-3080:-3080:1", "-3000.001:12:1"],
+                             ids=["inf-points", "20001-points", "n0-1e308", "n0-above-1e300"])
+    def test_psnr_grid_out_of_bounds_exits_2_before_any_block(self, psnr, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(harness, "_gmi_task", _no_block)
         start, stop, step = psnr.split(":")
         config = tmp_path / "sim.cfg"

@@ -11,13 +11,14 @@ M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, and of the per-axis
 demappers ``qci_lcd`` and ``qam_decomposed`` at the same sizes on 40 000
 symbols, so a demapper change is checked at full precision and not only
 through the 10-digit CSVs. For the bundled
-LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``
-and a seeded irregular 400-bit code with variable degrees 1 to 8, built
-here, it writes the raw bytes of ``encode`` on one seeded info block, and
-of the bits, converged flags and iteration counts that ``decode_bp``
-returns for those codewords sent as BPSK over seeded AWGN at three noise
-levels per code, where some frames converge within a few iterations and
-others hit the 50-iteration cap. Running it on two trees and diffing the printed
+LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``,
+a seeded irregular 400-bit code with variable degrees 1 to 8, built
+here, and the 12-bit hand-built code of the decoder's oracle test (check
+degrees 1 to 7), it writes the raw bytes of ``encode`` on one seeded
+info block, and of the bits, converged flags and iteration counts that
+``decode_bp`` returns for those codewords sent as BPSK over seeded AWGN
+at three noise levels per code, where some frames converge within a few
+iterations and others hit the 50-iteration cap. Running it on two trees and diffing the printed
 lists shows whether a change kept every output byte-identical; diff a
 demapper change both at the default thread count and with
 ``OPENBLAS_NUM_THREADS=1``, since BLAS splits its products by thread.
@@ -47,6 +48,10 @@ TOY_ALIST = Path(__file__).resolve().parents[1] / "tests" / "peg_dv3_n48.alist"
 # BPSK noise standard deviations per code: all frames converge early at the
 # first, some and then most frames hit the iteration cap at the other two
 BUNDLED_SIGMAS, TOY_SIGMAS, IRREGULAR_SIGMAS = (0.5, 0.6, 0.65), (0.6, 0.8, 0.9), (0.5, 0.85, 0.9)
+HANDBUILT_SIGMAS = (0.6, 0.9, 1.0)
+# the hand-built code of tests/test_coding.py: check degrees 1, 2, 4, 5, 6 and 7
+HANDBUILT_CHECKS = [[0], [1, 2], [2, 3, 4, 5], [0, 3, 6, 7, 8], [1, 4, 6, 9, 10, 11],
+                    [2, 5, 7, 8, 9, 10, 11]]
 
 
 def _runs(const_file: str) -> dict:
@@ -145,7 +150,8 @@ def _irregular_code() -> ParityCheckCode:
 def _write_codes(outdir: Path) -> None:
     """Raw bytes of ``encode`` on one seeded (25, k) info block per code, and of ``decode_bp`` on its codewords."""
     for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS),
-                         (_irregular_code(), IRREGULAR_SIGMAS)):
+                         (_irregular_code(), IRREGULAR_SIGMAS),
+                         (ParityCheckCode(12, HANDBUILT_CHECKS, name="handbuilt_n12"), HANDBUILT_SIGMAS)):
         rng = np.random.default_rng(SEED)
         cw = encode(code, rng.integers(0, 2, size=(25, code.k), dtype=np.uint8))
         (outdir / f"codewords_{code.name}.u8").write_bytes(cw.tobytes())
