@@ -19,14 +19,14 @@ Every demapper returns an :class:`LlrFrame` whose ``distance_evals``
 counter records the number of point-distance computations consumed:
 M per symbol for the 2D paths, 2*sqrt(M) for the decomposed paths.
 
-Every kernel works one row block at a time (``_BLOCK_ELEMS`` elements,
-0.5 MB of distances), so each elementwise pass over a block runs in L2
-cache, and writes the block's LLRs straight into its rows of the output.
-Exact log-MAP, over 2D points or PAM levels, is one loop that differs only
-in its distance function: distances, shifted ``exp`` in place, then the two
-BLAS label products. Max-log transposes each block to points-major
-(M, rows), so each bit subset is a gather of rows reduced along contiguous
-memory.
+Every kernel has one layout. Distances are points-major, one (M, cols)
+block of ``_BLOCK_ELEMS`` elements (0.5 MB, in L2 cache) at a time, so each
+reduction over the points is elementwise work across contiguous rows; the
+LLRs come out bit-major, one (m, N) array whose (N, m) transposed view is
+``LlrFrame.values``. Exact log-MAP, over 2D points or PAM levels, is one
+loop that differs only in its distance function: distances, shifted ``exp``
+in place, then the BLAS label products ``w0 @ e`` and ``w1 @ e``. Max-log
+reduces a gather of each bit subset's rows.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ FAMILIES = ("qam", "qci", "file")
 class LlrFrame:
     """Per-bit LLRs for a block of symbols, plus complexity counters.
 
-    values : (num_symbols, m) float64, clamped to +-LLR_CLAMP
+    values : (num_symbols, m) float64, clamped to +-LLR_CLAMP: the transposed
+             view of the bit-major (m, num_symbols) array the kernels write
     distance_evals : point-distance computations consumed by the block
     map_evals : inverse-map evaluations consumed (remap-first paths only)
     """
@@ -119,9 +120,7 @@ class DemapContext:
         Identity for the QAM and file families; for the disc-shaped family
         the inverse radial map, which commutes with the peak normalization.
         """
-        if self.family != "qci":
-            return np.asarray(y, dtype=np.float64)
-        return radial_inverse(y)
+        return radial_inverse(y) if self.family == "qci" else np.asarray(y, dtype=np.float64)
 
     def draw(self, num: int, n0: float, rng: np.random.Generator):
         """``num`` uniformly drawn point indices and their noisy channel outputs."""
@@ -150,8 +149,7 @@ def qci_context(M: int) -> DemapContext:
     map preserves peak power, so one factor normalizes both).
     """
     tx = normalize_peak(build_qci(M))
-    s = tx.scale
-    return DemapContext("qci", tx, _scaled(build_qam(M), s), _component_pam(M, s))
+    return DemapContext("qci", tx, _scaled(build_qam(M), tx.scale), _component_pam(M, tx.scale))
 
 
 def custom_context(c: Constellation) -> DemapContext:
@@ -162,57 +160,62 @@ def custom_context(c: Constellation) -> DemapContext:
     return DemapContext("file", tx, tx, None)
 
 
-def _check_n0(n0: float) -> float:
-    if not n0 > 0.0:
-        raise ValueError("n0 must be positive")
-    return float(n0)
-
-
-def _symbols_2d(y) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim == 1 and arr.shape == (2,):
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("expected symbols with shape (N, 2) or a single (2,) point")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("received symbols must be finite")
-    return arr
-
-def _symbols_1d(y) -> np.ndarray:
+def _received(y, dim: int) -> np.ndarray:
+    """Finite float64 samples: (N,) on one axis, or (N, 2) symbols, of which a (2,) point is one."""
     arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if arr.ndim != 1:
-        raise ValueError("expected a 1D array of axis samples")
+    if dim == 2 and arr.shape == (2,):
+        arr = arr[None, :]
+    if arr.shape[1:] != (2,) * (dim - 1):
+        raise ValueError("expected symbols with shape (N, 2) or a single (2,) point" if dim == 2
+                         else "expected a 1D array of axis samples")
     if not np.all(np.isfinite(arr)):
         raise ValueError("received samples must be finite")
     return arr
 
 
-def _shifted_exp(d2: np.ndarray, n0: float) -> np.ndarray:
-    """exp(-(d2 - min) / n0) per row, computed in place in ``d2``.
+def _kernel_args(y, c: Constellation, n0: float, dim: int, kernel: str):
+    """The checked received samples and n0 of a kernel over a ``dim``-dimensional constellation."""
+    if not n0 > 0.0:
+        raise ValueError("n0 must be positive")
+    if c.dimension != dim:
+        raise ValueError(f"{kernel} requires a {dim}D constellation")
+    return _received(y, dim), float(n0)
 
-    Rows are shifted by their smallest distance before exponentiation; the
-    shift cancels in the LLR ratio. ``min - d2`` is exactly ``-(d2 - min)``
-    up to the sign of zero, which ``exp`` hides, so the bytes match the
-    out-of-place expression.
+
+# Floor of the shifted exponents: below -708, exp gives subnormals or zeros,
+# which slow exp and the BLAS label products many-fold. A term of 1e-304 moves
+# no LLR: one bit sum holds exp(0) = 1, and the other escapes the clamp only
+# above exp(-LLR_CLAMP) = 8.8e-27, where such terms fall below half an ulp.
+_EXP_FLOOR = -700.0
+
+
+def _shifted_exp(d2: np.ndarray, n0: float) -> np.ndarray:
+    """exp(max(-(d2 - min) / n0, _EXP_FLOOR)) per column of points-major distances, in place in ``d2``.
+
+    Columns are shifted by their smallest distance before exponentiation;
+    the shift cancels in the LLR ratio. ``min - d2`` is exactly ``-(d2 - min)``
+    up to the sign of zero, which ``exp`` hides.
     """
-    np.subtract(d2.min(axis=1, keepdims=True), d2, out=d2)
+    np.subtract(d2.min(axis=0), d2, out=d2)
     np.divide(d2, n0, out=d2)
+    np.maximum(d2, _EXP_FLOOR, out=d2)
     return np.exp(d2, out=d2)
 
 
 def _d2_2d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(N, M) squared distances |y|^2 + |p|^2 - 2 y.p; doubling y is exact."""
-    d2 = np.add(np.sum(y ** 2, axis=1)[:, None], np.sum(pts ** 2, axis=1)[None, :])
-    d2 -= (2.0 * y) @ pts.T
+    """(M, N) squared distances |p|^2 + |y|^2 - 2 p.y, points-major; doubling y is exact."""
+    d2 = np.add(np.sum(pts ** 2, axis=1)[:, None], np.sum(y ** 2, axis=1)[None, :])
+    d2 -= pts @ (2.0 * y).T
     return d2
 
 
 def _d2_1d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(N, M) squared distances of axis samples to PAM levels."""
-    return (y[:, None] - pts[None, :]) ** 2
+    """(M, N) squared distances of PAM levels to axis samples, levels-major."""
+    d = np.subtract.outer(pts, y)
+    return np.square(d, out=d)
 
 
-# elements of each row block (0.5 MB), so every pass over a block's (rows, M)
+# elements of each column block (0.5 MB), so every pass over a block's (M, cols)
 # distances stays in L2 cache
 _BLOCK_ELEMS = 62_500
 
@@ -223,56 +226,45 @@ def _blocks(n: int, M: int):
         yield a, min(a + step, n)
 
 
-def _log_map(ys: np.ndarray, c: Constellation, n0: float, d2_of) -> LlrFrame:
-    """Exact log-MAP LLRs, one row block at a time; ``d2_of(rows, points)`` gives the distances.
+def _log_map(ys: np.ndarray, n0: float, c: Constellation, d2_of) -> LlrFrame:
+    """Exact log-MAP LLRs, one column block at a time; ``d2_of(cols, points)`` gives the distances.
 
-    A fully underflowed bit subset yields an infinite LLR, which the clamp
-    folds back to +-LLR_CLAMP.
+    A bit subset whose terms all sit at the exponent floor yields an LLR
+    near +-700, which the clamp folds back to +-LLR_CLAMP.
     """
-    w0 = (c.labels == 0).astype(np.float64)  # (M, m)
+    w0 = np.ascontiguousarray(c.labels.T == 0, dtype=np.float64)  # (m, M)
     w1 = 1.0 - w0
-    out = np.empty((len(ys), c.m))
+    out = np.empty((c.m, len(ys)))
     for a, b in _blocks(len(ys), c.M):
         e = _shifted_exp(d2_of(ys[a:b], c.points), n0)
-        # two products, not one e @ [w0, w1]: BLAS blocks a wider product
+        # two products, not one [w0; w1] @ e: BLAS blocks a wider product
         # differently and the LLR bytes move
-        s0, s1 = e @ w0, e @ w1
-        with np.errstate(divide="ignore"):
-            np.subtract(np.log(s0, out=s0), np.log(s1, out=s1), out=out[a:b])
-    return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out), distance_evals=len(ys) * c.M)
+        s0, s1 = w0 @ e, w1 @ e
+        np.subtract(np.log(s0, out=s0), np.log(s1, out=s1), out=out[:, a:b])
+    return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out).T, len(ys) * c.M)
 
 
 def llr_exact_2d(y, c: Constellation, n0: float) -> LlrFrame:
     """Full log-MAP LLRs over a 2D constellation; M distance evals per symbol."""
-    n0 = _check_n0(n0)
-    if c.dimension != 2:
-        raise ValueError("llr_exact_2d requires a 2D constellation")
-    return _log_map(_symbols_2d(y), c, n0, _d2_2d)
+    return _log_map(*_kernel_args(y, c, n0, 2, "llr_exact_2d"), c, _d2_2d)
 
 
 def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
     """Max-log variant: nearest-point distances replace the log-sum-exp."""
-    n0 = _check_n0(n0)
-    if c.dimension != 2:
-        raise ValueError("llr_maxlog_2d requires a 2D constellation")
-    ys = _symbols_2d(y)
-    out = np.empty((len(ys), c.m))
-    bit0 = [np.nonzero(c.labels[:, i] == 0)[0] for i in range(c.m)]
-    bit1 = [np.nonzero(c.labels[:, i] == 1)[0] for i in range(c.m)]
+    ys, n0 = _kernel_args(y, c, n0, 2, "llr_maxlog_2d")
+    out = np.empty((c.m, len(ys)))
+    ones = c.labels.T == 1  # (m, M) bit subsets
     for a, b in _blocks(len(ys), c.M):
-        # points-major (M, rows): each bit subset is a row gather reduced along contiguous rows
-        d2 = _d2_2d(ys[a:b], c.points).T.copy()
+        d2 = _d2_2d(ys[a:b], c.points)
         for i in range(c.m):
-            out[a:b, i] = (d2[bit1[i]].min(axis=0) - d2[bit0[i]].min(axis=0)) / n0
-    return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out), distance_evals=len(ys) * c.M)
+            np.subtract(d2[ones[i]].min(axis=0), d2[~ones[i]].min(axis=0), out=out[i, a:b])
+    np.divide(out, n0, out=out)
+    return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out).T, len(ys) * c.M)
 
 
 def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:
     """One-dimensional log-MAP over a PAM constellation (variance n0/2 per axis)."""
-    n0 = _check_n0(n0)
-    if pam.dimension != 1:
-        raise ValueError("llr_pam requires a 1D constellation")
-    return _log_map(_symbols_1d(y_axis), pam, n0, _d2_1d)
+    return _log_map(*_kernel_args(y_axis, pam, n0, 1, "llr_pam"), pam, _d2_1d)
 
 
 def cluster_centers(idx: np.ndarray, z: np.ndarray, M: int):
@@ -362,16 +354,19 @@ def demap(kind: str, y, ctx: DemapContext, n0: float, comp: AffineCompensation |
     if spec.needs_comp and comp is None:
         raise ValueError(f"{kind} requires an AffineCompensation")
     if spec.remap:
-        z, grid = ctx.unmap(_symbols_2d(y)), ctx.qam_grid
+        z, grid = ctx.unmap(_received(y, 2)), ctx.qam_grid
         if spec.needs_comp:
-            z = comp.alpha * z + comp.beta
+            # on the (2, N) columns, which keeps z column-major
+            z = (comp.alpha * z.T + comp.beta[:, None]).T
     else:
         z, grid = y, ctx.constellation
     if spec.per_axis:
-        # I and Q samples alternate, so each row of m LLRs is a symbol's I bits, then its Q bits
-        frame = llr_pam(z.reshape(-1), ctx.pam_grid, n0)
+        # all I samples, then all Q: the (k, 2N) bit rows hold I and Q halves,
+        # which move to the symbol's bit order, I bits then Q bits
+        frame = llr_pam(z.T.reshape(-1), ctx.pam_grid, n0)
+        bits = frame.values.T.reshape(ctx.m // 2, 2, -1).swapaxes(0, 1).reshape(ctx.m, -1)
     else:
         frame = (llr_maxlog_2d if spec.maxlog else llr_exact_2d)(z, grid, n0)
-    values = frame.values.reshape(-1, ctx.m)
-    map_evals = len(values) if spec.remap and ctx.family == "qci" else 0
-    return LlrFrame(values, frame.distance_evals, map_evals)
+        bits = frame.values.T
+    map_evals = bits.shape[1] if spec.remap and ctx.family == "qci" else 0
+    return LlrFrame(bits.T, frame.distance_evals, map_evals)

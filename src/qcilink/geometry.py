@@ -10,7 +10,9 @@ depends only on the direction of p; so they apply unchanged to
 peak-normalized coordinates.
 
 Points are array-likes whose last axis holds the two coordinates (u, v);
-a single (u, v) pair or any (..., 2) batch is accepted.
+a single (u, v) pair or any (..., 2) batch is accepted. Both maps work on
+the u and v columns and return them column-major: ``out.T`` of an (N, 2)
+batch is a contiguous (2, N) array, all u values, then all v values.
 """
 
 from __future__ import annotations
@@ -24,13 +26,20 @@ SQRT2 = float(np.sqrt(2.0))
 _ZERO_EPS = 1e-300
 
 
-def _checked_points(p) -> np.ndarray:
+def _radial(p, forward: bool) -> np.ndarray:
+    """Scale every point by its radial factor, (sqrt(2)*max(|u|,|v|)/hypot(u, v))^(+-1)."""
     pts = np.asarray(p, dtype=np.float64)
     if pts.ndim == 0 or pts.shape[-1] != 2:
         raise ValueError("expected a point (u, v) or an array with trailing dimension 2")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
-    return pts
+    uv = np.moveaxis(pts, -1, 0)  # the u and v columns
+    mx = np.maximum(np.abs(uv[0]), np.abs(uv[1]))
+    r = np.hypot(uv[0], uv[1])
+    zero = mx < _ZERO_EPS
+    num, den = (SQRT2 * mx, r) if forward else (r, SQRT2 * mx)
+    scale = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+    return np.moveaxis(np.multiply(uv, scale, order="C"), 0, -1)
 
 
 def radial_forward(p) -> np.ndarray:
@@ -41,12 +50,7 @@ def radial_forward(p) -> np.ndarray:
     sqrt(2)*max(|u|,|v|). The origin maps to itself. Points with |u| == |v|
     (the square's diagonals) are fixed.
     """
-    pts = _checked_points(p)
-    mx = np.max(np.abs(pts), axis=-1)
-    r = np.hypot(pts[..., 0], pts[..., 1])
-    zero = mx < _ZERO_EPS
-    scale = np.where(zero, 0.0, SQRT2 * mx / np.where(zero, 1.0, r))
-    return pts * scale[..., None]
+    return _radial(p, forward=True)
 
 
 def radial_inverse(p) -> np.ndarray:
@@ -56,9 +60,4 @@ def radial_inverse(p) -> np.ndarray:
     with the origin again mapping to itself. Composing with
     :func:`radial_forward` in either order is the identity.
     """
-    pts = _checked_points(p)
-    mx = np.max(np.abs(pts), axis=-1)
-    r = np.hypot(pts[..., 0], pts[..., 1])
-    zero = mx < _ZERO_EPS
-    scale = np.where(zero, 0.0, r / (SQRT2 * np.where(zero, 1.0, mx)))
-    return pts * scale[..., None]
+    return _radial(p, forward=False)

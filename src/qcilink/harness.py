@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import n0_from_psnr, transmit
-from .coding import (ParityCheckCode, bundled_code, decode_bp, deinterleave, encode, info_bits_of, interleave,
+from .coding import (ParityCheckCode, bundled_code, decode_bp, encode, info_bits_of, interleave,
                      interleaver_permutation, load_alist)
 from .constellation import SUPPORTED_QAM_SIZES, load_constellation
 from .demapper import (DEMAPPER_KINDS, DEMAPPERS, FAMILIES, custom_context, demap, estimate_affine_compensation,
@@ -49,6 +49,10 @@ MAX_GRID_POINTS = 10_000
 # them; at n0 <= 1e300 all of these stay far below the float64 maximum
 # (1.8e308), so no distance, exponent or score overflows to inf or NaN.
 MAX_N0 = 1e300
+# Smallest noise power (PSNR 3000 dB). The demappers divide squared distances
+# of at most a few units by n0; at n0 >= 1e-300 the quotients stay below
+# 1e301, while at the 1e-308 of 3080 dB they overflow to inf.
+MIN_N0 = 1e-300
 
 # stream tags keep the per-purpose generators independent
 _TAG_GMI, _TAG_COMP, _TAG_UNCODED, _TAG_CODED, _TAG_SCATTER = range(5)
@@ -161,9 +165,10 @@ def validate_config(cfg: SimConfig) -> None:
             n0 = n0_from_psnr(psnr)
         except OverflowError:
             n0 = math.inf
-        if not 0.0 < n0 <= MAX_N0:
+        if not MIN_N0 <= n0 <= MAX_N0:
             raise ConfigError(f"PSNR {psnr:.12g} dB gives the noise power 10^({-psnr:.12g}/10), outside "
-                              f"(0, {MAX_N0:g}]; a larger one overflows the noisy points' squared distances")
+                              f"[{MIN_N0:g}, {MAX_N0:g}]; a larger one overflows the noisy points' squared "
+                              f"distances, a smaller one the distances divided by it")
     # psnr_grid builds floor(span + 1e-9) + 1 points; a NaN or inf span fails too
     span = (cfg.psnr_stop - cfg.psnr_start) / cfg.psnr_step
     if not span + 1e-9 < MAX_GRID_POINTS:
@@ -216,9 +221,9 @@ def load_code(cfg: SimConfig) -> ParityCheckCode:
 # ---------------------------------------------------------------------------
 # block tasks (run inline or in forked pool workers)
 
-# the cfg, ctx, code and interleaver permutation of the run in progress;
-# run() sets it before the pool forks, so workers inherit it, and clears it
-# when the run ends
+# the cfg, ctx, code, interleaver permutation and deinterleave index of the
+# run in progress; run() sets it before the pool forks, so workers inherit
+# it, and clears it when the run ends
 _WORKER: dict = {}
 
 
@@ -242,7 +247,7 @@ def _uncoded_task(args):
 
 def _coded_task(args):
     point, block, n0, frames, comp = args
-    cfg, ctx, code, perm = _WORKER["cfg"], _WORKER["ctx"], _WORKER["code"], _WORKER["perm"]
+    cfg, ctx, code, perm, unperm = (_WORKER[k] for k in ("cfg", "ctx", "code", "perm", "unperm"))
     rng = derived_rng(cfg.seed, _TAG_CODED, point, block)
     info = rng.integers(0, 2, size=(frames, code.k), dtype=np.uint8)
     coded = encode(code, info)
@@ -250,7 +255,8 @@ def _coded_task(args):
     idx = ctx.constellation.indices_of(tx_bits.reshape(frames, -1, ctx.m))
     y = transmit(ctx.constellation.points[idx.reshape(-1)], n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0, comp)
-    llrs = deinterleave(frame.values.reshape(frames, -1), perm)
+    # one gather from the bit-major (m, frames, symbols) LLRs into deinterleaved frames
+    llrs = frame.values.T.reshape(ctx.m, frames, -1).transpose(1, 0, 2)[:, unperm[1], unperm[0]]
     bits, _, _ = decode_bp(code, llrs)
     info_hat = info_bits_of(code, bits)
     bit_errors = int(np.sum(info_hat != info))
@@ -398,8 +404,11 @@ def run(cfg: SimConfig) -> list:
         raise ConfigError(f"code length {code.n} is not a multiple of {ctx.m} bits/symbol")
 
     perm = interleaver_permutation(code.n, cfg.seed) if code is not None else None
+    # deinterleaved bit i sits at interleaved position q = argsort(perm)[i]:
+    # symbol q // m of its frame, bit q % m
+    unperm = np.divmod(np.argsort(perm), ctx.m) if code is not None else None
     label = (ctx.name, cfg.demapper, cfg.seed)
-    _WORKER.update(cfg=cfg, ctx=ctx, code=code, perm=perm)
+    _WORKER.update(cfg=cfg, ctx=ctx, code=code, perm=perm, unperm=unperm)
     execu = None
     try:
         execu = _Executor(cfg)

@@ -69,12 +69,17 @@ def gmi_symbol_scores(
     rng: np.random.Generator,
     comp: AffineCompensation | None = None,
 ) -> np.ndarray:
-    """Per-symbol achievable-rate samples for one Monte Carlo block."""
+    """Per-symbol achievable-rate samples for one Monte Carlo block.
+
+    Bit-major: one (m, num) buffer of the signs -(1 - 2b) becomes the bit
+    losses in place, one contiguous row per bit, summed row by row.
+    """
     idx, y = ctx.draw(num, n0, rng)
-    frame = demap(kind, y, ctx, n0, comp=comp)
-    signs = 1.0 - 2.0 * ctx.constellation.labels[idx].astype(np.float64)
-    loss = np.logaddexp(0.0, -signs * frame.values) / _LN2
-    return ctx.m - np.sum(loss, axis=1)
+    loss = np.take(2.0 * ctx.constellation.labels.T - 1.0, idx, axis=1)
+    loss *= demap(kind, y, ctx, n0, comp=comp).values.T
+    np.logaddexp(0.0, loss, out=loss)
+    loss /= _LN2
+    return ctx.m - loss.sum(axis=0)
 
 
 def horizontal_gap(curve_a, curve_b, target: float) -> float:

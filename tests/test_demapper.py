@@ -26,6 +26,8 @@ from qcilink.demapper import DEMAPPERS, LLR_CLAMP
 
 from oracles import brute_force_llr_2d, brute_force_llr_pam, brute_force_maxlog_2d
 
+_CONTEXTS = {"qam": qam_context, "qci": qci_context, "file": lambda M: custom_context(build_qci(M))}
+
 
 def _antipodal_pair():
     return Constellation(np.array([[1.0, 0.0], [-1.0, 0.0]]),
@@ -306,6 +308,36 @@ class TestCounterLaw:
         fr = demap(kind, y, ctx, 0.1, comp)
         assert fr.distance_evals == 37 * (2 * math.isqrt(M) if spec.per_axis else M)
         assert fr.map_evals == (37 if spec.remap and family == "qci" else 0)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("kind, family, M", [(k, f, M) for k, spec in DEMAPPERS.items() for f in spec.families
+                                                 for M in ((16,) if f == "file" else (16, 64))])
+    def test_values_match_the_oracle(self, kind, family, M):
+        # every kernel writes bit-major (m, N) LLRs; values is their (N, m) view
+        spec = DEMAPPERS[kind]
+        ctx = _CONTEXTS[family](M)
+        n0 = 0.05 if M == 16 else 0.015
+        _, y = ctx.draw(40, n0, np.random.default_rng(M + 5))
+        comp = AffineCompensation(1.03, np.array([0.01, -0.02]))
+        got = demap(kind, y, ctx, n0, comp).values
+        assert got.shape == (40, ctx.m)
+        assert got.T.flags.c_contiguous
+        z = ctx.unmap(y) if spec.remap else y
+        if spec.needs_comp:
+            z = comp.alpha * z + comp.beta
+        pts = (ctx.qam_grid if spec.remap else ctx.constellation).points.tolist()
+        labs = ctx.constellation.labels.tolist()
+        lvls, pam_labs = (ctx.pam_grid.points.tolist(), ctx.pam_grid.labels.tolist()) if spec.per_axis else (0, 0)
+        for zi, row in zip(z, got):
+            if spec.per_axis:
+                want = (brute_force_llr_pam(zi[0], lvls, pam_labs, n0)
+                        + brute_force_llr_pam(zi[1], lvls, pam_labs, n0))
+            elif spec.maxlog:
+                want = brute_force_maxlog_2d(zi, pts, labs, n0)
+            else:
+                want = brute_force_llr_2d(zi, pts, labs, n0)
+            npt.assert_allclose(row, want, rtol=0, atol=1e-9)
 
 
 class TestConventions:

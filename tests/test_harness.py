@@ -419,6 +419,22 @@ class TestCodedMode:
         assert [r.trials for r in records] == [50 * 24, 50]
         assert calls == [1]
 
+    @pytest.mark.parametrize("family, kind", [("qam", "qam_decomposed"), ("qci", "qci_lcd"), ("qci", "exact2d")])
+    def test_decoder_input_is_the_deinterleaved_symbol_major_llrs(self, family, kind, toy_alist, monkeypatch):
+        # the block's one gather from bit-major LLRs equals reshaping them
+        # symbol-major into frames and deinterleaving, byte for byte
+        demapped, decoded = [], []
+        monkeypatch.setattr(harness, "demap", lambda *a: demapped.append(demap(*a)) or demapped[-1])
+        decode = harness.decode_bp
+        monkeypatch.setattr(harness, "decode_bp", lambda code, llrs: decoded.append(llrs) or decode(code, llrs))
+        run(SimConfig(mode="coded_ber", family=family, M=16, demapper=kind, code_file=str(toy_alist),
+                      psnr_start=9.0, psnr_stop=9.0, samples=40, target_errors=10**6, workers=1, output=None))
+        perm = coding.interleaver_permutation(48, 1)
+        assert [len(llrs) for llrs in decoded] == [25, 15]
+        for frame, llrs in zip(demapped, decoded):
+            want = coding.deinterleave(np.ascontiguousarray(frame.values).reshape(len(llrs), -1), perm)
+            assert llrs.tobytes() == want.tobytes()
+
     def test_code_length_not_a_multiple_of_the_bits_exits_2_before_any_block(self, toy_alist, monkeypatch,
                                                                               tmp_path, capsys):
         monkeypatch.setattr(harness, "_coded_task", _no_block)
@@ -601,9 +617,12 @@ class TestCli:
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
 
-    # a grid of inf points, one of 20 001 points, and ends whose n0 exceeds harness.MAX_N0 (1e300)
-    @pytest.mark.parametrize("psnr", ["10:11:1e-320", "-100:100:0.01", "-3080:-3080:1", "-3000.001:12:1"],
-                             ids=["inf-points", "20001-points", "n0-1e308", "n0-above-1e300"])
+    # a grid of inf points, one of 20 001 points, ends whose n0 exceeds harness.MAX_N0 (1e300)
+    # and ends whose n0 falls below harness.MIN_N0 (1e-300)
+    @pytest.mark.parametrize("psnr", ["10:11:1e-320", "-100:100:0.01", "-3080:-3080:1", "-3000.001:12:1",
+                                      "3080:3080:1", "12:3000.001:1"],
+                             ids=["inf-points", "20001-points", "n0-1e308", "n0-above-1e300", "n0-1e-308",
+                                  "n0-below-1e-300"])
     def test_psnr_grid_out_of_bounds_exits_2_before_any_block(self, psnr, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(harness, "_gmi_task", _no_block)
         start, stop, step = psnr.split(":")
@@ -614,6 +633,22 @@ class TestCli:
             assert main(["gmi", *flags, "--workers", "1", "--output", str(out)]) == 2, flags
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family, kind", [("qam", "qam_decomposed"), ("qci", "qci_lcd"), ("file", "exact2d")])
+    @pytest.mark.parametrize("psnr", ["-3000:-3000:1", "3000:3000:1"], ids=["n0-1e300", "n0-1e-300"])
+    def test_admitted_grid_ends_run_without_a_runtime_warning(self, family, kind, psnr, tmp_path):
+        # -3000 and 3000 dB give n0 = harness.MAX_N0 and harness.MIN_N0 exactly
+        assert harness.n0_from_psnr(-3000.0) == harness.MAX_N0
+        assert harness.n0_from_psnr(3000.0) == harness.MIN_N0
+        const = tmp_path / "qci16.csv"
+        save_constellation(build_qci(16), const)
+        flags = ["--family", family, "--M", "16", "--demapper", kind, "--constellation-file", str(const),
+                 f"--psnr={psnr}", "--workers", "1", "--output", str(tmp_path / "out.csv")]
+        for command, samples in ((["gmi"], "100000"), (["sweep"], "20000"), (["sweep", "--coded"], "2")):
+            assert main([*command, *flags, "--samples", samples]) == 0, command
+            rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+            assert rows and all(np.isfinite(float(r.split(",")[2])) for r in rows), command
 
     def test_bad_flag_value_is_a_config_error(self, capsys):
         assert main(["gmi", "--samples", "abc"]) == 2

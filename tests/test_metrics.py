@@ -5,14 +5,18 @@ import numpy.testing as npt
 import pytest
 
 from qcilink import (
+    AffineCompensation,
     SimConfig,
     SweepRecord,
     estimate_affine_compensation,
     gmi_symbol_scores,
+    demap,
     horizontal_gap,
     run,
     scatter_dump,
 )
+from qcilink.demapper import DEMAPPERS
+from qcilink.harness import build_context
 from qcilink.metrics import _crossing_psnr, counted_record, mean_record
 
 
@@ -71,6 +75,23 @@ class TestGmi:
         plain, plain_se = _gmi(qci16_ctx, "qci_lcd", n0, 200_000, 6)
         comped, comped_se = _gmi(qci16_ctx, "qci_lcd_compensated", n0, 200_000, 6, comp=comp)
         assert comped >= plain - 3 * np.hypot(plain_se, comped_se)
+
+    @pytest.mark.parametrize("family, M", [("qam", 16), ("qci", 16), ("qam", 64), ("qci", 64)])
+    def test_scores_equal_the_per_symbol_expression(self, family, M):
+        # bit-major scoring sums each symbol's bit losses in the same order as
+        # a row sum of the (N, m) losses, so the bytes match
+        ctx = build_context(SimConfig(family=family, M=M))
+        n0 = 10 ** (-1.2 if M == 16 else -1.8)
+        comp = AffineCompensation(1.02, np.array([0.003, -0.001]))
+        for kind, spec in DEMAPPERS.items():
+            if family not in spec.families:
+                continue
+            scores = gmi_symbol_scores(ctx, kind, n0, 20_000, np.random.default_rng(M), comp)
+            idx, y = ctx.draw(20_000, n0, np.random.default_rng(M))
+            values = np.ascontiguousarray(demap(kind, y, ctx, n0, comp).values)
+            signs = 1.0 - 2.0 * ctx.constellation.labels[idx].astype(np.float64)
+            want = ctx.m - np.sum(np.logaddexp(0.0, -signs * values) / math.log(2.0), axis=1)
+            assert scores.tobytes() == want.tobytes(), kind
 
     def test_input_validation(self, qam16_ctx):
         # the samples floor is a configuration rule (harness.validate_config)

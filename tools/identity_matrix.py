@@ -9,7 +9,9 @@ raw float64 LLR bytes and both counters of ``demap`` for every valid
 (family, demapper) on one fixed draw, of the full-2D demappers at
 M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, and of the per-axis
 demappers ``qci_lcd`` and ``qam_decomposed`` at the same sizes on 40 000
-symbols, so a demapper change is checked at full precision and not only
+symbols, and the raw float64 bytes of ``gmi_symbol_scores`` for every
+valid (family, demapper) at M = 16 and 64 on one fixed seed, so a
+demapper or scoring change is checked at full precision and not only
 through the 10-digit CSVs. For the bundled
 LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``,
 a seeded irregular 400-bit code with variable degrees 1 to 8, built
@@ -41,6 +43,7 @@ from qcilink import (ParityCheckCode, build_qci, bundled_code, decode_bp, encode
 from qcilink.cli import main as cli_main  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
+from qcilink.metrics import gmi_symbol_scores  # noqa: E402
 
 WORKERS = (1, 2)
 SEED = 7
@@ -132,6 +135,23 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
     (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
 
 
+def _write_scores(outdir: Path, const_file: str) -> None:
+    """Raw ``gmi_symbol_scores`` bytes of every valid (family, demapper) at M = 16 and 64 on one seed.
+
+    The file family reads its 64-point constellation at both sizes.
+    """
+    n0 = n0_from_psnr(12.0)
+    for kind, spec in DEMAPPERS.items():
+        for family in spec.families:
+            for M in (16, 64):
+                ctx = build_context(SimConfig(family=family, M=M, constellation_file=const_file))
+                comp = None
+                if spec.needs_comp:
+                    comp = estimate_affine_compensation(ctx, n0, 20_000, np.random.default_rng(SEED))
+                scores = gmi_symbol_scores(ctx, kind, n0, 40_000, np.random.default_rng(SEED), comp)
+                (outdir / f"scores_{family}{M}_{kind}.f64").write_bytes(scores.tobytes())
+
+
 def _irregular_code() -> ParityCheckCode:
     """Rate-1/2 code of 400 bits; variable v joins v % 8 + 1 checks drawn at random.
 
@@ -170,6 +190,7 @@ def main() -> None:
     const_file = outdir / "file64.csv"
     save_constellation(build_qci(64), const_file)
     _write_llrs(outdir, str(const_file))
+    _write_scores(outdir, str(const_file))
     _write_codes(outdir)
     for workers in WORKERS:
         for name, spec in _runs(str(const_file)).items():
