@@ -11,7 +11,6 @@ from .coding import (
     ParityCheckCode,
     bundled_code,
     decode_bp,
-    deinterleave,
     encode,
     interleave,
     interleaver_permutation,

@@ -310,14 +310,6 @@ def interleave(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.asarray(values)[..., perm]
 
 
-def deinterleave(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`interleave` for the same permutation."""
-    x = np.asarray(values)
-    out = np.empty_like(x)
-    out[..., perm] = x
-    return out
-
-
 def _int_tokens(line: str, where: str) -> list:
     try:
         return [int(tok) for tok in line.split()]

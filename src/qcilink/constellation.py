@@ -152,8 +152,12 @@ def build_qci(M: int) -> Constellation:
 def normalize_peak(c: Constellation) -> Constellation:
     """Uniformly rescale so that max |x|^2 = 1; idempotent.
 
-    The applied factor accumulates into ``scale`` so callers can undo the
-    normalization (the QCI demapping path needs the canonical coordinates).
+    The applied factor accumulates into ``scale``, which sizes the QAM
+    preimage grid and the PAM of a demap context. A QCI context takes the
+    QCI's factor, since the inverse map returns a received point on the
+    transmitted scale; the radial map keeps the peak only up to rounding,
+    so from M = 256 on that factor is 0.7071067811865474 against
+    0.7071067811865475 for QAM.
     """
     p = c.points ** 2 if c.dimension == 1 else np.sum(c.points ** 2, axis=1)
     peak = float(np.max(p))

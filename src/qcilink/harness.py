@@ -35,7 +35,7 @@ from .constellation import SUPPORTED_QAM_SIZES, load_constellation
 from .demapper import (DEMAPPER_KINDS, DEMAPPERS, FAMILIES, custom_context, demap, estimate_affine_compensation,
                        qam_context, qci_context)
 from .errors import ConfigError
-from .metrics import GMI_MIN_SAMPLES, SweepRecord, counted_record, gmi_symbol_scores, mean_record, scatter_dump
+from .metrics import GMI_MIN_SAMPLES, SweepRecord, Tally, gmi_symbol_scores, scatter_dump, tally_record
 
 MODES = ("uncoded_ber", "coded_ber", "gmi", "scatter", "complexity")
 
@@ -232,7 +232,7 @@ def _gmi_task(args):
     cfg, ctx = _WORKER["cfg"], _WORKER["ctx"]
     rng = derived_rng(cfg.seed, _TAG_GMI, point, block)
     scores = gmi_symbol_scores(ctx, cfg.demapper, n0, num, rng, comp=comp)
-    return scores.size, float(np.sum(scores)), float(np.sum(scores ** 2))
+    return Tally(scores.size, 0, float(np.sum(scores)), float(np.sum(scores ** 2)))
 
 
 def _uncoded_task(args):
@@ -242,7 +242,8 @@ def _uncoded_task(args):
     idx, y = ctx.draw(num, n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0, comp)
     errors = int(np.sum(frame.hard_bits() != ctx.constellation.labels[idx]))
-    return num * ctx.m, errors
+    # a bit is a trial with a 0/1 error sample, so errors is also its sum of squares
+    return Tally(num * ctx.m, errors, errors, errors)
 
 
 def _coded_task(args):
@@ -259,9 +260,8 @@ def _coded_task(args):
     llrs = frame.values.T.reshape(ctx.m, frames, -1).transpose(1, 0, 2)[:, unperm[1], unperm[0]]
     bits, _, _ = decode_bp(code, llrs)
     info_hat = info_bits_of(code, bits)
-    bit_errors = int(np.sum(info_hat != info))
-    frame_errors = int(np.sum(np.any(info_hat != info, axis=1)))
-    return frames, frame_errors, frames * code.k, bit_errors
+    e = np.sum(info_hat != info, axis=1)
+    return Tally(frames, int(np.count_nonzero(e)), int(np.sum(e)), int(np.sum(e * e)))
 
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy ships with:
@@ -393,7 +393,7 @@ def run(cfg: SimConfig) -> list:
             frame = demap(kind, y, ctx, n0)
             per_symbol = frame.distance_evals / frame.num_symbols
             records.append(
-                SweepRecord(grid[0], "evals_per_symbol", per_symbol, 0.0, num, 0, ctx.name, kind, cfg.seed)
+                SweepRecord(grid[0], "evals_per_symbol", per_symbol, 0.0, num, ctx.name, kind, cfg.seed)
             )
         if cfg.output is not None:
             write_records_csv(records, cfg.output)
@@ -414,16 +414,17 @@ def run(cfg: SimConfig) -> list:
         execu = _Executor(cfg)
         if cfg.mode == "gmi":
             points = _run_blocks(cfg, ctx, grid, execu, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
-            records = [mean_record(psnr, "gmi", n, s1, s2, *label) for psnr, (n, s1, s2) in points]
+            records = [tally_record(psnr, "gmi", tally, *label) for psnr, tally in points]
         elif cfg.mode == "uncoded_ber":
             budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
             points = _run_blocks(cfg, ctx, grid, execu, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms)
-            records = [counted_record(psnr, "ber", errors, bits, *label) for psnr, (bits, errors) in points]
+            records = [tally_record(psnr, "ber", tally, *label) for psnr, tally in points]
         else:
             points = _run_blocks(cfg, ctx, grid, execu, _coded_task, CODED_BLOCK_FRAMES, resolved_samples(cfg))
-            for psnr, (frames, frame_errors, bits, bit_errors) in points:
-                records += [counted_record(psnr, "ber", bit_errors, bits, *label),
-                            counted_record(psnr, "fer", frame_errors, frames, *label)]
+            for psnr, tally in points:
+                # the FER row's sample is 0/1 per frame: its sums are the frame errors
+                records += [tally_record(psnr, "ber", tally, *label, per=code.k),
+                            tally_record(psnr, "fer", tally._replace(s1=tally.errors, s2=tally.errors), *label)]
     finally:
         _WORKER.clear()
         if execu is not None:
@@ -434,12 +435,11 @@ def run(cfg: SimConfig) -> list:
 
 
 def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget):
-    """The one Monte Carlo loop: yields each grid point's PSNR with the column sums of its kept blocks.
+    """The one Monte Carlo loop: yields each grid point's PSNR with the summed ``Tally`` of its kept blocks.
 
     A BER mode dispatches one block per worker in each wave and stops a
-    point once the error counts, the second entry of each block result,
-    reach its target; gmi has no target and dispatches all of a point's
-    blocks in one wave.
+    point once the blocks' ``errors`` reach its target; gmi has no target
+    and dispatches all of a point's blocks in one wave.
     """
     target = resolved_target_errors(cfg)
     needs_comp = DEMAPPERS[cfg.demapper].needs_comp
@@ -460,10 +460,10 @@ def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget):
             # computed.
             for res in execu.map(task, tasks):
                 kept.append(res)
-                errors += res[1]
+                errors += res.errors
                 if target and errors >= target:
                     break
-        yield psnr, [sum(col) for col in zip(*kept)]
+        yield psnr, Tally(*map(sum, zip(*kept)))
 
 
 @contextlib.contextmanager

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,35 +31,37 @@ class SweepRecord:
     value: float
     stderr: float
     trials: int
-    errors: int
     constellation: str
     demapper: str
     seed: int
 
     def __post_init__(self):
-        if self.trials < 0 or self.errors < 0:
-            raise ValueError("counters must be nonnegative")
+        if self.trials < 0:
+            raise ValueError("trials must be nonnegative")
         if self.metric in ("ber", "fer") and not 0.0 <= self.value <= 1.0:
             raise ValueError(f"{self.metric} must lie in [0, 1]")
 
 
-def counted_record(psnr_db: float, metric: str, errors: int, trials: int,
-                   constellation: str, demapper: str, seed: int) -> SweepRecord:
-    """A ber/fer row: the error rate with its binomial standard error."""
-    p = errors / trials
-    stderr = math.sqrt(max(p * (1 - p), 0.0) / trials)
-    return SweepRecord(psnr_db, metric, p, stderr, trials, errors, constellation, demapper, seed)
+class Tally(NamedTuple):
+    """The Monte Carlo counts of one block; blocks merge by summing field by field."""
+
+    trials: int  # independent trials
+    errors: int  # the count an error target stops on
+    s1: float    # sum of one sample per trial
+    s2: float    # sum of the squared samples
 
 
-def mean_record(psnr_db: float, metric: str, n: int, s1: float, s2: float,
-                constellation: str, demapper: str, seed: int) -> SweepRecord:
-    """A sample-mean row (gmi) from the count, sum and sum of squares of the samples.
+def tally_record(psnr_db: float, metric: str, tally: Tally, constellation: str, demapper: str, seed: int,
+                 per: int = 1) -> SweepRecord:
+    """A row of merged block counts: the sample mean per unit and its standard error.
 
-    The standard error is infinite for fewer than two samples.
+    A trial covers ``per`` units (the k info bits of a coded frame). A 0/1
+    sample gives the binomial standard error; below two trials it is infinite.
     """
-    mean = s1 / n
-    stderr = math.sqrt(max(s2 / n - mean ** 2, 0.0) / n) if n >= 2 else float("inf")
-    return SweepRecord(psnr_db, metric, mean, stderr, n, 0, constellation, demapper, seed)
+    n = tally.trials
+    mean = tally.s1 / n
+    stderr = math.sqrt(max(tally.s2 / n - mean ** 2, 0.0) / n) / per if n >= 2 else float("inf")
+    return SweepRecord(psnr_db, metric, tally.s1 / (n * per), stderr, n * per, constellation, demapper, seed)
 
 
 def gmi_symbol_scores(
@@ -86,8 +89,8 @@ def horizontal_gap(curve_a, curve_b, target: float) -> float:
     """PSNR(curve_a) - PSNR(curve_b) at a common metric value, in dB.
 
     Curves are sequences of (psnr_db, value) pairs (or SweepRecords). Each
-    curve must cross the target exactly once between grid points; the
-    crossing is located by linear interpolation.
+    curve must meet the target exactly once, at a grid point or by a sign
+    change between two, where linear interpolation locates the crossing.
     """
     return _crossing_psnr(curve_a, target) - _crossing_psnr(curve_b, target)
 
@@ -111,13 +114,13 @@ def _crossing_psnr(curve, target: float) -> float:
     x, v = arr[:, 0], arr[:, 1]
     s = v - target
     hits = np.nonzero(s == 0.0)[0]
-    if hits.size == 1:
-        return float(x[hits[0]])
     cross = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
     if cross.size + hits.size == 0:
         raise ValueError(f"target {target} outside the curve's range [{v.min()}, {v.max()}]")
-    if cross.size + (hits.size > 0) > 1:
+    if cross.size + hits.size > 1:
         raise ValueError("curve is not monotone around the target; crossing is ambiguous")
+    if hits.size:
+        return float(x[hits[0]])
     i = int(cross[0])
     frac = (target - v[i]) / (v[i + 1] - v[i])
     return float(x[i] + frac * (x[i + 1] - x[i]))

@@ -99,6 +99,14 @@ def syndrome_int64(H, bits):
     return (np.asarray(bits, dtype=np.int64) @ np.asarray(H, dtype=np.int64).T) & 1
 
 
+def deinterleave(values, perm):
+    """Inverse of ``coding.interleave`` by a scatter: entry i goes back to position ``perm[i]``."""
+    x = np.asarray(values)
+    out = np.empty_like(x)
+    out[..., perm] = x
+    return out
+
+
 def _reduceat_sum(terms):
     """first + (second + third + ...): numpy's np.add.reduceat order for up to 8 terms.
 

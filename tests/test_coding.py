@@ -9,13 +9,12 @@ from qcilink import (
     bundled_code,
     coding,
     decode_bp,
-    deinterleave,
     encode,
     interleave,
     interleaver_permutation,
     load_alist,
 )
-from oracles import flooding_decode_loops, syndrome_int64, systematic_encode_int64
+from oracles import deinterleave, flooding_decode_loops, syndrome_int64, systematic_encode_int64
 from qcilink.coding import _gf2_rref, info_bits_of
 from qcilink.errors import DataFormatError
 

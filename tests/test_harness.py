@@ -22,6 +22,7 @@ from qcilink import (
     run,
     save_constellation,
 )
+from oracles import deinterleave
 from qcilink.cli import main
 from qcilink.errors import ConfigError
 from qcilink.harness import (FAMILIES, build_context, resolved_samples, resolved_target_errors,
@@ -254,7 +255,7 @@ class TestCsvWrite:
 
     @pytest.mark.parametrize("write", [
         lambda out: harness.write_records_csv(
-            [SweepRecord(8.0, "evals_per_symbol", 16.0, 0.0, 256, 0, "qam16", "exact2d", 1)], out),
+            [SweepRecord(8.0, "evals_per_symbol", 16.0, 0.0, 256, "qam16", "exact2d", 1)], out),
         lambda out: run(SimConfig(mode="scatter", family="qci", M=16, samples=100, output=str(out))),
     ], ids=["records", "scatter"])
     def test_failed_write_keeps_the_old_csv(self, write, tmp_path, monkeypatch):
@@ -364,7 +365,7 @@ class TestUncodedMode:
                         samples=10_000_000, target_errors=100, seed=1, workers=1,
                         output=str(tmp_path / "u.csv"))
         rec = run(cfg)[0]
-        assert rec.errors >= 100
+        assert round(rec.value * rec.trials) >= 100
         assert rec.trials == 100_000  # one 25k-symbol block was enough
 
     def test_budget_cap_respected(self, tmp_path):
@@ -432,8 +433,26 @@ class TestCodedMode:
         perm = coding.interleaver_permutation(48, 1)
         assert [len(llrs) for llrs in decoded] == [25, 15]
         for frame, llrs in zip(demapped, decoded):
-            want = coding.deinterleave(np.ascontiguousarray(frame.values).reshape(len(llrs), -1), perm)
+            want = deinterleave(np.ascontiguousarray(frame.values).reshape(len(llrs), -1), perm)
             assert llrs.tobytes() == want.tobytes()
+
+    def test_ber_stderr_counts_frames(self, toy_alist, monkeypatch):
+        # bit errors come in frame-sized bursts, so the BER's error bar is the
+        # standard error of the per-frame error rates e_f / k, not a binomial over bits
+        sent, decoded = [], []
+        encode, info_bits_of = harness.encode, harness.info_bits_of
+        monkeypatch.setattr(harness, "encode", lambda code, info: sent.append(info) or encode(code, info))
+        monkeypatch.setattr(harness, "info_bits_of",
+                            lambda code, bits: decoded.append(info_bits_of(code, bits)) or decoded[-1])
+        ber, fer = run(SimConfig(mode="coded_ber", family="qci", M=16, demapper="qci_lcd",
+                                 code_file=str(toy_alist), psnr_start=9.0, psnr_stop=9.0, samples=40,
+                                 target_errors=10**6, workers=1, output=None))
+        e = np.sum(np.concatenate(decoded) != np.concatenate(sent), axis=1)
+        k, frames = sent[0].shape[1], e.size
+        assert frames == 40 and 0 < np.count_nonzero(e) < frames
+        assert (ber.value, ber.trials) == (e.sum() / (frames * k), frames * k)
+        assert ber.stderr == pytest.approx(np.std(e / k) / np.sqrt(frames), rel=1e-12)
+        assert fer.stderr == pytest.approx(np.std(e > 0) / np.sqrt(frames), rel=1e-12)
 
     def test_code_length_not_a_multiple_of_the_bits_exits_2_before_any_block(self, toy_alist, monkeypatch,
                                                                               tmp_path, capsys):

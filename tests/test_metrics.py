@@ -17,22 +17,21 @@ from qcilink import (
 )
 from qcilink.demapper import DEMAPPERS
 from qcilink.harness import build_context
-from qcilink.metrics import _crossing_psnr, counted_record, mean_record
+from qcilink.metrics import Tally, _crossing_psnr, tally_record
 
 
-def _rec(psnr, value, trials, errors, metric="ber"):
-    return SweepRecord(psnr, metric, value, 0.0, trials, errors, "qam16", "exact2d", 1)
+def _rec(psnr, value, trials, metric="ber"):
+    return SweepRecord(psnr, metric, value, 0.0, trials, "qam16", "exact2d", 1)
 
 
 def _sums(x):
-    """A block's (count, sum, sum of squares), as the harness's GMI task returns them."""
-    return x.size, float(np.sum(x)), float(np.sum(x ** 2))
+    """A block's tally of samples x, as the harness's GMI task returns it."""
+    return Tally(x.size, 0, float(np.sum(x)), float(np.sum(x ** 2)))
 
 
 def _mean_row(blocks):
-    """The gmi row of block sums added in block order."""
-    n, s1, s2 = (sum(col) for col in zip(*blocks))
-    return mean_record(10.0, "gmi", n, s1, s2, "qci16", "qci_lcd", 1)
+    """The gmi row of block tallies added in block order, as the harness merges them."""
+    return tally_record(10.0, "gmi", Tally(*map(sum, zip(*blocks))), "qci16", "qci_lcd", 1)
 
 
 def _gmi(ctx, kind, n0, num, seed, comp=None):
@@ -137,41 +136,54 @@ class TestHorizontalGap:
         with pytest.raises(ValueError, match="monotone"):
             _crossing_psnr(curve, 0.5)
 
+    @pytest.mark.parametrize("curve", [
+        [(10.0, 0.5), (11.0, 0.5), (12.0, 0.7)],
+        [(10.0, 0.4), (11.0, 0.5), (12.0, 0.6), (13.0, 0.45)],
+    ], ids=["two-hits", "hit-and-sign-change"])
+    def test_exact_hit_counts_as_a_crossing(self, curve):
+        with pytest.raises(ValueError, match="monotone"):
+            _crossing_psnr(curve, 0.5)
+
     def test_decreasing_curves_supported(self):
         a = [(10.0, 1e-2), (11.0, 1e-3), (12.0, 1e-4)]
         b = [(p - 0.25, v) for p, v in a]
         assert horizontal_gap(a, b, 3e-3) == pytest.approx(0.25, abs=1e-12)
 
 
+def _counted(errors, trials):
+    """The tally of ``trials`` 0/1 samples with ``errors`` ones, as a BER block returns it."""
+    return Tally(trials, errors, errors, errors)
+
+
 class TestCounterMerges:
     def test_merge_values(self):
-        # block counters merge by summing; counted_record turns the sums into a row
-        blocks = [(3, 1000), (1, 1000)]
-        merged = counted_record(10, "ber", sum(e for e, _ in blocks), sum(n for _, n in blocks),
-                                "qam16", "exact2d", 1)
-        assert merged.value == pytest.approx(0.002)
-        assert merged.trials == 2000 and merged.errors == 4
+        # block tallies merge by summing field by field; tally_record turns the sums into a row
+        merged = Tally(*map(sum, zip(_counted(3, 1000), _counted(1, 1000))))
+        assert merged == (2000, 4, 4, 4)
+        row = tally_record(10, "ber", merged, "qam16", "exact2d", 1)
+        assert row.value == pytest.approx(0.002)
+        assert row.trials == 2000
 
-    def test_counted_record(self):
-        rec = counted_record(10, "fer", 25, 100, "qci16", "qci_lcd", 3)
+    def test_binomial_row(self):
+        rec = tally_record(10, "fer", _counted(25, 100), "qci16", "qci_lcd", 3)
         assert rec.value == 0.25
         assert rec.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 100), rel=1e-15)
-        assert (rec.metric, rec.trials, rec.errors) == ("fer", 100, 25)
-        zero = counted_record(10, "ber", 0, 5000, "qci16", "qci_lcd", 3)
+        assert (rec.metric, rec.trials) == ("fer", 100)
+        zero = tally_record(10, "ber", _counted(0, 5000), "qci16", "qci_lcd", 3)
         assert zero.value == 0.0 and zero.stderr == 0.0
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            _rec(10, 1.5, 100, 150)
+            _rec(10, 1.5, 100)
         with pytest.raises(ValueError):
-            _rec(10, 0.0, -1, 0)
+            _rec(10, 0.0, -1)
 
     def test_mean_record_of_two_blocks(self, rng):
         x = rng.normal(size=1000)
         row = _mean_row([_sums(x[:400]), _sums(x[400:])])
         assert row.value == pytest.approx(np.mean(x), rel=1e-12)
         assert row.stderr == pytest.approx(np.std(x) / np.sqrt(x.size), rel=1e-12)
-        assert (row.metric, row.trials, row.errors) == ("gmi", 1000, 0)
+        assert (row.metric, row.trials) == ("gmi", 1000)
 
     def test_mean_record_of_one_sample(self):
         row = _mean_row([_sums(np.array([0.7]))])
