@@ -19,14 +19,17 @@ Every demapper returns an :class:`LlrFrame` whose ``distance_evals``
 counter records the number of point-distance computations consumed:
 M per symbol for the 2D paths, 2*sqrt(M) for the decomposed paths.
 
-Every kernel has one layout. Distances are points-major, one (M, cols)
+Every kernel has one layout. Exponents are points-major, one (M, cols)
 block of ``_BLOCK_ELEMS`` elements (0.5 MB, in L2 cache) at a time, so each
 reduction over the points is elementwise work across contiguous rows; the
 LLRs come out bit-major, one (m, N) array whose (N, m) transposed view is
-``LlrFrame.values``. Exact log-MAP, over 2D points or PAM levels, is one
-loop that differs only in its distance function: distances, shifted ``exp``
-in place, then the BLAS label products ``w0 @ e`` and ``w1 @ e``. Max-log
-reduces a gather of each bit subset's rows.
+``LlrFrame.values``. Every kernel builds a block's exponents with one small
+product ``P @ Y``: P = [-|p|^2/n0, p] per point, Y = [1; 2y/n0] per sample.
+That is -|y - p|^2/n0 up to the per-sample constant -|y|^2/n0, which every
+LLR cancels, so it is never computed. Exact log-MAP, over 2D points or PAM
+levels, shifts each column by its maximum, takes ``exp`` in place, then the
+BLAS label products ``w0 @ e`` and ``w1 @ e``. Max-log subtracts the
+largest exponent of each bit's bit-1 rows from that of its bit-0 rows.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class DemapContext:
     def draw(self, num: int, n0: float, rng: np.random.Generator):
         """``num`` uniformly drawn point indices and their noisy channel outputs."""
         idx = rng.integers(0, self.M, size=num)
-        return idx, transmit(self.constellation.points[idx], n0, rng)
+        return idx, transmit(np.take(self.constellation.points, idx, axis=0), n0, rng)
 
 
 def _scaled(c: Constellation, s: float) -> Constellation:
@@ -186,48 +189,34 @@ def _kernel_args(y, c: Constellation, n0: float, dim: int, kernel: str):
 # which slow exp and the BLAS label products many-fold. A term of 1e-304 moves
 # no LLR: one bit sum holds exp(0) = 1, and the other escapes the clamp only
 # above exp(-LLR_CLAMP) = 8.8e-27, where such terms fall below half an ulp.
+# The shift is by each column's largest exponent: a per-column constant, as is
+# the -|y|^2/n0 the exponent product leaves out. So no |y|^2 is computed, and
+# its rounding, largest far outside the constellation, never reaches the LLRs.
 _EXP_FLOOR = -700.0
 
-
-def _shifted_exp(d2: np.ndarray, n0: float) -> np.ndarray:
-    """exp(max(-(d2 - min) / n0, _EXP_FLOOR)) per column of points-major distances, in place in ``d2``.
-
-    Columns are shifted by their smallest distance before exponentiation;
-    the shift cancels in the LLR ratio. ``min - d2`` is exactly ``-(d2 - min)``
-    up to the sign of zero, which ``exp`` hides.
-    """
-    np.subtract(d2.min(axis=0), d2, out=d2)
-    np.divide(d2, n0, out=d2)
-    np.maximum(d2, _EXP_FLOOR, out=d2)
-    return np.exp(d2, out=d2)
-
-
-def _d2_2d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(M, N) squared distances |p|^2 + |y|^2 - 2 p.y, points-major; doubling y is exact."""
-    d2 = np.add(np.sum(pts ** 2, axis=1)[:, None], np.sum(y ** 2, axis=1)[None, :])
-    d2 -= pts @ (2.0 * y).T
-    return d2
-
-
-def _d2_1d(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(M, N) squared distances of PAM levels to axis samples, levels-major."""
-    d = np.subtract.outer(pts, y)
-    return np.square(d, out=d)
-
-
 # elements of each column block (0.5 MB), so every pass over a block's (M, cols)
-# distances stays in L2 cache
+# exponents stays in L2 cache
 _BLOCK_ELEMS = 62_500
 
 
-def _blocks(n: int, M: int):
-    step = max(1, _BLOCK_ELEMS // M)
-    for a in range(0, n, step):
-        yield a, min(a + step, n)
+def _exponent_blocks(ys: np.ndarray, n0: float, c: Constellation):
+    """(a, b, e) per column block of ``ys``: e = -(|y - p|^2 - |y|^2) / n0, points-major (M, b - a).
+
+    e is the product P @ Y of P = [-|p|^2/n0, p], a row per point, and
+    Y = [1; 2y/n0], a column per sample.
+    """
+    pts = c.points.reshape(c.M, -1)
+    P = np.column_stack([-np.sum(pts ** 2, axis=1) / n0, pts])
+    step = max(1, _BLOCK_ELEMS // c.M)
+    for a in range(0, len(ys), step):
+        b = min(a + step, len(ys))
+        Y = np.ones((P.shape[1], b - a))
+        np.divide(ys[a:b].reshape(b - a, -1).T, n0 / 2.0, out=Y[1:])
+        yield a, b, P @ Y
 
 
-def _log_map(ys: np.ndarray, n0: float, c: Constellation, d2_of) -> LlrFrame:
-    """Exact log-MAP LLRs, one column block at a time; ``d2_of(cols, points)`` gives the distances.
+def _log_map(ys: np.ndarray, n0: float, c: Constellation) -> LlrFrame:
+    """Exact log-MAP LLRs, one column block of exponents at a time.
 
     A bit subset whose terms all sit at the exponent floor yields an LLR
     near +-700, which the clamp folds back to +-LLR_CLAMP.
@@ -235,8 +224,10 @@ def _log_map(ys: np.ndarray, n0: float, c: Constellation, d2_of) -> LlrFrame:
     w0 = np.ascontiguousarray(c.labels.T == 0, dtype=np.float64)  # (m, M)
     w1 = 1.0 - w0
     out = np.empty((c.m, len(ys)))
-    for a, b in _blocks(len(ys), c.M):
-        e = _shifted_exp(d2_of(ys[a:b], c.points), n0)
+    for a, b, e in _exponent_blocks(ys, n0, c):
+        np.subtract(e, e.max(axis=0), out=e)
+        np.maximum(e, _EXP_FLOOR, out=e)
+        np.exp(e, out=e)
         # two products, not one [w0; w1] @ e: BLAS blocks a wider product
         # differently and the LLR bytes move
         s0, s1 = w0 @ e, w1 @ e
@@ -246,25 +237,24 @@ def _log_map(ys: np.ndarray, n0: float, c: Constellation, d2_of) -> LlrFrame:
 
 def llr_exact_2d(y, c: Constellation, n0: float) -> LlrFrame:
     """Full log-MAP LLRs over a 2D constellation; M distance evals per symbol."""
-    return _log_map(*_kernel_args(y, c, n0, 2, "llr_exact_2d"), c, _d2_2d)
+    return _log_map(*_kernel_args(y, c, n0, 2, "llr_exact_2d"), c)
 
 
 def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
-    """Max-log variant: nearest-point distances replace the log-sum-exp."""
+    """Max-log variant: the largest exponent of each bit subset replaces the log-sum-exp."""
     ys, n0 = _kernel_args(y, c, n0, 2, "llr_maxlog_2d")
     out = np.empty((c.m, len(ys)))
-    ones = c.labels.T == 1  # (m, M) bit subsets
-    for a, b in _blocks(len(ys), c.M):
-        d2 = _d2_2d(ys[a:b], c.points)
+    zeros = c.labels.T == 0  # (m, M) bit subsets
+    ones = ~zeros
+    for a, b, e in _exponent_blocks(ys, n0, c):
         for i in range(c.m):
-            np.subtract(d2[ones[i]].min(axis=0), d2[~ones[i]].min(axis=0), out=out[i, a:b])
-    np.divide(out, n0, out=out)
+            np.subtract(e[zeros[i]].max(axis=0), e[ones[i]].max(axis=0), out=out[i, a:b])
     return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out).T, len(ys) * c.M)
 
 
 def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:
     """One-dimensional log-MAP over a PAM constellation (variance n0/2 per axis)."""
-    return _log_map(*_kernel_args(y_axis, pam, n0, 1, "llr_pam"), pam, _d2_1d)
+    return _log_map(*_kernel_args(y_axis, pam, n0, 1, "llr_pam"), pam)
 
 
 def cluster_centers(idx: np.ndarray, z: np.ndarray, M: int):
@@ -327,9 +317,9 @@ class Demapper(NamedTuple):
     needs_comp: bool = False
 
 
-# Per-axis demapping is bit-exact on product QAM (the Gaussian density and
-# the labeling factor over I and Q; a qam context remaps by the identity).
-# qci_remapped_2d demaps jointly: it separates the I/Q split from the remap's mismatch.
+# The Gaussian density and the product Gray labels of the square grid factor
+# over I and Q, so per-axis demapping equals joint demapping up to rounding:
+# qci_remapped_2d gives qci_lcd's LLRs and stays as their O(M) cost reference.
 DEMAPPERS = {
     "exact2d": Demapper(FAMILIES),
     "maxlog2d": Demapper(FAMILIES, maxlog=True),

@@ -254,7 +254,7 @@ def _coded_task(args):
     coded = encode(code, info)
     tx_bits = interleave(coded, perm)
     idx = ctx.constellation.indices_of(tx_bits.reshape(frames, -1, ctx.m))
-    y = transmit(ctx.constellation.points[idx.reshape(-1)], n0, rng)
+    y = transmit(np.take(ctx.constellation.points, idx.reshape(-1), axis=0), n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0, comp)
     # one gather from the bit-major (m, frames, symbols) LLRs into deinterleaved frames
     llrs = frame.values.T.reshape(ctx.m, frames, -1).transpose(1, 0, 2)[:, unperm[1], unperm[0]]

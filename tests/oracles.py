@@ -14,18 +14,31 @@ LLR_CLAMP = 60.0
 TANH_CLIP = 1.0 - 1e-12  # the decoder's bound on a check-node product
 
 
-def brute_force_llr_2d(y, points, labels, n0):
-    """Direct double-loop evaluation of the per-bit log-likelihood ratio."""
-    m = len(labels[0])
+def _log(s):
+    return math.log(s) if s > 0.0 else -math.inf
+
+
+def _log_sum_ratios(d2, labels, n0):
+    """Per-bit log(sum of exp(-d/n0) over bit-0 points / the same over bit-1 points), clamped.
+
+    Every term is scaled by exp(min(d2)/n0), which cancels in the ratio and
+    keeps the nearest point's term at 1 however small n0 is; a subset whose
+    terms all underflow gives an infinite LLR, which the clamp folds.
+    """
+    dmin = min(d2)
     out = []
-    for i in range(m):
+    for i in range(len(labels[0])):
         num, den = [], []
-        for (u, v), lab in zip(points, labels):
-            w = math.exp(-((y[0] - u) ** 2 + (y[1] - v) ** 2) / n0)
-            (num if lab[i] == 0 else den).append(w)
-        llr = math.log(math.fsum(num)) - math.log(math.fsum(den))
+        for d, lab in zip(d2, labels):
+            (num if lab[i] == 0 else den).append(math.exp(-(d - dmin) / n0))
+        llr = _log(math.fsum(num)) - _log(math.fsum(den))
         out.append(max(-LLR_CLAMP, min(LLR_CLAMP, llr)))
     return out
+
+
+def brute_force_llr_2d(y, points, labels, n0):
+    """Direct double-loop evaluation of the per-bit log-likelihood ratio."""
+    return _log_sum_ratios([(y[0] - u) ** 2 + (y[1] - v) ** 2 for u, v in points], labels, n0)
 
 
 def brute_force_maxlog_2d(y, points, labels, n0):
@@ -44,16 +57,7 @@ def brute_force_maxlog_2d(y, points, labels, n0):
 
 def brute_force_llr_pam(y, levels, labels, n0):
     """One-dimensional counterpart with the per-axis exponent (y-x)^2/n0."""
-    m = len(labels[0])
-    out = []
-    for i in range(m):
-        num, den = [], []
-        for x, lab in zip(levels, labels):
-            w = math.exp(-((y - x) ** 2) / n0)
-            (num if lab[i] == 0 else den).append(w)
-        llr = math.log(math.fsum(num)) - math.log(math.fsum(den))
-        out.append(max(-LLR_CLAMP, min(LLR_CLAMP, llr)))
-    return out
+    return _log_sum_ratios([(y - x) ** 2 for x in levels], labels, n0)
 
 
 def mean_symbol_power(points):

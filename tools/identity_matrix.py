@@ -9,8 +9,10 @@ raw float64 LLR bytes and both counters of ``demap`` for every valid
 (family, demapper) on one fixed draw, of the full-2D demappers at
 M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, and of the per-axis
 demappers ``qci_lcd`` and ``qam_decomposed`` at the same sizes on 40 000
-symbols, and the raw float64 bytes of ``gmi_symbol_scores`` for every
-valid (family, demapper) at M = 16 and 64 on one fixed seed, so a
+symbols, of the full-2D demappers once more on qci256 at 40 dB, where
+cancellation in the exponents matters most, and the raw float64 bytes of
+``gmi_symbol_scores`` for every valid (family, demapper) at M = 16 and
+64 on one fixed seed, so a
 demapper or scoring change is checked at full precision and not only
 through the 10-digit CSVs. For the bundled
 LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``,
@@ -46,6 +48,7 @@ from qcilink.harness import SimConfig, build_context, run  # noqa: E402
 from qcilink.metrics import gmi_symbol_scores  # noqa: E402
 
 WORKERS = (1, 2)
+FULL_2D_KINDS = ("exact2d", "maxlog2d", "qci_remapped_2d")
 SEED = 7
 TOY_ALIST = Path(__file__).resolve().parents[1] / "tests" / "peg_dv3_n48.alist"
 # BPSK noise standard deviations per code: all frames converge early at the
@@ -106,12 +109,15 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
     symbols, which the kernels cut into many row blocks. M = 16 and 1024
     are the sizes where a change of BLAS blocking has moved LLR bytes. The
     per-axis kernels run at the same sizes on 40 000 symbols, qci_lcd on
-    the qci family and qam_decomposed on the qam family.
+    the qci family and qam_decomposed on the qam family. The full-2D
+    kernels run once more on qci256 at 40 dB, where the exponents reach
+    1e4 before their shift and a change of their rounding shows most.
+    All other draws are at 12 dB.
     """
     n0 = n0_from_psnr(12.0)
     counters = ["name,num_symbols,distance_evals,map_evals"]
 
-    def write(name, kind, ctx, num, comp=None):
+    def write(name, kind, ctx, num, comp=None, n0=n0):
         _, y = ctx.draw(num, n0, np.random.default_rng(SEED))
         frame = demap(kind, y, ctx, n0, comp)
         (outdir / f"{name}.f64").write_bytes(frame.values.tobytes())
@@ -126,12 +132,15 @@ def _write_llrs(outdir: Path, const_file: str) -> None:
             write(f"llr_{ctx.name}_{kind}", kind, ctx, 2_000, comp)
     for M in (16, 64, 256, 1024):
         ctx = build_context(SimConfig(family="qci", M=M))
-        for kind in ("exact2d", "maxlog2d", "qci_remapped_2d"):
+        for kind in FULL_2D_KINDS:
             for num in (1, 7, 40_000):
                 write(f"llr_{ctx.name}_{kind}_n{num}", kind, ctx, num)
         for family, kind in (("qci", "qci_lcd"), ("qam", "qam_decomposed")):
             ctx = build_context(SimConfig(family=family, M=M))
             write(f"llr_{ctx.name}_{kind}_n40000", kind, ctx, 40_000)
+    ctx = build_context(SimConfig(family="qci", M=256))
+    for kind in FULL_2D_KINDS:
+        write(f"llr_{ctx.name}_{kind}_40dB_n40000", kind, ctx, 40_000, n0=n0_from_psnr(40.0))
     (outdir / "llr_counters.csv").write_text("\n".join(counters) + "\n")
 
 
