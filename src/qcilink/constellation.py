@@ -211,7 +211,8 @@ def load_constellation(path) -> Constellation:
     """Read a constellation CSV written by :func:`save_constellation`.
 
     Validates power-of-two cardinality, distinct labels of uniform length,
-    and well-formed rows; the header is optional but checked when present.
+    and well-formed rows. The header is optional; a ``dim=`` in it must be 1
+    or 2, and ``dim=1`` requires every Q coordinate to be zero.
     """
     try:
         with open(path) as fh:
@@ -232,6 +233,8 @@ def load_constellation(path) -> Constellation:
                             dim_hint = int(part[4:])
                         except ValueError as exc:
                             raise DataFormatError(f"non-integer dimension in header: {ln!r}") from exc
+                        if dim_hint not in (1, 2):
+                            raise DataFormatError(f"header dimension must be 1 or 2: {ln!r}")
             continue
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 4:
@@ -258,6 +261,8 @@ def load_constellation(path) -> Constellation:
             raise DataFormatError(f"duplicate label {bits!r} at rows {seen[bits]} and {i}")
         seen[bits] = i
     labs = np.array([[int(ch) for ch in bits] for _, _, bits in rows], dtype=np.uint8)
+    if dim_hint == 1 and any(v != 0.0 for _, v, _ in rows):
+        raise DataFormatError("header says dim=1 but a row has a nonzero Q coordinate")
     if dim_hint == 1 or (dim_hint is None and all(v == 0.0 for _, v, _ in rows)):
         pts = np.array([u for u, _, _ in rows])
     else:

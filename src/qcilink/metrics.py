@@ -1,10 +1,15 @@
 """Sweep records, GMI scoring, horizontal curve gaps, and remap diagnostics.
 
 GMI here is the bit-metric achievable rate of the chosen (possibly
-mismatched) demapper: m minus the per-bit mean of log2(1 + exp(-(1-2b)*LLR)).
-Horizontal gaps between two metric-vs-PSNR curves are measured by linear
-interpolation at a common target value, which is how the shaping gain and
-the detection losses are quantified.
+mismatched) demapper: m minus the per-bit mean of log2(1 + exp(-(1-2b)*LLR)),
+the BICM rate of Caire, Taricco and Biglieri (IEEE Trans. IT, 1998). Each bit
+loss is computed as the softplus max(x, 0) + log1p(exp(-|x|)) of
+x = -(1-2b)*LLR: the same branches as ``np.logaddexp(0, x)``, but numpy runs
+``exp`` and ``log1p`` as vector loops and ``logaddexp`` one element at a time,
+so only the rounding of those two functions differs. Horizontal gaps
+between two metric-vs-PSNR curves are measured by linear interpolation at a
+common target value, which is how the shaping gain and the detection losses
+are quantified.
 """
 
 from __future__ import annotations
@@ -74,13 +79,23 @@ def gmi_symbol_scores(
 ) -> np.ndarray:
     """Per-symbol achievable-rate samples for one Monte Carlo block.
 
-    Bit-major: one (m, num) buffer of the signs -(1 - 2b) becomes the bit
-    losses in place, one contiguous row per bit, summed row by row.
+    Bit-major: the bit loss of x = -(1 - 2b)·L is the softplus
+    max(x, 0) + log1p(exp(-|x|)) (see the module docstring). Since
+    |x| = |L|, the demapper's (m, num) LLR array becomes the log1p term in
+    place, and one (m, num) buffer of the sign products becomes the max
+    term, so scoring adds a single buffer to the LLRs. Each bit is one
+    contiguous row, and the rows are summed in bit order.
     """
     idx, y = ctx.draw(num, n0, rng)
+    llr = demap(kind, y, ctx, n0, comp=comp).values.T
     loss = np.take(2.0 * ctx.constellation.labels.T - 1.0, idx, axis=1)
-    loss *= demap(kind, y, ctx, n0, comp=comp).values.T
-    np.logaddexp(0.0, loss, out=loss)
+    loss *= llr
+    np.abs(llr, out=llr)
+    np.negative(llr, out=llr)
+    np.exp(llr, out=llr)
+    np.log1p(llr, out=llr)
+    np.maximum(loss, 0.0, out=loss)
+    loss += llr
     loss /= _LN2
     return ctx.m - loss.sum(axis=0)
 

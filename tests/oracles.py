@@ -60,6 +60,16 @@ def brute_force_llr_pam(y, levels, labels, n0):
     return _log_sum_ratios([(y - x) ** 2 for x in levels], labels, n0)
 
 
+def logaddexp_gmi_scores(values, bits, m):
+    """Per-symbol GMI samples m - sum_i log2(1 + exp(-(1-2b_i)·L_i)) through ``np.logaddexp``.
+
+    ``values`` and ``bits`` are (N, m): the LLRs and the sent label bits of
+    each symbol. This is the scoring form before the softplus rewrite.
+    """
+    signs = 1.0 - 2.0 * bits.astype(np.float64)
+    return m - np.sum(np.logaddexp(0.0, -signs * values) / math.log(2.0), axis=1)
+
+
 def mean_symbol_power(points):
     """Average |x|^2 by direct summation."""
     total = 0.0

@@ -690,9 +690,17 @@ class TestCli:
         latin1.write_bytes(b"# \xe9\n0, 1.0, 0.0, 0\n1, -1.0, 0.0, 1\n")
         latin1_alist = tmp_path / "latin1.alist"
         latin1_alist.write_bytes(b"3 2\xe9\n")
+        # a header dim other than 1 or 2, or dim=1 with a nonzero Q coordinate
+        dims = []
+        for name, dim, q in (("dim3", 3, 0.0), ("dim0", 0, 0.0), ("dim1_with_q", 1, 0.5)):
+            dims.append(tmp_path / f"{name}.csv")
+            dims[-1].write_text(f"# qci-constellation v1, M=2, dim={dim}\n0, 1.0, {q}, 0\n1, -1.0, 0.0, 1\n")
         argvs = [
             ["gray-check", "--family", "file", "--constellation-file", str(tmp_path / "missing.csv")],
             ["gray-check", "--family", "file", "--constellation-file", str(bad_dim)],
+            *[["gray-check", "--family", "file", "--constellation-file", str(path)] for path in dims],
+            *[["gmi", "--family", "file", "--demapper", "exact2d", "--constellation-file", str(path),
+               "--workers", "1", "--output", str(tmp_path / "g.csv")] for path in dims],
             ["gray-check", "--family", "file", "--constellation-file", str(latin1)],
             ["gmi", "--family", "file", "--demapper", "exact2d", "--constellation-file", str(latin1),
              "--workers", "1", "--output", str(tmp_path / "g.csv")],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,16 +9,22 @@ from qcilink import (
     AffineCompensation,
     SimConfig,
     SweepRecord,
+    build_qci,
     estimate_affine_compensation,
     gmi_symbol_scores,
     demap,
     horizontal_gap,
+    metrics,
+    n0_from_psnr,
     run,
+    save_constellation,
     scatter_dump,
 )
-from qcilink.demapper import DEMAPPERS
+from qcilink.demapper import DEMAPPERS, LLR_CLAMP, LlrFrame
 from qcilink.harness import build_context
 from qcilink.metrics import Tally, _crossing_psnr, tally_record
+
+from oracles import logaddexp_gmi_scores
 
 
 def _rec(psnr, value, trials, metric="ber"):
@@ -32,6 +39,13 @@ def _sums(x):
 def _mean_row(blocks):
     """The gmi row of block tallies added in block order, as the harness merges them."""
     return tally_record(10.0, "gmi", Tally(*map(sum, zip(*blocks))), "qci16", "qci_lcd", 1)
+
+
+def _valid_kinds(ctx):
+    """Each demapper kind the context's family accepts, with a compensation where it needs one."""
+    comp = AffineCompensation(1.02, np.array([0.003, -0.001]))
+    return [(kind, comp if spec.needs_comp else None) for kind, spec in DEMAPPERS.items()
+            if ctx.family in spec.families]
 
 
 def _gmi(ctx, kind, n0, num, seed, comp=None):
@@ -77,20 +91,79 @@ class TestGmi:
 
     @pytest.mark.parametrize("family, M", [("qam", 16), ("qci", 16), ("qam", 64), ("qci", 64)])
     def test_scores_equal_the_per_symbol_expression(self, family, M):
-        # bit-major scoring sums each symbol's bit losses in the same order as
-        # a row sum of the (N, m) losses, so the bytes match
+        # bit-major scoring sums each symbol's softplus bit losses in the same
+        # order as a row sum of the (N, m) losses, so the bytes match
         ctx = build_context(SimConfig(family=family, M=M))
         n0 = 10 ** (-1.2 if M == 16 else -1.8)
-        comp = AffineCompensation(1.02, np.array([0.003, -0.001]))
-        for kind, spec in DEMAPPERS.items():
-            if family not in spec.families:
-                continue
+        for kind, comp in _valid_kinds(ctx):
             scores = gmi_symbol_scores(ctx, kind, n0, 20_000, np.random.default_rng(M), comp)
             idx, y = ctx.draw(20_000, n0, np.random.default_rng(M))
             values = np.ascontiguousarray(demap(kind, y, ctx, n0, comp).values)
             signs = 1.0 - 2.0 * ctx.constellation.labels[idx].astype(np.float64)
-            want = ctx.m - np.sum(np.logaddexp(0.0, -signs * values) / math.log(2.0), axis=1)
+            soft = np.maximum(-signs * values, 0.0) + np.log1p(np.exp(-np.abs(values)))
+            want = ctx.m - np.sum(soft / math.log(2.0), axis=1)
             assert scores.tobytes() == want.tobytes(), kind
+
+    @pytest.mark.parametrize("family", ["qam", "qci", "file"])
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_scores_match_the_logaddexp_oracle(self, family, M, tmp_path):
+        # the softplus form moves only the rounding of exp and log1p
+        path = tmp_path / f"qci{M}.csv"
+        save_constellation(build_qci(M), path)
+        ctx = build_context(SimConfig(family=family, M=M, constellation_file=str(path)))
+        n0 = 10 ** (-1.2 if M == 16 else -1.8)
+        for kind, comp in _valid_kinds(ctx):
+            scores = gmi_symbol_scores(ctx, kind, n0, 20_000, np.random.default_rng(M + 1), comp)
+            idx, y = ctx.draw(20_000, n0, np.random.default_rng(M + 1))
+            want = logaddexp_gmi_scores(demap(kind, y, ctx, n0, comp).values, ctx.constellation.labels[idx], ctx.m)
+            npt.assert_allclose(scores, want, rtol=0, atol=1e-14, err_msg=kind)
+
+    @pytest.mark.parametrize("family, M", [("qam", 16), ("qci", 64)])
+    def test_bit_loss_at_edge_llrs(self, family, M, monkeypatch):
+        ctx = build_context(SimConfig(family=family, M=M))
+        num, n0, m = 1_000, 0.1, ctx.m
+        idx, _ = ctx.draw(num, n0, np.random.default_rng(9))
+        right = LLR_CLAMP * (1.0 - 2.0 * ctx.constellation.labels[idx].astype(np.float64))
+
+        def scores_of(values):
+            monkeypatch.setattr(metrics, "demap",
+                                lambda *a, **k: LlrFrame(np.array(values.T, order="C").T, 0))
+            return gmi_symbol_scores(ctx, "exact2d", n0, num, np.random.default_rng(9))
+
+        # log1p(1) rounds to ln 2 itself, so each zero LLR costs exactly one bit
+        assert np.log1p(1.0) == math.log(2.0)
+        for zero in (0.0, -0.0):
+            assert np.all(scores_of(np.full((num, m), zero)) == 0.0), zero
+        assert np.all(scores_of(right) == m)
+        # wrong signs: each bit costs log2(1 + e^60), to 1 ulp per bit
+        bit = math.log1p(math.exp(LLR_CLAMP)) / math.log(2.0)
+        npt.assert_allclose(scores_of(-right), m - m * bit, rtol=0, atol=m * np.spacing(bit) + np.spacing(m * bit))
+
+    @pytest.mark.parametrize("family, M, kind", [("qci", 256, "exact2d"), ("qci", 64, "qci_lcd")])
+    def test_scoring_allocates_no_second_bit_buffer(self, family, M, kind):
+        # beyond the demapper's LLRs, scoring holds one (m, N) buffer: the
+        # sign products; the softplus runs in place on the LLRs
+        ctx = build_context(SimConfig(family=family, M=M))
+        num, n0 = 40_000, n0_from_psnr(22.0)
+
+        def traced(fn):
+            """(current, peak) traced bytes, with fn's result still held."""
+            tracemalloc.start()
+            try:
+                kept = fn()  # noqa: F841
+                return tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        def draw_and_demap():
+            idx, y = ctx.draw(num, n0, np.random.default_rng(3))
+            return idx, y, demap(kind, y, ctx, n0)
+
+        draw_and_demap()  # first-call caches stay out of the traced peaks
+        held, demap_peak = traced(draw_and_demap)
+        _, score_peak = traced(lambda: gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(3)))
+        buf = ctx.m * num * 8
+        assert score_peak <= max(demap_peak, held + buf) + buf // 2, (score_peak, demap_peak, held, buf)
 
     def test_input_validation(self, qam16_ctx):
         # the samples floor is a configuration rule (harness.validate_config)

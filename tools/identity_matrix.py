@@ -12,9 +12,9 @@ demappers ``qci_lcd`` and ``qam_decomposed`` at the same sizes on 40 000
 symbols, of the full-2D demappers once more on qci256 at 40 dB, where
 cancellation in the exponents matters most, and the raw float64 bytes of
 ``gmi_symbol_scores`` for every valid (family, demapper) at M = 16 and
-64 on one fixed seed, so a
-demapper or scoring change is checked at full precision and not only
-through the 10-digit CSVs. For the bundled
+64 on one fixed seed and for exact2d and qci_remapped_2d on qci256 at
+22 dB, so a demapper or scoring change is checked at full precision and
+not only through the 10-digit CSVs. For the bundled
 LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``,
 a seeded irregular 400-bit code with variable degrees 1 to 8, built
 here, and the 12-bit hand-built code of the decoder's oracle test (check
@@ -148,6 +148,8 @@ def _write_scores(outdir: Path, const_file: str) -> None:
     """Raw ``gmi_symbol_scores`` bytes of every valid (family, demapper) at M = 16 and 64 on one seed.
 
     The file family reads its 64-point constellation at both sizes.
+    exact2d and qci_remapped_2d also score qci256 at 22 dB, the point where
+    the ``gmi_ml`` benchmark workload runs them.
     """
     n0 = n0_from_psnr(12.0)
     for kind, spec in DEMAPPERS.items():
@@ -159,6 +161,10 @@ def _write_scores(outdir: Path, const_file: str) -> None:
                     comp = estimate_affine_compensation(ctx, n0, 20_000, np.random.default_rng(SEED))
                 scores = gmi_symbol_scores(ctx, kind, n0, 40_000, np.random.default_rng(SEED), comp)
                 (outdir / f"scores_{family}{M}_{kind}.f64").write_bytes(scores.tobytes())
+    ctx = build_context(SimConfig(family="qci", M=256))
+    for kind in ("exact2d", "qci_remapped_2d"):
+        scores = gmi_symbol_scores(ctx, kind, n0_from_psnr(22.0), 40_000, np.random.default_rng(SEED))
+        (outdir / f"scores_qci256_{kind}_22dB.f64").write_bytes(scores.tobytes())
 
 
 def _irregular_code() -> ParityCheckCode:
