@@ -211,8 +211,9 @@ def load_constellation(path) -> Constellation:
     """Read a constellation CSV written by :func:`save_constellation`.
 
     Validates power-of-two cardinality, distinct labels of uniform length,
-    and well-formed rows. The header is optional; a ``dim=`` in it must be 1
-    or 2, and ``dim=1`` requires every Q coordinate to be zero.
+    and well-formed rows. The header is optional; an ``M=`` in it must be an
+    integer equal to the number of rows, a ``dim=`` in it must be 1 or 2,
+    and ``dim=1`` requires every Q coordinate to be zero.
     """
     try:
         with open(path) as fh:
@@ -220,7 +221,7 @@ def load_constellation(path) -> Constellation:
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"constellation file is not text: {exc}") from exc
     rows = []
-    dim_hint = None
+    dim_hint = m_hint = None
     for ln in raw:
         if not ln:
             continue
@@ -228,7 +229,12 @@ def load_constellation(path) -> Constellation:
             if ln.startswith(CSV_HEADER_PREFIX):
                 for part in ln.split(","):
                     part = part.strip()
-                    if part.startswith("dim="):
+                    if part.startswith("M="):
+                        try:
+                            m_hint = int(part[2:])
+                        except ValueError as exc:
+                            raise DataFormatError(f"non-integer point count in header: {ln!r}") from exc
+                    elif part.startswith("dim="):
                         try:
                             dim_hint = int(part[4:])
                         except ValueError as exc:
@@ -248,6 +254,8 @@ def load_constellation(path) -> Constellation:
             raise DataFormatError(f"label must be a nonempty bit string: {ln!r}")
         rows.append((u, v, bits))
     M = len(rows)
+    if m_hint is not None and m_hint != M:
+        raise DataFormatError(f"header says M={m_hint} but the file holds {M} rows")
     if M == 0 or M & (M - 1):
         raise DataFormatError(f"cardinality not a power of two: {M} rows")
     m = len(rows[0][2])

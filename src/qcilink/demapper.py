@@ -263,8 +263,7 @@ def cluster_centers(idx: np.ndarray, z: np.ndarray, M: int):
     Points that were never drawn get a NaN center and a count of 0.
     """
     counts = np.bincount(idx, minlength=M)
-    sums = np.zeros((M, 2))
-    np.add.at(sums, idx, z)
+    sums = np.stack([np.bincount(idx, weights=w, minlength=M) for w in z.T], axis=1)
     with np.errstate(invalid="ignore"):
         return sums / counts[:, None], counts
 

@@ -2,11 +2,13 @@
 
 Every mode decomposes its Monte Carlo work into fixed-size blocks; block b
 of grid point p draws from an independent generator seeded by
-(master seed, stream tag, p, b), and results merge in block order. Output
-is therefore bit-identical for a given (config, seed) no matter how many
-worker processes share the blocks. Early stopping in the BER modes scans
-the merged block sequence, so extra blocks computed by idle workers are
-discarded rather than folded in.
+(master seed, stream tag, p, b), and results merge in block order. Blocks
+go to the workers in rounds that span the whole PSNR grid, so blocks of
+different points fill the pool. Early stopping in the BER modes scans each
+point's blocks in block order, so a block computed past the one that met
+the error target is discarded rather than folded in. Output is therefore
+bit-identical for a given (config, seed) no matter how many worker
+processes share the blocks.
 
 A run builds its demap context, loads its LDPC code and derives its
 interleaver permutation once, and forked pool workers inherit them. Every
@@ -241,7 +243,7 @@ def _uncoded_task(args):
     rng = derived_rng(cfg.seed, _TAG_UNCODED, point, block)
     idx, y = ctx.draw(num, n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0, comp)
-    errors = int(np.sum(frame.hard_bits() != ctx.constellation.labels[idx]))
+    errors = int(np.sum(frame.hard_bits() != np.take(ctx.constellation.labels, idx, axis=0)))
     # a bit is a trial with a 0/1 error sample, so errors is also its sum of squares
     return Tally(num * ctx.m, errors, errors, errors)
 
@@ -434,36 +436,43 @@ def run(cfg: SimConfig) -> list:
     return records
 
 
-def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget):
-    """The one Monte Carlo loop: yields each grid point's PSNR with the summed ``Tally`` of its kept blocks.
+def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget) -> list:
+    """The one Monte Carlo loop: each grid point's PSNR with the summed ``Tally`` of its kept blocks.
 
-    A BER mode dispatches one block per worker in each wave and stops a
-    point once the blocks' ``errors`` reach its target; gmi has no target
-    and dispatches all of a point's blocks in one wave.
+    Blocks go out in rounds that span the grid, one ``execu.map`` per
+    round. A round holds the next blocks of every open point, one still
+    below its error target and within its budget: max(1, ceil(workers /
+    open points)) blocks each in a BER mode, so a block that early stopping
+    may discard is computed only when fewer points are open than there are
+    workers. gmi has no target, so its first round holds every block of
+    every point. A point keeps its blocks in block order up to the first
+    that meets its target and drops the rest; block b of point p draws from
+    its own generator, so the kept blocks, and with them the output, do not
+    depend on how many workers ran or how the rounds fell.
     """
     target = resolved_target_errors(cfg)
-    needs_comp = DEMAPPERS[cfg.demapper].needs_comp
+    stop = target or math.inf  # gmi has no error target
     sizes = _split_blocks(budget, block_unit)
-    wave = max(1, execu.workers) if target else len(sizes)
-    for p, psnr in enumerate(grid):
-        n0 = n0_from_psnr(psnr)
-        comp = None
-        if needs_comp:
-            comp = estimate_affine_compensation(ctx, n0, COMP_SAMPLES, derived_rng(cfg.seed, _TAG_COMP, p, 0))
-        kept, errors, b = [], 0, 0
-        while b < len(sizes) and not (target and errors >= target):
-            tasks = [(p, b + i, n0, num, comp) for i, num in enumerate(sizes[b:b + wave])]
-            b += len(tasks)
-            # Keep the prefix up to the first block meeting the error target.
-            # Scanning is sequential in block order, so the kept prefix (and
-            # with it the output) does not depend on how many blocks a wave
-            # computed.
-            for res in execu.map(task, tasks):
-                kept.append(res)
-                errors += res.errors
-                if target and errors >= target:
-                    break
-        yield psnr, Tally(*map(sum, zip(*kept)))
+    n0s = [n0_from_psnr(psnr) for psnr in grid]
+    comps = [None] * len(grid)
+    if DEMAPPERS[cfg.demapper].needs_comp:
+        comps = [estimate_affine_compensation(ctx, n0, COMP_SAMPLES, derived_rng(cfg.seed, _TAG_COMP, p, 0))
+                 for p, n0 in enumerate(n0s)]
+    kept = [[] for _ in grid]
+    errors = [0] * len(grid)
+    sent = [0] * len(grid)  # blocks dispatched per point
+    open_points = list(range(len(grid)))
+    while open_points:
+        per = max(1, math.ceil(execu.workers / len(open_points))) if target else len(sizes)
+        tasks = [(p, b, n0s[p], sizes[b], comps[p])
+                 for p in open_points for b in range(sent[p], min(sent[p] + per, len(sizes)))]
+        for (p, b, *_), res in zip(tasks, execu.map(task, tasks)):
+            sent[p] = b + 1
+            if errors[p] < stop:
+                kept[p].append(res)
+                errors[p] += res.errors
+        open_points = [p for p in open_points if sent[p] < len(sizes) and errors[p] < stop]
+    return [(psnr, Tally(*map(sum, zip(*k)))) for psnr, k in zip(grid, kept)]
 
 
 @contextlib.contextmanager

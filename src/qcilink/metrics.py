@@ -171,4 +171,4 @@ def scatter_dump(
         raise ValueError("samples must be positive")
     idx, y = ctx.draw(samples, n0, rng)
     z = ctx.unmap(y)
-    return ScatterDump(idx, ctx.qam_grid.points[idx], z, *cluster_centers(idx, z, ctx.M))
+    return ScatterDump(idx, np.take(ctx.qam_grid.points, idx, axis=0), z, *cluster_centers(idx, z, ctx.M))

@@ -70,6 +70,19 @@ def logaddexp_gmi_scores(values, bits, m):
     return m - np.sum(np.logaddexp(0.0, -signs * values) / math.log(2.0), axis=1)
 
 
+def add_at_cluster_centers(idx, z, M):
+    """Per-point means of the 2D samples ``z`` summed by unbuffered ``np.add.at``, plus the counts.
+
+    ``np.add.at`` adds the samples one at a time in index order. Points
+    never drawn get a NaN center and a count of 0.
+    """
+    sums = np.zeros((M, 2))
+    np.add.at(sums, idx, z)
+    counts = np.bincount(idx, minlength=M)
+    with np.errstate(invalid="ignore"):
+        return sums / counts[:, None], counts
+
+
 def mean_symbol_power(points):
     """Average |x|^2 by direct summation."""
     total = 0.0

@@ -238,6 +238,17 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match=match):
             load_constellation(path)
 
+    @pytest.mark.parametrize("header,match", [
+        ("M=16, dim=2", "header says M=16 but the file holds 2 rows"),
+        ("M=x, dim=2", "non-integer point count"),
+    ], ids=["count-disagrees", "count-not-an-integer"])
+    def test_header_point_count_must_match_the_rows(self, header, match, tmp_path):
+        # a truncated file must not load as a smaller constellation
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# qci-constellation v1, {header}\n0, 1.0, 0.0, 0\n1, -1.0, 0.0, 1\n")
+        with pytest.raises(DataFormatError, match=match):
+            load_constellation(path)
+
     def test_duplicate_label_named(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("0, 1.0, 0.0, 1\n1, -1.0, 0.0, 1\n")

@@ -26,7 +26,7 @@ from qcilink import (
 )
 from qcilink.demapper import DEMAPPERS, LLR_CLAMP
 
-from oracles import brute_force_llr_2d, brute_force_llr_pam, brute_force_maxlog_2d
+from oracles import add_at_cluster_centers, brute_force_llr_2d, brute_force_llr_pam, brute_force_maxlog_2d
 
 _CONTEXTS = {"qam": qam_context, "qci": qci_context, "file": lambda M: custom_context(build_qci(M))}
 
@@ -420,6 +420,31 @@ class TestConventions:
             vals = demap(kind, y, qci16_ctx, 1e-4).values
             assert np.all(np.isfinite(vals))
             assert np.max(np.abs(vals)) <= LLR_CLAMP
+
+
+class TestClusterCenters:
+    @pytest.mark.parametrize("M", [16, 64, 256, 1024])
+    def test_matches_the_add_at_oracle_byte_for_byte(self, M):
+        ctx = qci_context(M)
+        idx, y = ctx.draw(100_000, n0_from_psnr(15.0), np.random.default_rng(M))
+        z = ctx.unmap(y)
+        centers, counts = demapper.cluster_centers(idx, z, M)
+        want_centers, want_counts = add_at_cluster_centers(idx, z, M)
+        assert centers.tobytes() == want_centers.tobytes()
+        npt.assert_array_equal(counts, want_counts)
+
+    def test_a_point_never_drawn_gets_nan_and_count_0(self, rng):
+        # point 2 of 4 is never drawn
+        idx = rng.choice([0, 1, 3], size=1000)
+        z = rng.normal(size=(1000, 2))
+        idx_before, z_before = idx.copy(), z.copy()
+        centers, counts = demapper.cluster_centers(idx, z, 4)
+        want_centers, want_counts = add_at_cluster_centers(idx, z, 4)
+        assert counts[2] == 0 and np.all(np.isnan(centers[2]))
+        assert centers.tobytes() == want_centers.tobytes()
+        npt.assert_array_equal(counts, want_counts)
+        npt.assert_array_equal(idx, idx_before)
+        npt.assert_array_equal(z, z_before)
 
 
 class TestAffineCompensation:

@@ -477,6 +477,83 @@ class TestCodedMode:
         assert not out.exists()
 
 
+def _count_dispatch(monkeypatch):
+    """Wrap ``_Executor.map`` in the parent; returns the list of task batches it was given."""
+    batches, dispatch = [], harness._Executor.map
+
+    def counted(self, fn, tasks):
+        batches.append(list(tasks))
+        return dispatch(self, fn, batches[-1])
+
+    monkeypatch.setattr(harness._Executor, "map", counted)
+    return batches
+
+
+class TestScheduler:
+    @staticmethod
+    def _runs_per_workers(monkeypatch, tmp_path, **base):
+        """(CSV bytes, blocks dispatched) of the run at workers 1, 2 and 3."""
+        batches, out = _count_dispatch(monkeypatch), []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            batches.clear()
+            run(SimConfig(workers=workers, output=str(path), **base))
+            out.append((path.read_bytes(), sum(map(len, batches))))
+        return out
+
+    def test_uncoded_output_does_not_depend_on_the_workers(self, monkeypatch, tmp_path):
+        # a target of 100 bit errors in 115 000-symbol budgets (four 25k-symbol
+        # blocks and a 15k one): 18 and 19 dB stop in block 0, 20 dB in block 3,
+        # and 21 dB runs out of budget
+        base = dict(mode="uncoded_ber", family="qam", M=16, demapper="qam_decomposed", psnr_start=18.0,
+                    psnr_stop=21.0, psnr_step=1.0, samples=460_000, target_errors=100, seed=6)
+        (w1, sent1), (w2, sent2), (w3, sent3) = self._runs_per_workers(monkeypatch, tmp_path, **base)
+        assert w1 == w2 == w3
+        records = run(SimConfig(workers=1, output=None, **base))
+        assert [r.trials for r in records] == [100_000, 100_000, 400_000, 460_000]
+        assert [round(r.value * r.trials) >= 100 for r in records] == [True, True, True, False]
+        # 11 blocks are kept; at workers=3 the two open points get two blocks
+        # a round, so 20 dB gets blocks 3 and 4 together and drops block 4
+        assert (sent1, sent2, sent3) == (11, 11, 12)
+
+    def test_coded_output_does_not_depend_on_the_workers(self, monkeypatch, toy_alist, tmp_path):
+        # 60-frame budgets (25 + 25 + 10) and a target of 5 frame errors:
+        # 10 dB stops in block 0, 10.5 dB in block 1, 11 dB in its partial
+        # block 2, and 11.5 and 12 dB run out of budget
+        base = dict(mode="coded_ber", family="qam", M=16, demapper="qam_decomposed", code_file=str(toy_alist),
+                    psnr_start=10.0, psnr_stop=12.0, psnr_step=0.5, samples=60, target_errors=5, seed=4)
+        (w1, _), (w2, _), (w3, _) = self._runs_per_workers(monkeypatch, tmp_path, **base)
+        assert w1 == w2 == w3
+        fer = [r for r in run(SimConfig(workers=1, output=None, **base)) if r.metric == "fer"]
+        assert [r.trials for r in fer] == [25, 50, 60, 60, 60]
+        assert [round(r.value * r.trials) >= 5 for r in fer] == [True, True, True, False, False]
+
+    def test_points_that_stop_in_block_0_dispatch_one_block_each(self, monkeypatch):
+        # every point meets the default 100-error target in its first block,
+        # so no worker computes a block that early stopping throws away
+        batches = _count_dispatch(monkeypatch)
+        records = run(SimConfig(mode="uncoded_ber", family="qam", M=16, demapper="qam_decomposed",
+                                psnr_start=10.0, psnr_stop=13.0, psnr_step=1.0, seed=4, workers=2, output=None))
+        assert [r.trials for r in records] == [100_000] * 4
+        assert [(p, b) for batch in batches for p, b, *_ in batch] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+    def test_gmi_sends_every_block_in_one_map_after_the_estimates(self, monkeypatch):
+        batches, estimates = _count_dispatch(monkeypatch), []
+        estimate = harness.estimate_affine_compensation
+
+        def counted_estimate(ctx, n0, samples, rng):
+            assert not batches, "an estimate ran after the first round"
+            estimates.append(n0)
+            return estimate(ctx, n0, samples, rng)
+
+        monkeypatch.setattr(harness, "estimate_affine_compensation", counted_estimate)
+        run(SimConfig(mode="gmi", family="qci", M=16, demapper="qci_lcd_compensated", psnr_start=10.0,
+                      psnr_stop=11.0, psnr_step=0.5, samples=250_000, workers=2, output=None))
+        assert estimates == [harness.n0_from_psnr(p) for p in (10.0, 10.5, 11.0)]
+        assert len(batches) == 1
+        assert [(p, b) for p, b, *_ in batches[0]] == [(p, b) for p in range(3) for b in range(2)]
+
+
 class TestScatterMode:
     def test_writes_dump(self, tmp_path):
         out = tmp_path / "sc.csv"
@@ -686,6 +763,9 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path, capsys):
         bad_dim = tmp_path / "bad_dim.csv"
         bad_dim.write_text("# qci-constellation v1, M=2, dim=x\n0, 1.0, 0.0, 0\n1, -1.0, 0.0, 1\n")
+        # a header M= that disagrees with the rows, as in a truncated file
+        truncated = tmp_path / "truncated.csv"
+        truncated.write_text("# qci-constellation v1, M=16, dim=2\n0, 1.0, 0.0, 0\n1, -1.0, 0.0, 1\n")
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes(b"# \xe9\n0, 1.0, 0.0, 0\n1, -1.0, 0.0, 1\n")
         latin1_alist = tmp_path / "latin1.alist"
@@ -698,6 +778,7 @@ class TestCli:
         argvs = [
             ["gray-check", "--family", "file", "--constellation-file", str(tmp_path / "missing.csv")],
             ["gray-check", "--family", "file", "--constellation-file", str(bad_dim)],
+            ["gray-check", "--family", "file", "--constellation-file", str(truncated)],
             *[["gray-check", "--family", "file", "--constellation-file", str(path)] for path in dims],
             *[["gmi", "--family", "file", "--demapper", "exact2d", "--constellation-file", str(path),
                "--workers", "1", "--output", str(tmp_path / "g.csv")] for path in dims],
