@@ -3,13 +3,15 @@
 Subcommands wire the library into reproducible batch experiments; outputs
 are CSV files (plotting is left to the emitted matplotlib script). Exit
 codes: 0 success, 2 configuration error, 3 I/O error, 4 check failed
-(``gray-check`` found violations).
+(``gray-check`` found violations), 5 a pool worker process died (killed
+by the OS, say for lack of memory) and the run was abandoned.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -90,6 +92,8 @@ def _build_constellation(args):
         if not args.constellation_file:
             raise ConfigError("family 'file' requires --constellation-file")
         return load_constellation(args.constellation_file)
+    if args.constellation_file:
+        raise ConfigError(f"--constellation-file is read only by --family file, not {args.family!r}")
     build = {"pam": build_pam, "qam": build_qam, "qci": build_qci}[args.family]
     try:
         return build(args.M)
@@ -265,6 +269,9 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool:
+        print("a worker process died (killed by the OS?); the run was abandoned", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

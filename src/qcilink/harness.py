@@ -146,6 +146,8 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unknown demapper {cfg.demapper!r}; choose from {DEMAPPER_KINDS}")
     if cfg.family == "file" and not cfg.constellation_file:
         raise ConfigError("family 'file' requires constellation_file")
+    if cfg.family != "file" and cfg.constellation_file:
+        raise ConfigError(f"constellation_file is read only by family 'file', not {cfg.family!r}")
     if cfg.family != "file" and cfg.M not in SUPPORTED_QAM_SIZES:
         raise ConfigError(f"unsupported M={cfg.M} for family {cfg.family!r}; "
                           f"choose from {SUPPORTED_QAM_SIZES}")
@@ -224,8 +226,8 @@ def load_code(cfg: SimConfig) -> ParityCheckCode:
 # block tasks (run inline or in forked pool workers)
 
 # the cfg, ctx, code, interleaver permutation and deinterleave index of the
-# run in progress; run() sets it before the pool forks, so workers inherit
-# it, and clears it when the run ends
+# run in progress; _block_pool sets it before the pool forks, so workers
+# inherit it, and clears it when the run ends
 _WORKER: dict = {}
 
 
@@ -330,28 +332,27 @@ def _share_cores_with_blas(workers: int, cores: int) -> None:
         blas.set(want)
 
 
-class _Executor:
-    """Runs block tasks inline or on a fork pool; results stay ordered."""
+@contextlib.contextmanager
+def _block_pool(workers: int, **worker):
+    """Yield ``(map, workers)``: the builtin ``map`` at one worker, else the ordered map of a fork pool.
 
-    def __init__(self, cfg: SimConfig):
-        cores = _usable_cpus()
-        workers = cfg.workers if cfg.workers > 0 else cores
-        self.workers = workers
-        self.pool = None
-        _share_cores_with_blas(workers, cores)
-        if workers > 1:
-            self.pool = multiprocessing.get_context("fork").Pool(workers)
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        if self.pool is None:
-            return [fn(t) for t in tasks]
-        return self.pool.map(fn, tasks, chunksize=1)
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.close()
-            self.pool.join()
+    ``workers`` 0 means every usable CPU. ``_WORKER`` holds ``worker`` until
+    exit, so that forked workers inherit it. A worker that dies (OOM killer,
+    SIGKILL) makes the map raise ``BrokenProcessPool`` at once.
+    """
+    cores = _usable_cpus()
+    workers = workers or cores
+    _share_cores_with_blas(workers, cores)
+    _WORKER.update(worker)
+    try:
+        if workers == 1:
+            yield map, 1
+        else:
+            from concurrent.futures import ProcessPoolExecutor  # ~10 ms of imports that inline runs skip
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                yield pool.map, workers
+    finally:
+        _WORKER.clear()
 
 
 def _split_blocks(total: int, block: int) -> list:
@@ -363,6 +364,8 @@ def _split_blocks(total: int, block: int) -> list:
 
 def check_output(path) -> None:
     """Raise an OSError now, before any Monte Carlo work, if ``path`` cannot be written."""
+    if not os.path.basename(path):  # "" and "dir/" name no file
+        raise FileNotFoundError(errno.ENOENT, "the output path names no file", path)
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, "no such output directory", parent)
@@ -410,36 +413,29 @@ def run(cfg: SimConfig) -> list:
     # symbol q // m of its frame, bit q % m
     unperm = np.divmod(np.argsort(perm), ctx.m) if code is not None else None
     label = (ctx.name, cfg.demapper, cfg.seed)
-    _WORKER.update(cfg=cfg, ctx=ctx, code=code, perm=perm, unperm=unperm)
-    execu = None
-    try:
-        execu = _Executor(cfg)
+    with _block_pool(cfg.workers, cfg=cfg, ctx=ctx, code=code, perm=perm, unperm=unperm) as pool:
         if cfg.mode == "gmi":
-            points = _run_blocks(cfg, ctx, grid, execu, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
+            points = _run_blocks(cfg, ctx, grid, *pool, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
             records = [tally_record(psnr, "gmi", tally, *label) for psnr, tally in points]
         elif cfg.mode == "uncoded_ber":
             budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
-            points = _run_blocks(cfg, ctx, grid, execu, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms)
+            points = _run_blocks(cfg, ctx, grid, *pool, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms)
             records = [tally_record(psnr, "ber", tally, *label) for psnr, tally in points]
         else:
-            points = _run_blocks(cfg, ctx, grid, execu, _coded_task, CODED_BLOCK_FRAMES, resolved_samples(cfg))
+            points = _run_blocks(cfg, ctx, grid, *pool, _coded_task, CODED_BLOCK_FRAMES, resolved_samples(cfg))
             for psnr, tally in points:
                 # the FER row's sample is 0/1 per frame: its sums are the frame errors
                 records += [tally_record(psnr, "ber", tally, *label, per=code.k),
                             tally_record(psnr, "fer", tally._replace(s1=tally.errors, s2=tally.errors), *label)]
-    finally:
-        _WORKER.clear()
-        if execu is not None:
-            execu.close()
     if cfg.output is not None:
         write_records_csv(records, cfg.output)
     return records
 
 
-def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget) -> list:
+def _run_blocks(cfg, ctx, grid, pool_map, workers, task, block_unit, budget) -> list:
     """The one Monte Carlo loop: each grid point's PSNR with the summed ``Tally`` of its kept blocks.
 
-    Blocks go out in rounds that span the grid, one ``execu.map`` per
+    Blocks go out in rounds that span the grid, one ``pool_map`` per
     round. A round holds the next blocks of every open point, one still
     below its error target and within its budget: max(1, ceil(workers /
     open points)) blocks each in a BER mode, so a block that early stopping
@@ -463,10 +459,10 @@ def _run_blocks(cfg, ctx, grid, execu, task, block_unit, budget) -> list:
     sent = [0] * len(grid)  # blocks dispatched per point
     open_points = list(range(len(grid)))
     while open_points:
-        per = max(1, math.ceil(execu.workers / len(open_points))) if target else len(sizes)
+        per = max(1, math.ceil(workers / len(open_points))) if target else len(sizes)
         tasks = [(p, b, n0s[p], sizes[b], comps[p])
                  for p in open_points for b in range(sent[p], min(sent[p] + per, len(sizes)))]
-        for (p, b, *_), res in zip(tasks, execu.map(task, tasks)):
+        for (p, b, *_), res in zip(tasks, pool_map(task, tasks)):
             sent[p] = b + 1
             if errors[p] < stop:
                 kept[p].append(res)
@@ -512,10 +508,10 @@ def _write_scatter_csv(dump, ctx, path) -> None:
     with _atomic_open(path) as fh:
         fh.write(f"# qci-scatter v1, M={ctx.M}, constellation={ctx.name}\n")
         fh.write("x_qam_u,x_qam_v,z_u,z_v\n")
-        for ref, z in zip(dump.qam_ref, dump.remapped):
-            fh.write(f"{ref[0]:.10g},{ref[1]:.10g},{z[0]:.10g},{z[1]:.10g}\n")
+        # streamed %-formats: half the time of f-strings, and no string of all rows at once
+        fh.writelines(map("%.10g,%.10g,%.10g,%.10g\n".__mod__, zip(*dump.qam_ref.T, *dump.remapped.T)))
     with _atomic_open(_centers_path(path)) as fh:
         fh.write(f"# qci-scatter-centers v1, M={ctx.M}, constellation={ctx.name}\n")
         fh.write("point_index,qam_u,qam_v,center_u,center_v,count\n")
-        for i, (g, c) in enumerate(zip(ctx.qam_grid.points, dump.centers)):
-            fh.write(f"{i},{g[0]:.10g},{g[1]:.10g},{c[0]:.10g},{c[1]:.10g},{int(dump.counts[i])}\n")
+        rows = zip(range(ctx.M), *ctx.qam_grid.points.T, *dump.centers.T, dump.counts)
+        fh.writelines(map("%d,%.10g,%.10g,%.10g,%.10g,%d\n".__mod__, rows))

@@ -1,6 +1,12 @@
 import argparse
+import contextlib
+import json
 import os
+import signal
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,14 +123,15 @@ class TestFamilyDemapperPairs:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("kind", DEMAPPER_KINDS)
     def test_pair_validates_and_demaps_or_exits_2(self, family, kind, qci16_file, tmp_path, capsys):
+        const = qci16_file if family == "file" else None
         cfg = SimConfig(mode="gmi", family=family, M=16, demapper=kind,
-                        constellation_file=qci16_file, output=str(tmp_path / "g.csv"))
+                        constellation_file=const, output=str(tmp_path / "g.csv"))
         try:
             validate_config(cfg)
         except ConfigError:
             assert (family, kind) not in VALID_PAIRS
             rc = main(["gmi", "--family", family, "--M", "16", "--demapper", kind,
-                       "--constellation-file", qci16_file, "--psnr", "11:11:1",
+                       *(["--constellation-file", const] if const else []), "--psnr", "11:11:1",
                        "--output", cfg.output])
             assert rc == 2
             assert "config error" in capsys.readouterr().err
@@ -156,7 +163,8 @@ class TestFamilyDemapperPairs:
         ("file", ["exact2d", "maxlog2d"]),
     ])
     def test_complexity_kinds_per_family(self, family, kinds, qci16_file, tmp_path):
-        cfg = SimConfig(mode="complexity", family=family, M=16, constellation_file=qci16_file,
+        cfg = SimConfig(mode="complexity", family=family, M=16,
+                        constellation_file=qci16_file if family == "file" else None,
                         psnr_start=12.0, psnr_stop=12.0, output=str(tmp_path / "cx.csv"))
         assert [r.demapper for r in run(cfg)] == kinds
 
@@ -330,14 +338,10 @@ def _pool_budget(workers):
 
 @pytest.mark.skipif(_OPENBLAS is None, reason="numpy does not use a loadable OpenBLAS")
 class TestBlasBudget:
-    def test_pool_workers_run_with_the_blas_budget(self, tmp_path):
-        cfg = SimConfig(mode="gmi", family="qci", M=16, workers=2,
-                        output=str(tmp_path / "unused.csv"))
-        execu = harness._Executor(cfg)
-        try:
-            counts = execu.map(_openblas_threads, range(4))
-        finally:
-            execu.close()
+    def test_pool_workers_run_with_the_blas_budget(self):
+        with harness._block_pool(2) as (pool_map, workers):
+            counts = list(pool_map(_openblas_threads, range(4)))
+        assert workers == 2
         assert counts == [_pool_budget(2)] * 4
 
     def test_inline_run_restores_the_count_at_first_use(self, tmp_path):
@@ -352,10 +356,64 @@ class TestBlasBudget:
 
 def test_workers_0_counts_the_cpus_of_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    execu = harness._Executor(SimConfig(mode="gmi", workers=0))
-    execu.close()
-    assert execu.workers == 1
-    assert execu.pool is None
+    with harness._block_pool(0) as (pool_map, workers):
+        assert workers == 1
+        assert pool_map is map
+
+
+# a pooled gmi run, then the same run through the CLI, whose block task
+# SIGKILLs its own worker on the first block of point 1; prints what the
+# parent saw as JSON
+_KILLED_WORKER_SCRIPT = """
+import json, multiprocessing, os, signal, sys, time
+from concurrent.futures.process import BrokenProcessPool
+from qcilink import SimConfig, cli, harness, run
+
+gmi_task = harness._gmi_task
+
+def dying_task(args):
+    if args[:2] == (1, 0):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return gmi_task(args)
+
+harness._gmi_task = dying_task
+start, raised_after = time.monotonic(), None
+try:
+    run(SimConfig(mode="gmi", psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=250_000, workers=2,
+                  output=None))
+except BrokenProcessPool:
+    raised_after = time.monotonic() - start
+rc = cli.main(["gmi", "--psnr", "10:12:1", "--samples", "250000", "--workers", "2", "--output", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    os_children = True
+except ChildProcessError:
+    os_children = False
+print(json.dumps({"raised_after_s": raised_after, "rc": rc, "worker_state": len(harness._WORKER),
+                  "active_children": len(multiprocessing.active_children()), "os_children": os_children}))
+"""
+
+
+def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(tmp_path):
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "g.csv"
+    # its own session, so that a hung run and every worker it started can be ended together
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER_SCRIPT, str(out)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a run that lost a worker was still running after 30 s")
+    assert proc.returncode == 0, stderr
+    seen = json.loads(stdout.splitlines()[-1])
+    assert seen["raised_after_s"] is not None and seen["raised_after_s"] < 10
+    assert seen["rc"] == 5
+    assert stderr.splitlines() == ["a worker process died (killed by the OS?); the run was abandoned"]
+    assert (seen["worker_state"], seen["active_children"], seen["os_children"]) == (0, 0, False)
+    assert not out.exists()
 
 
 class TestUncodedMode:
@@ -478,14 +536,19 @@ class TestCodedMode:
 
 
 def _count_dispatch(monkeypatch):
-    """Wrap ``_Executor.map`` in the parent; returns the list of task batches it was given."""
-    batches, dispatch = [], harness._Executor.map
+    """Wrap the map that ``_block_pool`` yields, in the parent; returns the list of task batches it was given."""
+    batches, block_pool = [], harness._block_pool
 
-    def counted(self, fn, tasks):
-        batches.append(list(tasks))
-        return dispatch(self, fn, batches[-1])
+    @contextlib.contextmanager
+    def counted_pool(*args, **kwargs):
+        with block_pool(*args, **kwargs) as (dispatch, workers):
+            def counted(fn, tasks):
+                batches.append(list(tasks))
+                return dispatch(fn, batches[-1])
 
-    monkeypatch.setattr(harness._Executor, "map", counted)
+            yield counted, workers
+
+    monkeypatch.setattr(harness, "_block_pool", counted_pool)
     return batches
 
 
@@ -640,8 +703,8 @@ class TestCli:
     ])
     def test_modes_that_do_not_demap_skip_the_family_rule(self, command, flags, qci16_file, tmp_path):
         out = tmp_path / "o.csv"
-        rc = main([command, *flags, "--M", "16", "--constellation-file", qci16_file,
-                   "--psnr", "12:12:1", "--output", str(out)])
+        const = ["--constellation-file", qci16_file] if "file" in flags else []
+        rc = main([command, *flags, *const, "--M", "16", "--psnr", "12:12:1", "--output", str(out)])
         assert rc == 0
         assert out.exists()
 
@@ -656,10 +719,10 @@ class TestCli:
         pam = tmp_path / "pam4.csv"
         assert main(["constellation", "export", "--family", "pam", "--M", "4", "--output", str(pam)]) == 0
 
-        def no_pool(cfg):
+        def no_pool(*args, **kwargs):
             pytest.fail("the pool started")
 
-        monkeypatch.setattr(harness, "_Executor", no_pool)
+        monkeypatch.setattr(harness, "_block_pool", no_pool)
         monkeypatch.setattr(harness, "_gmi_task", _no_block)
         out = tmp_path / "g.csv"
         rc = main(["gmi", "--family", "file", "--constellation-file", str(pam), "--demapper", "exact2d",
@@ -686,6 +749,29 @@ class TestCli:
                    "--output", "/no/such/dir/x.csv"])
         assert rc == 3
         assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", ["", "newdir/"], ids=["empty", "trailing-separator"])
+    def test_output_that_names_no_file_exits_3_before_any_block(self, output, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_gmi_task", _no_block)
+        rc = main(["gmi", "--psnr", "10:12:1", "--samples", "100000", "--workers", "1", "--output", output])
+        assert rc == 3
+        assert "the output path names no file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["complexity", "--psnr", "12:12:1"],
+        ["gmi", "--family", "qam", "--demapper", "qam_decomposed", "--psnr", "12:12:1", "--workers", "1"],
+        ["gray-check", "--family", "qam"],
+        ["constellation", "export", "--output", "x.csv"],
+    ])
+    def test_constellation_file_without_family_file_exits_2(self, argv, qci16_file, monkeypatch, tmp_path,
+                                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_gmi_task", _no_block)
+        assert main([*argv, "--constellation-file", qci16_file]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_scatter_checks_its_centers_file_before_drawing(self, monkeypatch, tmp_path, capsys):
         out = tmp_path / "sc.csv"
@@ -739,8 +825,10 @@ class TestCli:
         assert harness.n0_from_psnr(3000.0) == harness.MIN_N0
         const = tmp_path / "qci16.csv"
         save_constellation(build_qci(16), const)
-        flags = ["--family", family, "--M", "16", "--demapper", kind, "--constellation-file", str(const),
-                 f"--psnr={psnr}", "--workers", "1", "--output", str(tmp_path / "out.csv")]
+        flags = ["--family", family, "--M", "16", "--demapper", kind, f"--psnr={psnr}", "--workers", "1",
+                 "--output", str(tmp_path / "out.csv")]
+        if family == "file":
+            flags += ["--constellation-file", str(const)]
         for command, samples in ((["gmi"], "100000"), (["sweep"], "20000"), (["sweep", "--coded"], "2")):
             assert main([*command, *flags, "--samples", samples]) == 0, command
             rows = (tmp_path / "out.csv").read_text().splitlines()[1:]

@@ -2,7 +2,8 @@
 
 The matrix covers every valid (family, demapper) GMI run, uncoded and
 coded BER runs with early stops (on qci16 also with
-``qci_lcd_compensated``), scatter runs with their centers,
+``qci_lcd_compensated``), scatter runs with their centers (one so
+sparse that most centers are NaN),
 complexity runs for the qam, qci and file families, and
 ``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
 raw float64 LLR bytes and both counters of ``demap`` for every valid
@@ -62,12 +63,16 @@ HANDBUILT_CHECKS = [[0], [1, 2], [2, 3, 4, 5], [0, 3, 6, 7, 8], [1, 4, 6, 9, 10,
 
 def _runs(const_file: str) -> dict:
     """Output name -> SimConfig keywords, without workers and output."""
+
+    def file_of(family):  # only the file family takes a constellation file
+        return const_file if family == "file" else None
+
     runs = {}
     for kind, spec in DEMAPPERS.items():
         for family in spec.families:
             # 150k symbols: one full and one partial GMI block per point
             runs[f"gmi_{family}16_{kind}"] = dict(
-                mode="gmi", family=family, M=16, demapper=kind, constellation_file=const_file,
+                mode="gmi", family=family, M=16, demapper=kind, constellation_file=file_of(family),
                 psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=150_000)
     runs["gmi_qci64_qci_lcd_compensated"] = dict(
         mode="gmi", family="qci", M=64, demapper="qci_lcd_compensated",
@@ -92,11 +97,13 @@ def _runs(const_file: str) -> dict:
     # scatter and complexity runs name exact2d, the demapper every family accepts
     for family, M in (("qci", 16), ("qam", 16), ("file", 64), ("qci", 256)):
         runs[f"scatter_{family}{M}"] = dict(mode="scatter", family=family, M=M, demapper="exact2d",
-                                            constellation_file=const_file,
+                                            constellation_file=file_of(family),
                                             psnr_start=12.0, psnr_stop=12.0, samples=3_000)
+    # 100 symbols on 256 points: most points are never drawn and get a NaN center
+    runs["scatter_qci256_sparse"] = dict(runs["scatter_qci256"], samples=100)
     for family, M in (("qam", 16), ("qci", 64), ("file", 64), ("qam", 256)):
         runs[f"complexity_{family}{M}"] = dict(mode="complexity", family=family, M=M,
-                                               demapper="exact2d", constellation_file=const_file,
+                                               demapper="exact2d", constellation_file=file_of(family),
                                                psnr_start=12.0, psnr_stop=12.0)
     return runs
 
