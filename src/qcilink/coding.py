@@ -13,9 +13,11 @@ Messages live in a slot-major check layout: column j*C + i of a (frames,
 D*C) array holds the j-th edge of the i-th check, where C is the number of
 checks, D the largest check degree, and the checks are taken in order of
 falling degree. A check of degree d < D leaves slots d..D-1 empty; these
-filler columns form the tail of each slot. Every message is carried at
-half scale (half the LLR), which saves the x0.5 and x2 passes of each
-iteration and moves no sign, zero or bit, since halving is exact. One
+filler columns form the tail of each slot. Every message is a float32
+carried at half scale (half the LLR), which saves the x0.5 and x2 passes
+of each iteration and moves no sign, zero or bit, since halving is exact;
+float32 tanh and artanh cost a quarter and a third of the float64 ones.
+Finite input LLRs beyond the float32 range are clipped to it. One
 check-node kernel is the tanh product rule: tanh of the clamped message,
 fillers set to exactly 1.0, and each edge's reply the artanh of its prefix
 product times its suffix product over the check's other edges. The
@@ -39,10 +41,20 @@ from .errors import DataFormatError
 
 BUNDLED_CODE_NAME = "peg_dv3_n1992_r34.alist"
 
-# Clamp of the half-scale messages (36 on the LLR scale): tanh(18) stays
-# strictly below 1 in float64, so only a filler's tanh is exactly 1.
-_HALF_CLAMP = 18.0
-_TANH_CLIP = 1.0 - 1e-12
+# Saturation of the float32 half-scale messages. float32 tanh rounds to
+# exactly 1.0 from about 9.999 on, and tanh(9) is 1 - 2**-24, the largest
+# float32 below 1. Clamping the messages at 9 (18 on the LLR scale) thus
+# keeps every real edge's tanh strictly below 1 with its sign, so only a
+# filler's tanh is exactly 1.0; a clamp at 10 or above would map every
+# strong message to exactly 1.0, as if it were a filler. Each check's
+# leave-one-out product is clipped at 1 - 2**-23 before the artanh, which is
+# finite there (8.3178, so replies cap near 16.6 on the LLR scale) where
+# artanh(1.0) is inf: the clip catches the empty product of a degree-1
+# check and products of clamped edges. A posterior adds at most a variable's
+# degree of such replies to its channel LLR, so no message can overflow.
+_HALF_CLAMP = np.float32(9.0)
+_TANH_CLIP = np.float32(1.0 - 2.0 ** -23)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class ParityCheckCode:
@@ -187,7 +199,7 @@ def _fill(a: np.ndarray, value, code: ParityCheckCode) -> None:
 
 
 def _check_update(q, r, code: ParityCheckCode) -> None:
-    """Sum-product check-node update on slot-major (b, D*C) half-scale messages.
+    """Sum-product check-node update on slot-major (b, D*C) float32 half-scale messages.
 
     Writes into ``r`` what each check sends back along each edge, at half
     scale: the artanh of the product of tanh(q) over the check's other
@@ -222,9 +234,12 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     single = np.ndim(llrs) == 1
-    Lch = np.array(llrs, dtype=np.float64, order="C", ndmin=2)
-    if Lch.shape[1] != code.n:
-        raise ValueError(f"expected {code.n} LLRs per frame, got {Lch.shape[1]}")
+    x = np.array(llrs, dtype=np.float64, copy=None, ndmin=2)
+    if x.shape[1] != code.n:
+        raise ValueError(f"expected {code.n} LLRs per frame, got {x.shape[1]}")
+    # clip in float64 on the way to float32, so no finite LLR overflows the cast
+    Lch = np.empty(x.shape, dtype=np.float32)
+    np.clip(x, -_FLOAT32_MAX, _FLOAT32_MAX, out=Lch)
     B, n = Lch.shape
     L, C = code.col_var.size, code.num_checks
 
@@ -234,11 +249,11 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
 
     # Every work array is allocated here; iteration views take the first b
     # rows, the frames still running, which stay contiguous.
-    Lq, Lr = np.empty((2, B, L))
+    Lq, Lr = np.empty((2, B, L), dtype=np.float32)
     col_bits = np.empty((B, L), dtype=np.uint8)
     parity = np.empty((B, C), dtype=np.uint8)
-    post, rest = np.empty((2, B, n))
-    slot_buf, part_buf = np.empty((2, B * n))
+    post, rest = np.empty((2, B, n), dtype=np.float32)
+    slot_buf, part_buf = np.empty((2, B * n), dtype=np.float32)
     hard, nonzero = np.empty((2, B, n), dtype=bool)
 
     live = np.arange(B)          # original frame index of each running row

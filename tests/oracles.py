@@ -11,7 +11,9 @@ import math
 import numpy as np
 
 LLR_CLAMP = 60.0
-TANH_CLIP = 1.0 - 1e-12  # the decoder's bound on a check-node product
+# the decoder's float32 clamp of a half-scale message and bound on a check-node product
+HALF_CLAMP = np.float32(9.0)
+TANH_CLIP = np.float32(1.0 - 2.0 ** -23)
 
 
 def _log(s):
@@ -139,37 +141,50 @@ def _reduceat_sum(terms):
 
     From 9 terms on, numpy adds the terms after the first pairwise.
     """
-    rest = -0.0  # x + -0.0 == x for every x, signed zeros included
+    rest = np.float32(-0.0)  # x + -0.0 == x for every x, signed zeros included
     for t in terms[1:]:
         rest += t
     return terms[0] + rest
 
 
+def check_replies(qs):
+    """One check's half-scale float32 replies to the half-scale messages ``qs`` of its edges.
+
+    Each message is clamped to +-HALF_CLAMP and mapped through tanh; each
+    edge's reply is the artanh of its prefix product (left to right) times
+    its suffix product (right to left) over the other edges, clipped to
+    +-TANH_CLIP first. Every step is a numpy float32 scalar operation.
+    """
+    t = [np.tanh(min(max(np.float32(q), -HALF_CLAMP), HALF_CLAMP)) for q in qs]
+    prefix = [np.float32(1.0)]
+    for x in t[:-1]:
+        prefix.append(prefix[-1] * x)
+    replies = [np.float32(0.0)] * len(t)
+    suffix = np.float32(1.0)
+    for j in reversed(range(len(t))):
+        replies[j] = np.arctanh(min(max(prefix[j] * suffix, -TANH_CLIP), TANH_CLIP))
+        suffix *= t[j]
+    return replies
+
+
 def flooding_decode_loops(check_lists, n, llrs, max_iters):
     """One frame of flooding sum-product decoding by plain loops over checks and variables.
 
-    The tanh product rule of ``coding.decode_bp`` in its order: messages at
-    half scale, the same clamps, and each check's reply the artanh of the
-    edge's prefix product (left to right) times its suffix product (right
-    to left). Multiplying by 1.0 is exact, so the decoder's filler slots
-    change nothing here. tanh and artanh are numpy's float64 functions, so
-    the two agree bit for bit while no variable has more than 8 edges.
-    Returns (bits, converged, iterations).
+    The tanh product rule of ``coding.decode_bp`` in its order and
+    precision: float32 messages at half scale, the same clamps, and each
+    check's reply by ``check_replies``. Multiplying by 1.0 is exact, so the
+    decoder's filler slots change nothing here. tanh and artanh are numpy's
+    float32 functions, so the two agree bit for bit while no variable has
+    more than 8 edges. Returns (bits, converged, iterations).
     """
     checks_of = [[c for c, vs in enumerate(check_lists) if v in vs] for v in range(n)]
-    half = [0.5 * float(x) for x in llrs]
+    half = [np.float32(x) * np.float32(0.5) for x in llrs]
     q = {(c, v): half[v] for c, vs in enumerate(check_lists) for v in vs}
     for it in range(1, max_iters + 1):
         r = {}
         for c, vs in enumerate(check_lists):
-            t = [np.tanh(min(max(q[c, v], -18.0), 18.0)) for v in vs]
-            prefix = [1.0]
-            for x in t[:-1]:
-                prefix.append(prefix[-1] * x)
-            suffix = 1.0
-            for j in reversed(range(len(vs))):
-                r[c, vs[j]] = np.arctanh(min(max(prefix[j] * suffix, -TANH_CLIP), TANH_CLIP))
-                suffix *= t[j]
+            for v, reply in zip(vs, check_replies([q[c, v] for v in vs])):
+                r[c, v] = reply
         post = []
         for v in range(n):
             post.append(half[v] + _reduceat_sum([r[c, v] for c in checks_of[v]]))

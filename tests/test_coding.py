@@ -14,7 +14,8 @@ from qcilink import (
     interleaver_permutation,
     load_alist,
 )
-from oracles import deinterleave, flooding_decode_loops, syndrome_int64, systematic_encode_int64
+from oracles import (check_replies, deinterleave, flooding_decode_loops, syndrome_int64,
+                     systematic_encode_int64)
 from qcilink.coding import _gf2_rref, info_bits_of
 from qcilink.errors import DataFormatError
 
@@ -209,6 +210,36 @@ class TestDecoder:
         assert conv
         npt.assert_array_equal(bits, cw)
 
+    # +-1e300 is outside the float32 range: it must not overflow the decoder's cast
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("magnitude", [60.0, 1e30, 1e300, np.inf])
+    def test_saturated_llrs_decode_in_one_iteration(self, magnitude, toy_code, rng):
+        cw = encode(toy_code, rng.integers(0, 2, size=(4, toy_code.k), dtype=np.uint8))
+        bits, conv, iters = decode_bp(toy_code, (1.0 - 2.0 * cw) * magnitude)
+        assert conv.all() and (iters == 1).all()
+        npt.assert_array_equal(bits, cw)
+
+    def test_clamps_keep_tanh_below_one_and_artanh_finite(self):
+        # float32 tanh rounds to exactly 1.0 from about 9.999 on; the clamp
+        # must stay below that on the scalar and on the SIMD (vector) path
+        assert coding._HALF_CLAMP.dtype == coding._TANH_CLIP.dtype == np.float32
+        assert np.tanh(coding._HALF_CLAMP) < 1.0
+        assert np.all(np.tanh(np.full(64, coding._HALF_CLAMP, dtype=np.float32)) < 1.0)
+        reply = np.arctanh(coding._TANH_CLIP)
+        assert np.isfinite(reply) and reply == pytest.approx(8.3178, abs=1e-4)
+
+    def test_check_update_matches_oracle_across_the_clamp(self):
+        # one check of degree 6; its half-scale messages sit below, at and
+        # above the clamp, up to where float32 tanh is exactly 1.0
+        code = ParityCheckCode(6, [[0, 1, 2, 3, 4, 5]])
+        q = np.array([[8.5, -9.0, 9.5, -12.0, 30.0, 2.0],
+                      [9.25, 10.5, -40.0, 9.0, -8.75, 0.5]], dtype=np.float32)
+        expected = np.array([check_replies(row) for row in q], dtype=np.float32)
+        r = np.empty_like(q)
+        coding._check_update(q, r, code)
+        assert r.dtype == np.float32 and np.isfinite(r).all()
+        assert r.tobytes() == expected.tobytes()
+
     def test_all_zero_llrs_do_not_converge(self, toy_code):
         _, conv, iters = decode_bp(toy_code, np.zeros(toy_code.n), max_iters=7)
         assert not conv and iters == 7
@@ -268,7 +299,7 @@ class TestDecoder:
             assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     def test_memory_stays_within_eight_message_arrays(self):
-        # the bound is 8 float64 arrays of (frames, edges); every frame here
+        # the bound is 8 float32 arrays of (frames, edges); every frame here
         # runs all 50 iterations
         code = bundled_code()
         llr = _noisy_llrs(code, 25, 0.65, seed=6)
@@ -279,7 +310,7 @@ class TestDecoder:
         finally:
             tracemalloc.stop()
         assert not conv.any() and (iters == 50).all()
-        assert peak < 8 * llr.shape[0] * code.edge_var.size * 8
+        assert peak < 8 * llr.shape[0] * code.edge_var.size * 4
 
     def test_high_snr_ber_floor_bundled_code(self):
         # binary-input AWGN sanity floor: Es/N0 = 6 dB is deep inside the

@@ -23,7 +23,12 @@ degrees 1 to 7), it writes the raw bytes of ``encode`` on one seeded
 info block, and of the bits, converged flags and iteration counts that
 ``decode_bp`` returns for those codewords sent as BPSK over seeded AWGN
 at three noise levels per code, where some frames converge within a few
-iterations and others hit the 50-iteration cap. Running it on two trees and diffing the printed
+iterations and others hit the 50-iteration cap. These hard decisions
+come out the same under float32 and float64 messages, so the tool also
+writes the raw float32 replies of one check-node update
+(``_check_update``) on the half-scale first-iteration messages of each
+noise level, which move with any change of the decoder's precision or
+clamps. Running it on two trees and diffing the printed
 lists shows whether a change kept every output byte-identical; diff a
 demapper change both at the default thread count and with
 ``OPENBLAS_NUM_THREADS=1``, since BLAS splits its products by thread.
@@ -44,6 +49,7 @@ import numpy as np  # noqa: E402
 from qcilink import (ParityCheckCode, build_qci, bundled_code, decode_bp, encode, load_alist,  # noqa: E402
                      n0_from_psnr, save_constellation)
 from qcilink.cli import main as cli_main  # noqa: E402
+from qcilink.coding import _check_update  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
 from qcilink.metrics import gmi_symbol_scores  # noqa: E402
@@ -190,7 +196,12 @@ def _irregular_code() -> ParityCheckCode:
 
 
 def _write_codes(outdir: Path) -> None:
-    """Raw bytes of ``encode`` on one seeded (25, k) info block per code, and of ``decode_bp`` on its codewords."""
+    """Raw bytes of ``encode`` on one seeded (25, k) info block per code, and of ``decode_bp`` on its codewords.
+
+    Each noise level also writes the check-node replies to its first
+    iteration: half the channel LLRs as float32, gathered into the
+    decoder's slot-major layout.
+    """
     for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS),
                          (_irregular_code(), IRREGULAR_SIGMAS),
                          (ParityCheckCode(12, HANDBUILT_CHECKS, name="handbuilt_n12"), HANDBUILT_SIGMAS)):
@@ -199,8 +210,13 @@ def _write_codes(outdir: Path) -> None:
         (outdir / f"codewords_{code.name}.u8").write_bytes(cw.tobytes())
         noise = rng.standard_normal(cw.shape)
         for sigma in sigmas:
-            bits, converged, iters = decode_bp(code, 2.0 * (1.0 - 2.0 * cw + sigma * noise) / sigma ** 2)
-            for part, arr in (("bits.u8", bits), ("converged.b1", converged), ("iters.i64", iters)):
+            llrs = 2.0 * (1.0 - 2.0 * cw + sigma * noise) / sigma ** 2
+            bits, converged, iters = decode_bp(code, llrs)
+            q = np.take(0.5 * llrs.astype(np.float32), code.col_var, axis=1)
+            replies = np.empty_like(q)
+            _check_update(q, replies, code)
+            for part, arr in (("bits.u8", bits), ("converged.b1", converged), ("iters.i64", iters),
+                              ("replies.f32", replies)):
                 (outdir / f"decoded_{code.name}_sigma{sigma}_{part}").write_bytes(arr.tobytes())
 
 
