@@ -8,7 +8,8 @@ one-dimensional PAM demapper uses the matching per-axis exponent
 
 The low-complexity path for disc-shaped constellations is two steps: apply
 the inverse radial map to the received point, then demap I and Q as two
-one-dimensional PAM problems. The radial map commutes with positive
+one-dimensional PAM problems, each of which writes its half of the bit rows
+(I bits, then Q bits) in place. The radial map commutes with positive
 scaling, so it applies in channel coordinates (peak power 1) as it is.
 The Gaussian assumption with the channel's true n0 is then deliberately
 kept even though the remapped noise is no longer Gaussian; the affine
@@ -125,10 +126,23 @@ class DemapContext:
         """
         return radial_inverse(y) if self.family == "qci" else np.asarray(y, dtype=np.float64)
 
-    def draw(self, num: int, n0: float, rng: np.random.Generator):
-        """``num`` uniformly drawn point indices and their noisy channel outputs."""
+    def draw_chunks(self, num: int, n0: float, rng: np.random.Generator, chunk: int):
+        """Yield ``num`` uniformly drawn point indices and their noisy channel outputs, in chunks.
+
+        All ``num`` indices are drawn first, then the noise of one chunk of
+        ``chunk`` symbols per step (the last chunk may be shorter; ``num`` 0
+        gives one empty chunk). The generator draws normals one after
+        another, so the chunks together hold the same stream as one draw of
+        ``num`` symbols.
+        """
         idx = rng.integers(0, self.M, size=num)
-        return idx, transmit(np.take(self.constellation.points, idx, axis=0), n0, rng)
+        for a in range(0, max(num, 1), chunk):
+            part = idx[a:a + chunk]
+            yield part, transmit(np.take(self.constellation.points, part, axis=0), n0, rng)
+
+    def draw(self, num: int, n0: float, rng: np.random.Generator):
+        """``num`` uniformly drawn point indices and their noisy channel outputs, in one chunk."""
+        return next(self.draw_chunks(num, n0, rng, max(num, 1)))
 
 
 def _scaled(c: Constellation, s: float) -> Constellation:
@@ -199,6 +213,11 @@ _EXP_FLOOR = -700.0
 _BLOCK_ELEMS = 62_500
 
 
+def _block_cols(c: Constellation) -> int:
+    """Columns of each (M, cols) exponent block over the points of ``c``."""
+    return max(1, _BLOCK_ELEMS // c.M)
+
+
 def _exponent_blocks(ys: np.ndarray, n0: float, c: Constellation):
     """(a, b, e) per column block of ``ys``: e = -(|y - p|^2 - |y|^2) / n0, points-major (M, b - a).
 
@@ -207,7 +226,7 @@ def _exponent_blocks(ys: np.ndarray, n0: float, c: Constellation):
     """
     pts = c.points.reshape(c.M, -1)
     P = np.column_stack([-np.sum(pts ** 2, axis=1) / n0, pts])
-    step = max(1, _BLOCK_ELEMS // c.M)
+    step = _block_cols(c)
     for a in range(0, len(ys), step):
         b = min(a + step, len(ys))
         Y = np.ones((P.shape[1], b - a))
@@ -215,15 +234,17 @@ def _exponent_blocks(ys: np.ndarray, n0: float, c: Constellation):
         yield a, b, P @ Y
 
 
-def _log_map(ys: np.ndarray, n0: float, c: Constellation) -> LlrFrame:
+def _log_map(ys: np.ndarray, n0: float, c: Constellation, out: np.ndarray | None = None) -> LlrFrame:
     """Exact log-MAP LLRs, one column block of exponents at a time.
 
-    A bit subset whose terms all sit at the exponent floor yields an LLR
-    near +-700, which the clamp folds back to +-LLR_CLAMP.
+    The bit-major LLRs go to ``out``, an (m, len(ys)) float64 array, or to a
+    new one. A bit subset whose terms all sit at the exponent floor yields
+    an LLR near +-700, which the clamp folds back to +-LLR_CLAMP.
     """
     w0 = np.ascontiguousarray(c.labels.T == 0, dtype=np.float64)  # (m, M)
     w1 = 1.0 - w0
-    out = np.empty((c.m, len(ys)))
+    if out is None:
+        out = np.empty((c.m, len(ys)))
     for a, b, e in _exponent_blocks(ys, n0, c):
         np.subtract(e, e.max(axis=0), out=e)
         np.maximum(e, _EXP_FLOOR, out=e)
@@ -252,9 +273,16 @@ def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
     return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out).T, len(ys) * c.M)
 
 
-def llr_pam(y_axis, pam: Constellation, n0: float) -> LlrFrame:
-    """One-dimensional log-MAP over a PAM constellation (variance n0/2 per axis)."""
-    return _log_map(*_kernel_args(y_axis, pam, n0, 1, "llr_pam"), pam)
+def llr_pam(y_axis, pam: Constellation, n0: float, out: np.ndarray | None = None) -> LlrFrame:
+    """One-dimensional log-MAP over a PAM constellation (variance n0/2 per axis).
+
+    ``out``, if given, is the (k, N) float64 array the bit-major LLRs are
+    written to, for example k rows of a symbol's (m, N) LLR array.
+    """
+    ys, n0 = _kernel_args(y_axis, pam, n0, 1, "llr_pam")
+    if out is not None and out.shape != (pam.m, len(ys)):
+        raise ValueError(f"out must have shape {(pam.m, len(ys))}, not {out.shape}")
+    return _log_map(ys, n0, pam, out)
 
 
 def cluster_centers(idx: np.ndarray, z: np.ndarray, M: int):
@@ -330,16 +358,33 @@ DEMAPPERS = {
 DEMAPPER_KINDS = tuple(DEMAPPERS)
 
 
-def demap(kind: str, y, ctx: DemapContext, n0: float, comp: AffineCompensation | None = None) -> LlrFrame:
-    """Run the pipeline of a demapper kind by configuration name.
-
-    ``qci_lcd_compensated`` requires ``comp``; the other kinds ignore it.
-    """
+def _spec(kind: str, ctx: DemapContext) -> Demapper:
+    """The ``DEMAPPERS`` row of ``kind``, checked against the family of ``ctx``."""
     spec = DEMAPPERS.get(kind)
     if spec is None:
         raise ValueError(f"unknown demapper kind {kind!r}; choose from {DEMAPPER_KINDS}")
     if ctx.family not in spec.families:
         raise ValueError(f"demapper {kind!r} supports only the families {spec.families}, not {ctx.family!r}")
+    return spec
+
+
+def column_block(kind: str, ctx: DemapContext) -> int:
+    """Symbols per exponent block of the kernel that ``demap`` runs for ``kind`` on ``ctx``.
+
+    A 2D kernel demaps M points, a per-axis one the sqrt(M) PAM levels of
+    each axis. BLAS may round a label product of another width differently,
+    so a batch split at multiples of this width gets the LLR bytes of the
+    whole batch.
+    """
+    return _block_cols(ctx.pam_grid if _spec(kind, ctx).per_axis else ctx.constellation)
+
+
+def demap(kind: str, y, ctx: DemapContext, n0: float, comp: AffineCompensation | None = None) -> LlrFrame:
+    """Run the pipeline of a demapper kind by configuration name.
+
+    ``qci_lcd_compensated`` requires ``comp``; the other kinds ignore it.
+    """
+    spec = _spec(kind, ctx)
     if spec.needs_comp and comp is None:
         raise ValueError(f"{kind} requires an AffineCompensation")
     if spec.remap:
@@ -350,12 +395,14 @@ def demap(kind: str, y, ctx: DemapContext, n0: float, comp: AffineCompensation |
     else:
         z, grid = y, ctx.constellation
     if spec.per_axis:
-        # all I samples, then all Q: the (k, 2N) bit rows hold I and Q halves,
-        # which move to the symbol's bit order, I bits then Q bits
-        frame = llr_pam(z.T.reshape(-1), ctx.pam_grid, n0)
-        bits = frame.values.T.reshape(ctx.m // 2, 2, -1).swapaxes(0, 1).reshape(ctx.m, -1)
+        # the symbol's bit order is I bits, then Q bits: each axis's PAM
+        # demapper writes its k rows of the (m, N) LLRs in place
+        k = ctx.pam_grid.m
+        bits = np.empty((2 * k, len(z)))
+        evals = sum(llr_pam(z[:, i], ctx.pam_grid, n0, out=bits[i * k:(i + 1) * k]).distance_evals
+                    for i in range(2))
     else:
         frame = (llr_maxlog_2d if spec.maxlog else llr_exact_2d)(z, grid, n0)
-        bits = frame.values.T
+        bits, evals = frame.values.T, frame.distance_evals
     map_evals = bits.shape[1] if spec.remap and ctx.family == "qci" else 0
-    return LlrFrame(bits.T, frame.distance_evals, map_evals)
+    return LlrFrame(bits.T, evals, map_evals)

@@ -20,11 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demapper import AffineCompensation, DemapContext, cluster_centers, demap
+from .demapper import AffineCompensation, DemapContext, cluster_centers, column_block, demap
 
 _LN2 = math.log(2.0)
 
 GMI_MIN_SAMPLES = 100_000
+# target symbols per scoring chunk: its (m, chunk) LLR and loss buffers stay in L2 cache
+_CHUNK_SYMBOLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -79,25 +81,38 @@ def gmi_symbol_scores(
 ) -> np.ndarray:
     """Per-symbol achievable-rate samples for one Monte Carlo block.
 
+    All ``num`` point indices are drawn first; then the noise is drawn, and
+    the symbols demapped and scored, one chunk of about 16k symbols at a
+    time, into the block's (num,) scores. Every (m, chunk) buffer stays in
+    L2 cache, and the noise is the same stream as one draw of ``num``
+    symbols. A chunk is a whole number of the column blocks of the kind's
+    kernel (``demapper.column_block``), which blocks a chunked block as it
+    would an unchunked one, so the scores do not depend on the chunk size.
+
     Bit-major: the bit loss of x = -(1 - 2b)·L is the softplus
     max(x, 0) + log1p(exp(-|x|)) (see the module docstring). Since
-    |x| = |L|, the demapper's (m, num) LLR array becomes the log1p term in
-    place, and one (m, num) buffer of the sign products becomes the max
+    |x| = |L|, the demapper's (m, chunk) LLR array becomes the log1p term in
+    place, and one (m, chunk) buffer of the sign products becomes the max
     term, so scoring adds a single buffer to the LLRs. Each bit is one
     contiguous row, and the rows are summed in bit order.
     """
-    idx, y = ctx.draw(num, n0, rng)
-    llr = demap(kind, y, ctx, n0, comp=comp).values.T
-    loss = np.take(2.0 * ctx.constellation.labels.T - 1.0, idx, axis=1)
-    loss *= llr
-    np.abs(llr, out=llr)
-    np.negative(llr, out=llr)
-    np.exp(llr, out=llr)
-    np.log1p(llr, out=llr)
-    np.maximum(loss, 0.0, out=loss)
-    loss += llr
-    loss /= _LN2
-    return ctx.m - loss.sum(axis=0)
+    step = column_block(kind, ctx)
+    chunk = step * max(1, _CHUNK_SYMBOLS // step)
+    signs = 2.0 * ctx.constellation.labels.T - 1.0  # (m, M)
+    scores = np.empty(num)
+    for a, (idx, y) in zip(range(0, num, chunk), ctx.draw_chunks(num, n0, rng, chunk)):
+        llr = demap(kind, y, ctx, n0, comp=comp).values.T
+        loss = np.take(signs, idx, axis=1)
+        loss *= llr
+        np.abs(llr, out=llr)
+        np.negative(llr, out=llr)
+        np.exp(llr, out=llr)
+        np.log1p(llr, out=llr)
+        np.maximum(loss, 0.0, out=loss)
+        loss += llr
+        loss /= _LN2
+        scores[a:a + len(idx)] = ctx.m - loss.sum(axis=0)
+    return scores
 
 
 def horizontal_gap(curve_a, curve_b, target: float) -> float:

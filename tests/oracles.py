@@ -7,6 +7,7 @@ here so comparisons stay meaningful near saturation.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -60,6 +61,22 @@ def brute_force_maxlog_2d(y, points, labels, n0):
 def brute_force_llr_pam(y, levels, labels, n0):
     """One-dimensional counterpart with the per-axis exponent (y-x)^2/n0."""
     return _log_sum_ratios([(y - x) ** 2 for x in levels], labels, n0)
+
+
+def radial_factor(u, v, forward):
+    """The radial map's factor at (u, v), (sqrt(2)*max(|u|,|v|)/hypot(u, v))^(+-1), correctly rounded.
+
+    Evaluated in 40-digit decimal arithmetic from the exact binary values of
+    u and v, so the only float64 rounding is the final one. The origin's
+    factor is taken as 1; it multiplies zeros.
+    """
+    with localcontext() as dec:
+        dec.prec = 40
+        mx = max(abs(Decimal(u)), abs(Decimal(v)))
+        if mx == 0:
+            return 1.0
+        ratio = (Decimal(u) ** 2 + Decimal(v) ** 2).sqrt() / (Decimal(2).sqrt() * mx)
+        return float(1 / ratio if forward else ratio)
 
 
 def logaddexp_gmi_scores(values, bits, m):

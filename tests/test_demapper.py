@@ -242,6 +242,17 @@ class TestPam:
         with pytest.raises(ValueError, match="1D"):
             llr_pam(0.5, build_qam(16), 1.0)
 
+    def test_writes_its_rows_into_out(self):
+        # the per-axis demappers hand each axis k rows of the symbol's (m, N) LLRs
+        pam, ys = build_pam(8), np.linspace(-1.5, 1.5, 41)
+        bits = np.full((6, 41), np.nan)
+        frame = llr_pam(ys, pam, 0.3, out=bits[3:])
+        assert np.shares_memory(frame.values, bits)
+        assert bits[3:].tobytes() == llr_pam(ys, pam, 0.3).values.T.tobytes()
+        assert np.all(np.isnan(bits[:3]))
+        with pytest.raises(ValueError, match="shape"):
+            llr_pam(ys, pam, 0.3, out=bits)
+
 
 class TestDecomposition:
     @pytest.mark.parametrize("M", [16, 64])

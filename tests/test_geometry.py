@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qcilink import radial_forward, radial_inverse
+from oracles import radial_factor
+from qcilink import geometry, radial_forward, radial_inverse
 
 SQRT2 = np.sqrt(2.0)
 
@@ -105,3 +106,38 @@ def test_batch_shapes_preserved():
     assert radial_forward(batch).shape == (5, 7, 2)
     single = radial_forward(np.array([0.4, -0.2]))
     assert single.shape == (2,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inverse_of_huge_points_is_finite_and_warns_nothing():
+    # a norm hypot(u, v) of these overflows; the ratio t = min/max does not
+    big = np.array([[1.7e308, 1e308], [-1.7e308, 1.7e308], [1.7e308, 0.0], [1e-300, -1.7e308]])
+    out = radial_inverse(big)
+    assert np.all(np.isfinite(out))
+    factor = [[radial_factor(u, v, forward=False)] for u, v in big]
+    npt.assert_allclose(out, big * factor, rtol=4e-16)
+
+
+@pytest.mark.parametrize("fn", [radial_forward, radial_inverse])
+@pytest.mark.parametrize("c", [1e-300, 1e300])
+def test_commutes_with_extreme_scales(fn, c):
+    # the factor depends on t = min/max alone, so no scale is cut to the origin or overflows
+    pts = np.random.default_rng(13).normal(0.0, 2.0, size=(20_000, 2))
+    err = np.linalg.norm(fn(c * pts) / c - fn(pts), axis=1) / np.linalg.norm(pts, axis=1)
+    assert np.max(err) <= 2e-15
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_factor_is_within_1_ulp_of_the_hypot_form(forward):
+    # t = min/max uniform, near 1 (the diagonals), tiny (the axes), exactly 0 and 1,
+    # at scales across the normal float range
+    rng = np.random.default_rng(14)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 1_500), 1.0 - 10.0 ** rng.uniform(-16, -1, 200),
+                        10.0 ** rng.uniform(-300, -1, 200), [0.0, 1.0]])
+    scale = 10.0 ** rng.uniform(-300, 300, t.size)
+    uv = np.stack([scale, t * scale]) * rng.choice([-1.0, 1.0], size=(2, t.size))
+    swap = rng.random(t.size) < 0.5  # min on u or on v
+    uv[:, swap] = uv[::-1, swap]
+    got = geometry._factor(uv, forward)
+    want = np.array([radial_factor(u, v, forward) for u, v in uv.T])
+    assert np.all(np.abs(got - want) <= np.spacing(want))

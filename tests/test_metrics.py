@@ -20,7 +20,7 @@ from qcilink import (
     save_constellation,
     scatter_dump,
 )
-from qcilink.demapper import DEMAPPERS, LLR_CLAMP, LlrFrame
+from qcilink.demapper import DEMAPPERS, LLR_CLAMP, LlrFrame, column_block
 from qcilink.harness import build_context
 from qcilink.metrics import Tally, _crossing_psnr, tally_record
 
@@ -164,6 +164,57 @@ class TestGmi:
         _, score_peak = traced(lambda: gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(3)))
         buf = ctx.m * num * 8
         assert score_peak <= max(demap_peak, held + buf) + buf // 2, (score_peak, demap_peak, held, buf)
+
+    @pytest.mark.parametrize("M", [16, 64, 256])
+    def test_scores_do_not_depend_on_the_chunk_size(self, M, monkeypatch):
+        # chunks of 1, 2 and 3 kernel column blocks, each with a ragged last
+        # chunk, score byte for byte as one chunk of the whole block
+        for family in ("qam", "qci"):
+            ctx = build_context(SimConfig(family=family, M=M))
+            n0 = 10 ** (-1.2 if M == 16 else -1.8)
+            for kind, comp in _valid_kinds(ctx):
+                step = column_block(kind, ctx)
+                num = 7 * step + 123
+
+                def scores(chunk):
+                    monkeypatch.setattr(metrics, "_CHUNK_SYMBOLS", chunk)
+                    return gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(M), comp).tobytes()
+
+                whole = scores(num)
+                for blocks in (1, 2, 3):
+                    assert scores(blocks * step) == whole, (family, kind, blocks)
+
+    @pytest.mark.parametrize("chunk", [1, 999, 4_000, 5_000])
+    def test_chunked_draw_is_the_one_piece_stream(self, qci16_ctx, chunk):
+        # all indices first, then the noise in symbol order, as one draw of 4000 symbols would be
+        num, n0 = 4_000, 0.1
+        parts = list(qci16_ctx.draw_chunks(num, n0, np.random.default_rng(8), chunk))
+        assert [len(i) for i, _ in parts] == [min(chunk, num - a) for a in range(0, num, chunk)]
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, 16, size=num)
+        y = qci16_ctx.constellation.points[idx] + rng.normal(0.0, math.sqrt(n0 / 2.0), size=(num, 2))
+        assert np.concatenate([i for i, _ in parts]).tobytes() == idx.tobytes()
+        assert np.concatenate([z for _, z in parts]).tobytes() == y.tobytes()
+        one = qci16_ctx.draw(num, n0, np.random.default_rng(8))
+        assert (one[0].tobytes(), one[1].tobytes()) == (idx.tobytes(), y.tobytes())
+
+    @pytest.mark.parametrize("family, M, kind", [("qci", 256, "exact2d"), ("qci", 64, "qci_lcd"),
+                                                 ("qci", 16, "qci_lcd_compensated")])
+    def test_scoring_memory_does_not_grow_with_the_block(self, family, M, kind):
+        # beyond the (num,) indices and scores, scoring holds one chunk's buffers
+        ctx = build_context(SimConfig(family=family, M=M))
+        comp = AffineCompensation(1.02, np.array([0.003, -0.001]))
+        n0 = n0_from_psnr(22.0)
+        gmi_symbol_scores(ctx, kind, n0, 20_000, np.random.default_rng(3), comp)  # first-call caches
+        extra = []
+        for num in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(3), comp)
+                extra.append(tracemalloc.get_traced_memory()[1] - 16 * num)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] <= extra[0] + 64 * 1024, extra
 
     def test_input_validation(self, qam16_ctx):
         # the samples floor is a configuration rule (harness.validate_config)

@@ -13,9 +13,14 @@ demappers ``qci_lcd`` and ``qam_decomposed`` at the same sizes on 40 000
 symbols, of the full-2D demappers once more on qci256 at 40 dB, where
 cancellation in the exponents matters most, and the raw float64 bytes of
 ``gmi_symbol_scores`` for every valid (family, demapper) at M = 16 and
-64 on one fixed seed and for exact2d and qci_remapped_2d on qci256 at
-22 dB, so a demapper or scoring change is checked at full precision and
-not only through the 10-digit CSVs. For the bundled
+64 on one fixed seed, for exact2d and qci_remapped_2d on qci256 at
+22 dB, and for qci_lcd on qci16 and exact2d on qci256 on 100 003
+symbols, which is not a whole number of scoring chunks, so a demapper or
+scoring change is checked at full precision and not only through the
+10-digit CSVs. It writes the raw bytes of ``radial_forward`` and
+``radial_inverse`` on fixed edge points: the origin, the axes and
+diagonals, and coordinates down to 1e-320 and up to 1.7e308 (some
+forward images overflow to inf there). For the bundled
 LDPC code, the 48-bit PEG code committed as ``tests/peg_dv3_n48.alist``,
 a seeded irregular 400-bit code with variable degrees 1 to 8, built
 here, and the 12-bit hand-built code of the decoder's oracle test (check
@@ -47,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from qcilink import (ParityCheckCode, build_qci, bundled_code, decode_bp, encode, load_alist,  # noqa: E402
-                     n0_from_psnr, save_constellation)
+                     n0_from_psnr, radial_forward, radial_inverse, save_constellation)
 from qcilink.cli import main as cli_main  # noqa: E402
 from qcilink.coding import _check_update  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
@@ -178,6 +183,22 @@ def _write_scores(outdir: Path, const_file: str) -> None:
     for kind in ("exact2d", "qci_remapped_2d"):
         scores = gmi_symbol_scores(ctx, kind, n0_from_psnr(22.0), 40_000, np.random.default_rng(SEED))
         (outdir / f"scores_qci256_{kind}_22dB.f64").write_bytes(scores.tobytes())
+    for M, kind in ((16, "qci_lcd"), (256, "exact2d")):
+        ctx = build_context(SimConfig(family="qci", M=M))
+        scores = gmi_symbol_scores(ctx, kind, n0, 100_003, np.random.default_rng(SEED))
+        (outdir / f"scores_qci{M}_{kind}_n100003.f64").write_bytes(scores.tobytes())
+
+
+def _write_radial(outdir: Path) -> None:
+    """Raw bytes of both radial maps on the origin, the axes and diagonals, and the float range's ends."""
+    tiny, huge = 1e-320, 1.7e308
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [-0.5, 0.0], [1.0, 1.0], [-1.0, 1.0], [0.3, -0.3],
+                    [0.3, 0.1], [1.0, tiny], [tiny, 0.0], [0.0, -tiny], [tiny, tiny], [tiny, -3e-321],
+                    [huge, 0.0], [0.0, -huge], [huge, huge], [-huge, huge], [huge, 1e308], [huge, tiny],
+                    [tiny, -huge]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (radial_forward, radial_inverse):
+            (outdir / f"{fn.__name__}_edges.f64").write_bytes(fn(pts).tobytes())
 
 
 def _irregular_code() -> ParityCheckCode:
@@ -229,6 +250,7 @@ def main() -> None:
     save_constellation(build_qci(64), const_file)
     _write_llrs(outdir, str(const_file))
     _write_scores(outdir, str(const_file))
+    _write_radial(outdir)
     _write_codes(outdir)
     for workers in WORKERS:
         for name, spec in _runs(str(const_file)).items():
