@@ -9,24 +9,32 @@ parity positions, the remaining columns carry the information bits. Each
 parity bit is a GF(2) inner product, computed on bits packed into uint64
 words: AND, XOR-accumulate over the words, then popcount parity.
 
-Messages live in a slot-major check layout: column j*C + i of a (frames,
-D*C) array holds the j-th edge of the i-th check, where C is the number of
-checks, D the largest check degree, and the checks are taken in order of
-falling degree. A check of degree d < D leaves slots d..D-1 empty; these
-filler columns form the tail of each slot. Every message is a float32
-carried at half scale (half the LLR), which saves the x0.5 and x2 passes
-of each iteration and moves no sign, zero or bit, since halving is exact;
-float32 tanh and artanh cost a quarter and a third of the float64 ones.
+Messages live in an edge-major, slot-major check layout: row j*C + i of a
+(D*C, frames) array holds the j-th edge of the i-th check for every frame,
+where C is the number of checks, D the largest check degree, and the
+checks are taken in order of falling degree. A check of degree d < D
+leaves slots d..D-1 empty; these filler rows form the tail of each slot.
+The frames run innermost, so each slot is one contiguous (C, frames) slab
+and every gather over edges or variables copies whole rows of frames; the
+(batch, n) input LLRs are transposed once on entry. Every message is a
+float32 carried at half scale (half the LLR), which saves the x0.5 and x2
+passes of each iteration and moves no sign, zero or bit, since halving is
+exact; float32 tanh and artanh cost a quarter and a third of the float64
+ones.
 Finite input LLRs beyond the float32 range are clipped to it. One
 check-node kernel is the tanh product rule: tanh of the clamped message,
 fillers set to exactly 1.0, and each edge's reply the artanh of its prefix
-product times its suffix product over the check's other edges. The
-variable update gathers each variable's j-th edge ("slot" j) and sums the
-slots in the order ``np.add.reduceat`` would. The syndrome is an XOR over
-the slots of the hard bits gathered into the same layout. ``decode_bp``
-allocates its work arrays once per call and runs every step in place on
-them; converged frames leave the batch, and the rows still running move
-to the front.
+product times its suffix product over the check's other edges, slab by
+slab. The variable update gathers each variable's j-th edge ("slot" j)
+and sums the slots in the order ``np.add.reduceat`` would. The syndrome
+is an XOR over the slots of the hard bits of the posteriors, read from
+the posteriors already gathered into the edge layout for the next check
+update. ``decode_bp`` allocates its work arrays once per call as flat
+buffers and runs every step in place on them; converged frames leave the
+batch, and the columns still running move into the front of the other
+buffer, viewed as (rows, frames still running), so every view stays
+contiguous. A NaN input LLR is rejected, since it would read as a decided
+bit.
 """
 
 from __future__ import annotations
@@ -86,9 +94,9 @@ class ParityCheckCode:
         if np.any(self.var_deg == 0):
             bad = int(np.argmin(self.var_deg))
             raise ValueError(f"variable {bad} participates in no check")
-        # slot-major check layout: column j*C + i holds the j-th edge of the
+        # slot-major check layout: row j*C + i holds the j-th edge of the
         # i-th check by falling degree, so the fillers of slot j are its
-        # columns from live = (number of checks of degree > j) on
+        # rows from live = (number of checks of degree > j) on
         C, D = self.num_checks, int(self.check_deg.max())
         rank = np.empty(C, dtype=np.int64)
         rank[np.argsort(-self.check_deg, kind="stable")] = np.arange(C)
@@ -100,7 +108,7 @@ class ParityCheckCode:
         live = (self.check_deg > np.arange(D)[:, None]).sum(axis=1)
         self.filler_slots = [(j, int(k)) for j, k in enumerate(live) if k < C]
         # slot j of a variable is its j-th edge in check order; slots[j] holds
-        # the layout columns of those edges and their variables, for the
+        # the layout rows of those edges and their variables, for the
         # variables of degree > j
         var_major = np.argsort(self.edge_var, kind="stable")
         var_start = np.cumsum(self.var_deg) - self.var_deg
@@ -193,13 +201,13 @@ def info_bits_of(code: ParityCheckCode, codewords: np.ndarray) -> np.ndarray:
 
 
 def _fill(a: np.ndarray, value, code: ParityCheckCode) -> None:
-    """Set the filler columns of a slot-major (b, D, C) array to ``value``."""
+    """Set the filler rows of an edge-major (D, C, b) array to ``value``."""
     for j, live in code.filler_slots:
-        a[:, j, live:] = value
+        a[j, live:] = value
 
 
 def _check_update(q, r, code: ParityCheckCode) -> None:
-    """Sum-product check-node update on slot-major (b, D*C) float32 half-scale messages.
+    """Sum-product check-node update on edge-major (D*C, b) float32 half-scale messages.
 
     Writes into ``r`` what each check sends back along each edge, at half
     scale: the artanh of the product of tanh(q) over the check's other
@@ -209,19 +217,24 @@ def _check_update(q, r, code: ParityCheckCode) -> None:
     ``q`` is overwritten: each slot j >= 1 ends up holding the product of
     the tanh values of slots j..D-1.
     """
-    b = q.shape[0]
+    b = q.shape[1]
     np.clip(q, -_HALF_CLAMP, _HALF_CLAMP, out=q)
     np.tanh(q, out=q)
-    t, r3 = q.reshape(b, -1, code.num_checks), r.reshape(b, -1, code.num_checks)
+    t, r3 = q.reshape(-1, code.num_checks, b), r.reshape(-1, code.num_checks, b)
     _fill(t, 1.0, code)
-    r3[:, 0] = 1.0
-    for j in range(1, t.shape[1]):
-        np.multiply(r3[:, j - 1], t[:, j - 1], out=r3[:, j])
-    for j in range(t.shape[1] - 2, 0, -1):
-        np.multiply(t[:, j], t[:, j + 1], out=t[:, j])
-    np.multiply(r3[:, :-1], t[:, 1:], out=r3[:, :-1])
+    r3[0] = 1.0
+    for j in range(1, t.shape[0]):
+        np.multiply(r3[j - 1], t[j - 1], out=r3[j])
+    for j in range(t.shape[0] - 2, 0, -1):
+        np.multiply(t[j], t[j + 1], out=t[j])
+    np.multiply(r3[:-1], t[1:], out=r3[:-1])
     np.clip(r, -_TANH_CLIP, _TANH_CLIP, out=r)
     np.arctanh(r, out=r)
+
+
+def _rows(buf: np.ndarray, k: int, b: int) -> np.ndarray:
+    """The first k * b entries of a flat buffer as a contiguous (k, b) array."""
+    return buf[:k * b].reshape(k, b)
 
 
 def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
@@ -230,6 +243,7 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     Accepts (n,) or (batch, n) LLRs; returns (bits, converged, iterations)
     with matching batch shape. Frames whose hard decision satisfies all
     checks stop updating; their returned word is the satisfying codeword.
+    A NaN LLR raises ValueError; +-inf is a certain bit.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -237,31 +251,35 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     x = np.array(llrs, dtype=np.float64, copy=None, ndmin=2)
     if x.shape[1] != code.n:
         raise ValueError(f"expected {code.n} LLRs per frame, got {x.shape[1]}")
-    # clip in float64 on the way to float32, so no finite LLR overflows the cast
-    Lch = np.empty(x.shape, dtype=np.float32)
-    np.clip(x, -_FLOAT32_MAX, _FLOAT32_MAX, out=Lch)
-    B, n = Lch.shape
+    B, n = x.shape
     L, C = code.col_var.size, code.num_checks
+
+    # Every work array is a flat buffer allocated here; an iteration views
+    # its first rows * b entries as (rows, b), the b frames still running
+    # innermost, so every view is contiguous and every gather over edges or
+    # variables copies whole rows of b frames.
+    Lq_buf, Lr_buf = np.empty((2, L * B), dtype=np.float32)
+    chan_buf, post_buf, rest_buf, slot_buf, part_buf = np.empty((5, n * B), dtype=np.float32)
+    edge_bits, parity = np.empty(L * B, dtype=bool), np.empty(C * B, dtype=bool)
+
+    # transpose once on entry, clipping in float64 on the way to float32 so
+    # no finite LLR overflows the cast
+    Lch = _rows(chan_buf, n, B)
+    np.clip(x.T, -_FLOAT32_MAX, _FLOAT32_MAX, out=Lch)
+    if np.isnan(Lch).any():
+        raise ValueError("LLRs must not be NaN")
 
     out_bits = np.zeros((B, n), dtype=np.uint8)
     out_conv = np.zeros(B, dtype=bool)
     out_iters = np.full(B, max_iters, dtype=np.int64)
 
-    # Every work array is allocated here; iteration views take the first b
-    # rows, the frames still running, which stay contiguous.
-    Lq, Lr = np.empty((2, B, L), dtype=np.float32)
-    col_bits = np.empty((B, L), dtype=np.uint8)
-    parity = np.empty((B, C), dtype=np.uint8)
-    post, rest = np.empty((2, B, n), dtype=np.float32)
-    slot_buf, part_buf = np.empty((2, B * n), dtype=np.float32)
-    hard, nonzero = np.empty((2, B, n), dtype=bool)
-
-    live = np.arange(B)          # original frame index of each running row
+    live = np.arange(B)          # original frame index of each running column
     b = B
     np.multiply(Lch, 0.5, out=Lch)  # every message from here on is at half scale
-    np.take(Lch, code.col_var, axis=1, out=Lq, mode="clip")
+    q = _rows(Lq_buf, L, b)
+    np.take(Lch, code.col_var, axis=0, out=q, mode="clip")
     for it in range(1, max_iters + 1):
-        q, r, p, s = Lq[:b], Lr[:b], post[:b], rest[:b]
+        r, p, s = _rows(Lr_buf, L, b), _rows(post_buf, n, b), _rows(rest_buf, n, b)
         _check_update(q, r, code)
 
         # variable-node update: post = Lch + (slot 0 + (slot 1 + slot 2 + ...)),
@@ -270,45 +288,49 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         s.fill(-0.0)
         for cols, vs in code.slots[1:]:
             k = vs.size
-            slot = slot_buf[:b * k].reshape(b, k)
-            np.take(r, cols, axis=1, out=slot, mode="clip")
+            slot = _rows(slot_buf, k, b)
+            np.take(r, cols, axis=0, out=slot, mode="clip")
             if k == n:
                 np.add(s, slot, out=s)
             else:  # only the variables of degree > j have a slot j
-                part = part_buf[:b * k].reshape(b, k)
-                np.take(s, vs, axis=1, out=part, mode="clip")
+                part = _rows(part_buf, k, b)
+                np.take(s, vs, axis=0, out=part, mode="clip")
                 np.add(part, slot, out=part)
-                s[:, vs] = part
-        np.take(r, code.slots[0][0], axis=1, out=p, mode="clip")
+                s[vs] = part
+        np.take(r, code.slots[0][0], axis=0, out=p, mode="clip")
         np.add(p, s, out=p)
-        np.add(Lch[:b], p, out=p)
-        np.take(p, code.col_var, axis=1, out=q, mode="clip")
-        np.subtract(q, r, out=q)
+        np.add(Lch, p, out=p)
+        np.take(p, code.col_var, axis=0, out=q, mode="clip")
 
         # converged = zero syndrome with every bit strictly decided; an
-        # all-zero input would otherwise "converge" on the zero word.
-        h, g, sp = hard[:b], col_bits[:b], parity[:b]
-        np.less(p, 0.0, out=h)
-        np.take(h.view(np.uint8), code.col_var, axis=1, out=g, mode="clip")
-        g = g.reshape(b, -1, C)
-        _fill(g, 0, code)
-        np.bitwise_xor.reduce(g, axis=1, out=sp)
-        np.not_equal(p, 0.0, out=nonzero[:b])
-        ok = ~sp.any(axis=1) & nonzero[:b].all(axis=1)
+        # all-zero input would otherwise "converge" on the zero word. Each
+        # edge's hard bit is read from the posterior just gathered into q,
+        # and only frames of zero syndrome need their posteriors checked.
+        g, sp = _rows(edge_bits, L, b), _rows(parity, C, b)
+        np.less(q, 0.0, out=g)
+        np.subtract(q, r, out=q)
+        g = g.reshape(-1, C, b)
+        _fill(g, False, code)
+        np.bitwise_xor.reduce(g, axis=0, out=sp)
+        ok = ~sp.any(axis=0)
+        if ok.any():
+            ok &= (p != 0.0).all(axis=0)
         if it < max_iters and not ok.any():
             continue
-        out_bits[live] = h
+        out_bits[live] = (p < 0.0).T
         out_conv[live] = ok
         out_iters[live[ok]] = it
         keep = np.flatnonzero(~ok)
         if keep.size == 0 or it == max_iters:
             break
-        # move the running rows to the front; Lr and post are rebuilt from
-        # Lq and Lch before they are read again, so they take the moved rows
-        np.take(q, keep, axis=0, out=Lr[:keep.size], mode="clip")
-        np.take(Lch[:b], keep, axis=0, out=post[:keep.size], mode="clip")
-        Lq, Lr, Lch, post = Lr, Lq, post, Lch
-        live, b = live[keep], keep.size
+        # move the running columns to the front; Lr and post are rebuilt from
+        # Lq and Lch before they are read again, so they take the moved columns
+        b = keep.size
+        np.take(q, keep, axis=1, out=_rows(Lr_buf, L, b), mode="clip")
+        np.take(Lch, keep, axis=1, out=_rows(post_buf, n, b), mode="clip")
+        Lq_buf, Lr_buf, chan_buf, post_buf = Lr_buf, Lq_buf, post_buf, chan_buf
+        q, Lch = _rows(Lq_buf, L, b), _rows(chan_buf, n, b)
+        live = live[keep]
 
     if single:
         return out_bits[0], bool(out_conv[0]), int(out_iters[0])

@@ -235,10 +235,22 @@ class TestDecoder:
         q = np.array([[8.5, -9.0, 9.5, -12.0, 30.0, 2.0],
                       [9.25, 10.5, -40.0, 9.0, -8.75, 0.5]], dtype=np.float32)
         expected = np.array([check_replies(row) for row in q], dtype=np.float32)
+        # the decoder's edge-major layout: one row per edge, the frames innermost
+        q = np.ascontiguousarray(q.T)
         r = np.empty_like(q)
         coding._check_update(q, r, code)
+        r = r.T
         assert r.dtype == np.float32 and np.isfinite(r).all()
         assert r.tobytes() == expected.tobytes()
+
+    def test_nan_llrs_rejected(self):
+        # NaN < 0 is False and NaN != 0 is True, so a NaN bit would look decided
+        code = bundled_code()
+        llr = _noisy_llrs(code, 3, 0.5, seed=4)
+        llr[0, 17] = np.nan
+        for bad in (llr, llr[0]):
+            with pytest.raises(ValueError, match="NaN"):
+                decode_bp(code, bad)
 
     def test_all_zero_llrs_do_not_converge(self, toy_code):
         _, conv, iters = decode_bp(toy_code, np.zeros(toy_code.n), max_iters=7)
@@ -286,6 +298,18 @@ class TestDecoder:
         assert len(np.unique(iters)) > 3 and not conv.all()
         for f in range(len(llr)):
             b, c, i = decode_bp(toy_code, llr[f])
+            assert bits[f].tobytes() == b.tobytes()
+            assert (conv[f], iters[f]) == (c, i)
+
+    def test_bundled_batch_equals_frames_decoded_alone(self):
+        # a full 25-frame block of the harness: the running columns move at
+        # many different iterations, and one frame runs to the cap
+        code = bundled_code()
+        llr = _noisy_llrs(code, 25, 0.6, seed=5)
+        bits, conv, iters = decode_bp(code, llr)
+        assert len(np.unique(iters)) > 8 and not conv.all()
+        for f in range(len(llr)):
+            b, c, i = decode_bp(code, llr[f])
             assert bits[f].tobytes() == b.tobytes()
             assert (conv[f], iters[f]) == (c, i)
 

@@ -139,32 +139,6 @@ class TestGmi:
         bit = math.log1p(math.exp(LLR_CLAMP)) / math.log(2.0)
         npt.assert_allclose(scores_of(-right), m - m * bit, rtol=0, atol=m * np.spacing(bit) + np.spacing(m * bit))
 
-    @pytest.mark.parametrize("family, M, kind", [("qci", 256, "exact2d"), ("qci", 64, "qci_lcd")])
-    def test_scoring_allocates_no_second_bit_buffer(self, family, M, kind):
-        # beyond the demapper's LLRs, scoring holds one (m, N) buffer: the
-        # sign products; the softplus runs in place on the LLRs
-        ctx = build_context(SimConfig(family=family, M=M))
-        num, n0 = 40_000, n0_from_psnr(22.0)
-
-        def traced(fn):
-            """(current, peak) traced bytes, with fn's result still held."""
-            tracemalloc.start()
-            try:
-                kept = fn()  # noqa: F841
-                return tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-
-        def draw_and_demap():
-            idx, y = ctx.draw(num, n0, np.random.default_rng(3))
-            return idx, y, demap(kind, y, ctx, n0)
-
-        draw_and_demap()  # first-call caches stay out of the traced peaks
-        held, demap_peak = traced(draw_and_demap)
-        _, score_peak = traced(lambda: gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(3)))
-        buf = ctx.m * num * 8
-        assert score_peak <= max(demap_peak, held + buf) + buf // 2, (score_peak, demap_peak, held, buf)
-
     @pytest.mark.parametrize("M", [16, 64, 256])
     def test_scores_do_not_depend_on_the_chunk_size(self, M, monkeypatch):
         # chunks of 1, 2 and 3 kernel column blocks, each with a ragged last
@@ -197,6 +171,39 @@ class TestGmi:
         assert np.concatenate([z for _, z in parts]).tobytes() == y.tobytes()
         one = qci16_ctx.draw(num, n0, np.random.default_rng(8))
         assert (one[0].tobytes(), one[1].tobytes()) == (idx.tobytes(), y.tobytes())
+
+    @pytest.mark.parametrize("family, M, kind", [("qci", 256, "exact2d"), ("qci", 64, "qci_lcd"),
+                                                 ("qci", 16, "qci_lcd_compensated")])
+    def test_scoring_allocates_no_second_bit_buffer(self, family, M, kind):
+        # beyond the (num,) indices and scores, scoring holds one chunk's
+        # buffers: the demapper's, or its LLRs and one (m, chunk) buffer of
+        # the sign products, as the softplus runs in place on the LLRs. The
+        # previous chunk's LLRs and sign products are still held while the
+        # next chunk is demapped, which adds two more (m, chunk) buffers.
+        ctx = build_context(SimConfig(family=family, M=M))
+        comp = AffineCompensation(1.02, np.array([0.003, -0.001]))
+        num, n0 = 100_000, n0_from_psnr(22.0)
+        step = column_block(kind, ctx)
+        chunk = step * max(1, metrics._CHUNK_SYMBOLS // step)
+
+        def traced(fn):
+            """(current, peak) traced bytes, with fn's result still held."""
+            tracemalloc.start()
+            try:
+                kept = fn()  # noqa: F841
+                return tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        def draw_and_demap():
+            idx, y = ctx.draw(chunk, n0, np.random.default_rng(3))
+            return idx, y, demap(kind, y, ctx, n0, comp)
+
+        gmi_symbol_scores(ctx, kind, n0, 20_000, np.random.default_rng(3), comp)  # first-call caches
+        held, demap_peak = traced(draw_and_demap)
+        _, score_peak = traced(lambda: gmi_symbol_scores(ctx, kind, n0, num, np.random.default_rng(3), comp))
+        extra, buf = score_peak - 16 * num, ctx.m * chunk * 8
+        assert extra <= max(demap_peak, held) + 2 * buf + buf // 2, (extra, demap_peak, held, buf)
 
     @pytest.mark.parametrize("family, M, kind", [("qci", 256, "exact2d"), ("qci", 64, "qci_lcd"),
                                                  ("qci", 16, "qci_lcd_compensated")])

@@ -221,7 +221,8 @@ def _write_codes(outdir: Path) -> None:
 
     Each noise level also writes the check-node replies to its first
     iteration: half the channel LLRs as float32, gathered into the
-    decoder's slot-major layout.
+    decoder's edge-major (D*C, frames) layout, with the replies written
+    frame by frame, as (frames, D*C) rows.
     """
     for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS),
                          (_irregular_code(), IRREGULAR_SIGMAS),
@@ -233,9 +234,10 @@ def _write_codes(outdir: Path) -> None:
         for sigma in sigmas:
             llrs = 2.0 * (1.0 - 2.0 * cw + sigma * noise) / sigma ** 2
             bits, converged, iters = decode_bp(code, llrs)
-            q = np.take(0.5 * llrs.astype(np.float32), code.col_var, axis=1)
+            q = np.take(0.5 * llrs.astype(np.float32).T, code.col_var, axis=0)
             replies = np.empty_like(q)
             _check_update(q, replies, code)
+            replies = replies.T
             for part, arr in (("bits.u8", bits), ("converged.b1", converged), ("iters.i64", iters),
                               ("replies.f32", replies)):
                 (outdir / f"decoded_{code.name}_sigma{sigma}_{part}").write_bytes(arr.tobytes())
