@@ -14,27 +14,29 @@ Messages live in an edge-major, slot-major check layout: row j*C + i of a
 where C is the number of checks, D the largest check degree, and the
 checks are taken in order of falling degree. A check of degree d < D
 leaves slots d..D-1 empty; these filler rows form the tail of each slot.
-The frames run innermost, so each slot is one contiguous (C, frames) slab
-and every gather over edges or variables copies whole rows of frames; the
-(batch, n) input LLRs are transposed once on entry. Every message is a
-float32 carried at half scale (half the LLR), which saves the x0.5 and x2
-passes of each iteration and moves no sign, zero or bit, since halving is
-exact; float32 tanh and artanh cost a quarter and a third of the float64
-ones.
-Finite input LLRs beyond the float32 range are clipped to it. One
-check-node kernel is the tanh product rule: tanh of the clamped message,
-fillers set to exactly 1.0, and each edge's reply the artanh of its prefix
-product times its suffix product over the check's other edges, slab by
-slab. The variable update gathers each variable's j-th edge ("slot" j)
-and sums the slots in the order ``np.add.reduceat`` would. The syndrome
-is an XOR over the slots of the hard bits of the posteriors, read from
-the posteriors already gathered into the edge layout for the next check
-update. ``decode_bp`` allocates its work arrays once per call as flat
-buffers and runs every step in place on them; converged frames leave the
-batch, and the columns still running move into the front of the other
-buffer, viewed as (rows, frames still running), so every view stays
-contiguous. A NaN input LLR is rejected, since it would read as a decided
-bit.
+The variables are taken in order of falling degree too (``var_order``, a
+stable sort), so the k_j variables that have a j-th edge come first. The
+frames run innermost, so each slot is one contiguous (C, frames) slab and
+every gather over edges or variables copies whole rows of frames; the
+(batch, n) input LLRs are transposed and put in ``var_order`` once on
+entry, and the hard bits go back to code order once on return. Every
+message is a float32 carried at half scale (half the LLR), which saves
+the x0.5 and x2 passes of each iteration and moves no sign, zero or bit,
+since halving is exact; float32 tanh and artanh cost a quarter and a
+third of the float64 ones. Finite input LLRs beyond the float32 range are
+clipped to it. One check-node kernel is the tanh product rule: tanh of
+the clamped message, fillers set to exactly 1.0, and each edge's reply
+the artanh of its prefix product times its suffix product over the
+check's other edges, slab by slab. The variable update adds the j-th
+edges ("slot" j) into the sums of the first k_j variables, one slot at a
+time, in the order ``np.add.reduceat`` would. The syndrome is an XOR over
+the slots of the hard bits of the posteriors, read from the posteriors
+already gathered into the edge layout for the next check update.
+``decode_bp`` allocates its work arrays once per call as flat buffers and
+runs every step in place on them; converged frames leave the batch, and
+the columns still running move into the front of the other buffer,
+viewed as (rows, frames still running), so every view stays contiguous.
+A NaN input LLR is rejected, since it would read as a decided bit.
 """
 
 from __future__ import annotations
@@ -96,27 +98,19 @@ class ParityCheckCode:
             raise ValueError(f"variable {bad} participates in no check")
         # slot-major check layout: row j*C + i holds the j-th edge of the
         # i-th check by falling degree, so the fillers of slot j are its
-        # rows from live = (number of checks of degree > j) on
+        # rows from live = (number of checks of degree > j) on. The variables
+        # are taken by falling degree too: col_var maps each row to its
+        # variable's place in var_order (fillers read place 0), and
+        # var_slots[j] holds the rows of the j-th edges, in check order, of
+        # the first k_j variables, those of degree > j
         C, D = self.num_checks, int(self.check_deg.max())
-        rank = np.empty(C, dtype=np.int64)
-        rank[np.argsort(-self.check_deg, kind="stable")] = np.arange(C)
-        check_start = np.cumsum(self.check_deg) - self.check_deg
-        edge_slot = np.arange(self.edge_var.size) - np.repeat(check_start, self.check_deg)
-        col_of_edge = edge_slot * C + np.repeat(rank, self.check_deg)
-        self.col_var = np.zeros(D * C, dtype=np.int64)  # fillers read variable 0
-        self.col_var[col_of_edge] = self.edge_var
-        live = (self.check_deg > np.arange(D)[:, None]).sum(axis=1)
-        self.filler_slots = [(j, int(k)) for j, k in enumerate(live) if k < C]
-        # slot j of a variable is its j-th edge in check order; slots[j] holds
-        # the layout rows of those edges and their variables, for the
-        # variables of degree > j
-        var_major = np.argsort(self.edge_var, kind="stable")
-        var_start = np.cumsum(self.var_deg) - self.var_deg
-        slot_of = np.arange(self.edge_var.size) - np.repeat(var_start, self.var_deg)
-        self.slots = []
-        for j in range(int(self.var_deg.max())):
-            edges = var_major[slot_of == j]
-            self.slots.append((col_of_edge[edges], self.edge_var[edges]))
+        _, check_rank, check_slot = _degree_order(np.repeat(np.arange(C), self.check_deg), self.check_deg)
+        row = check_slot * C + check_rank
+        self.filler_slots = [(j, int(k)) for j, k in enumerate(np.bincount(check_slot)) if k < C]
+        self.var_order, var_rank, var_slot = _degree_order(self.edge_var, self.var_deg)
+        self.col_var = np.zeros(D * C, dtype=np.int64)
+        self.col_var[row] = var_rank
+        self.var_slots = np.split(row[np.lexsort((var_rank, var_slot))], np.cumsum(np.bincount(var_slot))[:-1])
         # systematic encoder: pivot columns carry parity, the rest information
         H, pivots = _gf2_rref(self.dense_matrix())
         if len(pivots) != self.num_checks:
@@ -138,6 +132,15 @@ class ParityCheckCode:
         for c, vs in enumerate(self.check_lists):
             H[c, vs] = 1
         return H
+
+
+def _degree_order(node_of_edge: np.ndarray, deg: np.ndarray):
+    """Nodes by falling degree (stable sort); per edge, its node's rank there and its index among the node's edges."""
+    order = np.argsort(-deg, kind="stable")
+    by_node = np.argsort(node_of_edge, kind="stable")
+    slot = np.empty_like(by_node)
+    slot[by_node] = np.arange(by_node.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    return order, np.argsort(order)[node_of_edge], slot
 
 
 def _gf2_rref(H: np.ndarray):
@@ -259,17 +262,18 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     # innermost, so every view is contiguous and every gather over edges or
     # variables copies whole rows of b frames.
     Lq_buf, Lr_buf = np.empty((2, L * B), dtype=np.float32)
-    chan_buf, post_buf, rest_buf, slot_buf, part_buf = np.empty((5, n * B), dtype=np.float32)
+    chan_buf, post_buf, rest_buf, slot_buf = np.empty((4, n * B), dtype=np.float32)
     edge_bits, parity = np.empty(L * B, dtype=bool), np.empty(C * B, dtype=bool)
 
     # transpose once on entry, clipping in float64 on the way to float32 so
-    # no finite LLR overflows the cast
-    Lch = _rows(chan_buf, n, B)
-    np.clip(x.T, -_FLOAT32_MAX, _FLOAT32_MAX, out=Lch)
-    if np.isnan(Lch).any():
+    # no finite LLR overflows the cast, and take the variables in var_order
+    p = _rows(post_buf, n, B)
+    np.clip(x.T, -_FLOAT32_MAX, _FLOAT32_MAX, out=p)
+    if np.isnan(p).any():
         raise ValueError("LLRs must not be NaN")
+    Lch = np.take(p, code.var_order, axis=0, out=_rows(chan_buf, n, B), mode="clip")
 
-    out_bits = np.zeros((B, n), dtype=np.uint8)
+    out_bits = np.zeros((B, n), dtype=np.uint8)  # variables in var_order until the return
     out_conv = np.zeros(B, dtype=bool)
     out_iters = np.full(B, max_iters, dtype=np.int64)
 
@@ -284,20 +288,14 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
 
         # variable-node update: post = Lch + (slot 0 + (slot 1 + slot 2 + ...)),
         # the order np.add.reduceat sums up to 8 edges per variable. -0.0
-        # starts the inner sum because x + -0.0 == x for every x.
+        # starts the inner sum because x + -0.0 == x for every x. The
+        # variables that have a slot j are the first k_j, those of degree > j.
         s.fill(-0.0)
-        for cols, vs in code.slots[1:]:
-            k = vs.size
-            slot = _rows(slot_buf, k, b)
-            np.take(r, cols, axis=0, out=slot, mode="clip")
-            if k == n:
-                np.add(s, slot, out=s)
-            else:  # only the variables of degree > j have a slot j
-                part = _rows(part_buf, k, b)
-                np.take(s, vs, axis=0, out=part, mode="clip")
-                np.add(part, slot, out=part)
-                s[vs] = part
-        np.take(r, code.slots[0][0], axis=0, out=p, mode="clip")
+        for rows in code.var_slots[1:]:
+            slot = _rows(slot_buf, rows.size, b)
+            np.take(r, rows, axis=0, out=slot, mode="clip")
+            np.add(s[:rows.size], slot, out=s[:rows.size])
+        np.take(r, code.var_slots[0], axis=0, out=p, mode="clip")
         np.add(p, s, out=p)
         np.add(Lch, p, out=p)
         np.take(p, code.col_var, axis=0, out=q, mode="clip")
@@ -332,6 +330,7 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         q, Lch = _rows(Lq_buf, L, b), _rows(chan_buf, n, b)
         live = live[keep]
 
+    out_bits[:, code.var_order] = out_bits.copy()  # back to code order
     if single:
         return out_bits[0], bool(out_conv[0]), int(out_iters[0])
     return out_bits, out_conv, out_iters

@@ -46,6 +46,11 @@ UNCODED_BLOCK_SYMBOLS = 25_000
 CODED_BLOCK_FRAMES = 25
 COMP_SAMPLES = 100_000  # symbols per affine-compensation estimate
 MAX_GRID_POINTS = 10_000
+# Largest worker count. A fork pool starts all its workers at its first map,
+# each a process with its own copy of the run's state, and blocks are CPU
+# bound, so workers beyond the CPUs gain nothing; 256 is the logical CPU
+# count of a large two-socket server.
+MAX_WORKERS = 256
 # Largest noise power (PSNR -3000 dB). Noise of power n0 puts received points
 # at squared distances of a few n0, and a block sums up to COMP_SAMPLES of
 # them; at n0 <= 1e300 all of these stay far below the float64 maximum
@@ -180,10 +185,17 @@ def validate_config(cfg: SimConfig) -> None:
                           f"more than {MAX_GRID_POINTS} points")
     if cfg.samples < 0 or cfg.target_errors < 0:
         raise ConfigError("samples and target_errors must be nonnegative")
+    if cfg.target_errors and cfg.mode not in _DEFAULT_TARGET_ERRORS:
+        raise ConfigError(f"target_errors is read only by the modes {tuple(_DEFAULT_TARGET_ERRORS)}, "
+                          f"not {cfg.mode!r}")
+    if cfg.code_file and cfg.mode != "coded_ber":
+        raise ConfigError(f"code_file is read only by mode 'coded_ber', not {cfg.mode!r}")
     if cfg.mode == "gmi" and resolved_samples(cfg) < GMI_MIN_SAMPLES:
         raise ConfigError(f"gmi mode needs samples >= {GMI_MIN_SAMPLES}")
     if cfg.seed < 0 or cfg.workers < 0:
         raise ConfigError("seed and workers must be nonnegative")
+    if cfg.workers > MAX_WORKERS:
+        raise ConfigError(f"workers must not exceed {MAX_WORKERS}")
     if cfg.mode == "scatter" and cfg.output is None:
         raise ConfigError("scatter mode writes its dump to output, which must be set")
 

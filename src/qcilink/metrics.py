@@ -112,6 +112,7 @@ def gmi_symbol_scores(
         loss += llr
         loss /= _LN2
         scores[a:a + len(idx)] = ctx.m - loss.sum(axis=0)
+        del llr, loss  # free before the next chunk is drawn and demapped
     return scores
 
 

@@ -20,8 +20,8 @@ from qcilink.coding import _gf2_rref, info_bits_of
 from qcilink.errors import DataFormatError
 
 # n = 20, rate 1/2, variable degrees 1-5 and check degrees 3-8: the decoder
-# gathers partial slots, and every sum stays within the 8 terms up to which
-# numpy's reduceat adds in the oracle's order
+# takes the variables out of code order, and every sum stays within the 8
+# terms up to which numpy's reduceat adds in the oracle's order
 IRREGULAR_CHECKS = [
     [0, 9, 15, 16, 19], [5, 10, 16], [1, 2, 5, 6, 7, 15, 16, 17], [3, 4, 10, 11, 14, 15, 17],
     [5, 8, 9, 10, 13, 14, 19], [1, 2, 3, 8, 9, 11, 12, 16], [3, 4, 5, 10, 15, 17, 19],
@@ -280,6 +280,7 @@ class TestDecoder:
     @pytest.mark.parametrize("which, sigma", [("toy", 0.9), ("toy", 1.0), ("irregular", 0.9), ("irregular", 1.0),
                                               ("handbuilt", 0.9), ("handbuilt", 1.0)])
     def test_matches_loop_oracle(self, which, sigma, toy_code, irregular_code, handbuilt_code):
+        # the bits come back in code order
         code = {"toy": toy_code, "irregular": irregular_code, "handbuilt": handbuilt_code}[which]
         llr = _noisy_llrs(code, 16, sigma, seed=5)
         bits, conv, iters = decode_bp(code, llr)
@@ -351,6 +352,31 @@ class TestDecoder:
         ber = np.mean(info_bits_of(code, bits) != u)
         assert conv.all()
         assert ber < 1e-5
+
+
+class TestEdgeLayout:
+    @pytest.mark.parametrize("which", ["toy", "bundled", "irregular", "handbuilt"])
+    def test_variables_run_by_falling_degree(self, which, toy_code, irregular_code, handbuilt_code):
+        code = {"toy": toy_code, "bundled": bundled_code(), "irregular": irregular_code,
+                "handbuilt": handbuilt_code}[which]
+        deg, C = code.var_deg, code.num_checks
+        by_degree = sorted(range(code.n), key=lambda v: -deg[v])  # sorted() is stable
+        npt.assert_array_equal(code.var_order, by_degree)
+        # the regular codes keep code order; the others are reordered
+        assert np.array_equal(code.var_order, np.arange(code.n)) == (which in ("toy", "bundled"))
+        assert len(code.var_slots) == deg.max()
+        for j, rows in enumerate(code.var_slots):
+            assert rows.size == np.count_nonzero(deg > j)
+            npt.assert_array_equal(code.col_var[rows], np.arange(rows.size))
+        # every real edge row once across the slots, none of the fillers
+        check_order = np.argsort(-code.check_deg, kind="stable")
+        real = [j * C + i for i, c in enumerate(check_order) for j in range(code.check_deg[c])]
+        assert sorted(np.concatenate(code.var_slots).tolist()) == sorted(real)
+        # slot j of a variable is its edge to its j-th check, in check order
+        rank = np.argsort(code.var_order)
+        for v in range(code.n):
+            checks = [check_order[code.var_slots[j][rank[v]] % C] for j in range(deg[v])]
+            assert checks == [c for c, vs in enumerate(code.check_lists) if v in vs]
 
 
 class TestBundledCode:

@@ -43,6 +43,10 @@ def _no_block(args):
     pytest.fail("a Monte Carlo block ran")
 
 
+def _no_pool(*args, **kwargs):
+    pytest.fail("a block pool started")
+
+
 class TestParseConfig:
     def test_minimal_file_fills_defaults(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -150,7 +154,8 @@ class TestFamilyDemapperPairs:
         for workers in (1, 2):
             out = tmp_path / f"w{workers}.csv"
             run(SimConfig(mode=mode, family="qci", M=16, demapper="qci_lcd_compensated",
-                          code_file=str(toy_alist), psnr_start=11.0, psnr_stop=12.0, psnr_step=1.0,
+                          code_file=str(toy_alist) if mode == "coded_ber" else None,
+                          psnr_start=11.0, psnr_stop=12.0, psnr_step=1.0,
                           samples=200_000 if mode == "uncoded_ber" else 50, target_errors=100,
                           seed=5, workers=workers, output=str(out)))
             csvs.append(out.read_bytes())
@@ -772,6 +777,53 @@ class TestCli:
         assert main([*argv, "--constellation-file", qci16_file]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gmi", "--samples", "100000"],
+        ["sweep"],
+        ["scatter"],
+        ["complexity"],
+    ])
+    def test_code_file_outside_coded_sweeps_exits_2(self, argv, toy_alist, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_block_pool", _no_pool)
+        assert main([*argv, "--psnr", "12:12:1", "--workers", "1", "--code-file", str(toy_alist)]) == 2
+        assert "code_file is read only by mode 'coded_ber'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gmi", "--samples", "100000"],
+        ["gmi", "--samples", "100000", "--code-file", "c.alist"],
+        ["scatter"],
+        ["complexity"],
+    ])
+    def test_target_errors_outside_the_ber_modes_exits_2(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_block_pool", _no_pool)
+        assert main([*argv, "--psnr", "12:12:1", "--workers", "1", "--target-errors", "50"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gmi", "--samples", "100000", "--psnr", "12:12:1"],
+        ["sweep", "--psnr", "12:12:1"],
+        ["sweep", "--coded", "--psnr", "12:12:1"],
+        ["scatter", "--psnr", "12:12:1"],
+        ["complexity", "--psnr", "12:12:1"],
+        ["make-figures", "--sizes", "16", "--outdir", "figs"],
+    ])
+    def test_workers_above_the_cap_exits_2_before_any_pool(self, argv, monkeypatch, tmp_path, capsys):
+        # a fork pool would start every worker at its first map; none may start
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_block_pool", _no_pool)
+        assert main([*argv, "--workers", "100000"]) == 2
+        assert main([*argv, "--workers", str(harness.MAX_WORKERS + 1)]) == 2
+        assert capsys.readouterr().err.count(f"workers must not exceed {harness.MAX_WORKERS}") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_workers_cap_admits_the_benchmark_pool(self):
+        assert harness.MAX_WORKERS >= 4
+        validate_config(SimConfig(workers=harness.MAX_WORKERS))
 
     def test_scatter_checks_its_centers_file_before_drawing(self, monkeypatch, tmp_path, capsys):
         out = tmp_path / "sc.csv"

@@ -220,9 +220,9 @@ def _write_codes(outdir: Path) -> None:
     """Raw bytes of ``encode`` on one seeded (25, k) info block per code, and of ``decode_bp`` on its codewords.
 
     Each noise level also writes the check-node replies to its first
-    iteration: half the channel LLRs as float32, gathered into the
-    decoder's edge-major (D*C, frames) layout, with the replies written
-    frame by frame, as (frames, D*C) rows.
+    iteration: half the channel LLRs as float32, taken in the decoder's
+    variable order and gathered into its edge-major (D*C, frames) layout,
+    with the replies written frame by frame, as (frames, D*C) rows.
     """
     for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS),
                          (_irregular_code(), IRREGULAR_SIGMAS),
@@ -234,7 +234,7 @@ def _write_codes(outdir: Path) -> None:
         for sigma in sigmas:
             llrs = 2.0 * (1.0 - 2.0 * cw + sigma * noise) / sigma ** 2
             bits, converged, iters = decode_bp(code, llrs)
-            q = np.take(0.5 * llrs.astype(np.float32).T, code.col_var, axis=0)
+            q = np.take(0.5 * llrs[:, code.var_order].astype(np.float32).T, code.col_var, axis=0)
             replies = np.empty_like(q)
             _check_update(q, replies, code)
             replies = replies.T
