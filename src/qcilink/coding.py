@@ -19,7 +19,8 @@ stable sort), so the k_j variables that have a j-th edge come first. The
 frames run innermost, so each slot is one contiguous (C, frames) slab and
 every gather over edges or variables copies whole rows of frames; the
 (batch, n) input LLRs are transposed and put in ``var_order`` once on
-entry, and the hard bits go back to code order once on return. Every
+entry, and the hard bits go back to code order once on return (neither
+step runs when ``var_order`` is the identity, as for a regular code). Every
 message is a float32 carried at half scale (half the LLR), which saves
 the x0.5 and x2 passes of each iteration and moves no sign, zero or bit,
 since halving is exact; float32 tanh and artanh cost a quarter and a
@@ -27,11 +28,13 @@ third of the float64 ones. Finite input LLRs beyond the float32 range are
 clipped to it. One check-node kernel is the tanh product rule: tanh of
 the clamped message, fillers set to exactly 1.0, and each edge's reply
 the artanh of its prefix product times its suffix product over the
-check's other edges, slab by slab. The variable update adds the j-th
-edges ("slot" j) into the sums of the first k_j variables, one slot at a
-time, in the order ``np.add.reduceat`` would. The syndrome is an XOR over
-the slots of the hard bits of the posteriors, read from the posteriors
-already gathered into the edge layout for the next check update.
+check's other edges, slab by slab. The elementwise passes stop at the
+last slot's trailing fillers, which only the products read. The variable
+update adds the j-th edges ("slot" j) into the sums of the first k_j
+variables, one slot at a time, in the order ``np.add.reduceat`` would.
+The syndrome is an XOR over the slots of the hard bits of the
+posteriors, read from the posteriors already gathered into the edge
+layout for the next check update.
 ``decode_bp`` allocates its work arrays once per call as flat buffers and
 runs every step in place on them; converged frames leave the batch, and
 the columns still running move into the front of the other buffer,
@@ -98,16 +101,20 @@ class ParityCheckCode:
             raise ValueError(f"variable {bad} participates in no check")
         # slot-major check layout: row j*C + i holds the j-th edge of the
         # i-th check by falling degree, so the fillers of slot j are its
-        # rows from live = (number of checks of degree > j) on. The variables
-        # are taken by falling degree too: col_var maps each row to its
-        # variable's place in var_order (fillers read place 0), and
+        # rows from live = (number of checks of degree > j) on, and the rows
+        # from edge_end on are the last slot's trailing fillers. The
+        # variables are taken by falling degree too: col_var maps each row
+        # to its variable's place in var_order (fillers read place 0), and
         # var_slots[j] holds the rows of the j-th edges, in check order, of
-        # the first k_j variables, those of degree > j
+        # the first k_j variables, those of degree > j. reorder_vars is
+        # False when var_order is the identity, as for every regular code
         C, D = self.num_checks, int(self.check_deg.max())
         _, check_rank, check_slot = _degree_order(np.repeat(np.arange(C), self.check_deg), self.check_deg)
         row = check_slot * C + check_rank
         self.filler_slots = [(j, int(k)) for j, k in enumerate(np.bincount(check_slot)) if k < C]
+        self.edge_end = int(row.max()) + 1
         self.var_order, var_rank, var_slot = _degree_order(self.edge_var, self.var_deg)
+        self.reorder_vars = bool(np.any(self.var_order != np.arange(self.n)))
         self.col_var = np.zeros(D * C, dtype=np.int64)
         self.col_var[row] = var_rank
         self.var_slots = np.split(row[np.lexsort((var_rank, var_slot))], np.cumsum(np.bincount(var_slot))[:-1])
@@ -218,11 +225,14 @@ def _check_update(q, r, code: ParityCheckCode) -> None:
     slot from the left) times its suffix product (slot by slot from the
     right). Fillers enter as tanh exactly 1.0, so they change no product.
     ``q`` is overwritten: each slot j >= 1 ends up holding the product of
-    the tanh values of slots j..D-1.
+    the tanh values of slots j..D-1. The rows from ``code.edge_end`` on,
+    the last slot's trailing fillers, skip the clips and maps: ``_fill``
+    sets their tanh, and their replies, left as products, are never read.
     """
     b = q.shape[1]
-    np.clip(q, -_HALF_CLAMP, _HALF_CLAMP, out=q)
-    np.tanh(q, out=q)
+    qe, rep = q[:code.edge_end], r[:code.edge_end]
+    np.clip(qe, -_HALF_CLAMP, _HALF_CLAMP, out=qe)
+    np.tanh(qe, out=qe)
     t, r3 = q.reshape(-1, code.num_checks, b), r.reshape(-1, code.num_checks, b)
     _fill(t, 1.0, code)
     r3[0] = 1.0
@@ -231,8 +241,8 @@ def _check_update(q, r, code: ParityCheckCode) -> None:
     for j in range(t.shape[0] - 2, 0, -1):
         np.multiply(t[j], t[j + 1], out=t[j])
     np.multiply(r3[:-1], t[1:], out=r3[:-1])
-    np.clip(r, -_TANH_CLIP, _TANH_CLIP, out=r)
-    np.arctanh(r, out=r)
+    np.clip(rep, -_TANH_CLIP, _TANH_CLIP, out=rep)
+    np.arctanh(rep, out=rep)
 
 
 def _rows(buf: np.ndarray, k: int, b: int) -> np.ndarray:
@@ -255,7 +265,7 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     if x.shape[1] != code.n:
         raise ValueError(f"expected {code.n} LLRs per frame, got {x.shape[1]}")
     B, n = x.shape
-    L, C = code.col_var.size, code.num_checks
+    L, C, E = code.col_var.size, code.num_checks, code.edge_end
 
     # Every work array is a flat buffer allocated here; an iteration views
     # its first rows * b entries as (rows, b), the b frames still running
@@ -267,11 +277,13 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
 
     # transpose once on entry, clipping in float64 on the way to float32 so
     # no finite LLR overflows the cast, and take the variables in var_order
-    p = _rows(post_buf, n, B)
+    Lch = _rows(chan_buf, n, B)
+    p = _rows(post_buf, n, B) if code.reorder_vars else Lch
     np.clip(x.T, -_FLOAT32_MAX, _FLOAT32_MAX, out=p)
     if np.isnan(p).any():
         raise ValueError("LLRs must not be NaN")
-    Lch = np.take(p, code.var_order, axis=0, out=_rows(chan_buf, n, B), mode="clip")
+    if code.reorder_vars:
+        np.take(p, code.var_order, axis=0, out=Lch, mode="clip")
 
     out_bits = np.zeros((B, n), dtype=np.uint8)  # variables in var_order until the return
     out_conv = np.zeros(B, dtype=bool)
@@ -306,7 +318,7 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         # and only frames of zero syndrome need their posteriors checked.
         g, sp = _rows(edge_bits, L, b), _rows(parity, C, b)
         np.less(q, 0.0, out=g)
-        np.subtract(q, r, out=q)
+        np.subtract(q[:E], r[:E], out=q[:E])
         g = g.reshape(-1, C, b)
         _fill(g, False, code)
         np.bitwise_xor.reduce(g, axis=0, out=sp)
@@ -330,7 +342,8 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         q, Lch = _rows(Lq_buf, L, b), _rows(chan_buf, n, b)
         live = live[keep]
 
-    out_bits[:, code.var_order] = out_bits.copy()  # back to code order
+    if code.reorder_vars:
+        out_bits[:, code.var_order] = out_bits.copy()  # back to code order
     if single:
         return out_bits[0], bool(out_conv[0]), int(out_iters[0])
     return out_bits, out_conv, out_iters

@@ -13,6 +13,18 @@ processes share the blocks.
 A run builds its demap context, loads its LDPC code and derives its
 interleaver permutation once, and forked pool workers inherit them. Every
 file a run writes goes to a temp file that then replaces the target.
+
+Every block allocates and frees buffers of 0.5-0.8 MB: exponent blocks,
+scoring chunks, the decoder's message arrays. glibc's malloc serves such
+a buffer by mmap, or trims it off the heap when it is freed, until a
+freed buffer has raised its dynamic thresholds; so a fresh worker's speed
+would depend on what its parent ran before, and each one would fault the
+same pages again. Before its first block, a run therefore fixes glibc's
+thresholds in the calling process, and forked workers inherit them:
+allocations below 32 MiB come from the heap, and freed heap is kept for
+reuse up to 256 MiB per process rather than handed back to the OS. A
+libc without ``mallopt`` is left as it is. The calling process also
+imports ``numpy.random`` before the fork, so that no worker imports it.
 """
 
 from __future__ import annotations
@@ -317,6 +329,28 @@ def _openblas() -> _OpenBlas | None:
     return None
 
 
+# glibc's mallopt parameters (malloc.h) and the values set: 32 MiB is the
+# largest mmap threshold glibc takes on a 64-bit host
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 256 << 20
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> bool:
+    """Keep freed block buffers in this process's heap; False where libc has no ``mallopt``.
+
+    Fixed thresholds also switch off glibc's dynamic ones, so processes
+    forked from here behave alike whatever ran before.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to open
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)])
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on, which an affinity mask or cpuset can limit."""
     try:
@@ -349,9 +383,14 @@ def _block_pool(workers: int, **worker):
     """Yield ``(map, workers)``: the builtin ``map`` at one worker, else the ordered map of a fork pool.
 
     ``workers`` 0 means every usable CPU. ``_WORKER`` holds ``worker`` until
-    exit, so that forked workers inherit it. A worker that dies (OOM killer,
-    SIGKILL) makes the map raise ``BrokenProcessPool`` at once.
+    exit, so that forked workers inherit it, as they inherit the malloc
+    thresholds fixed here. A worker that dies (OOM killer, SIGKILL) makes
+    the map raise ``BrokenProcessPool`` at once.
     """
+    _fix_malloc_thresholds()
+    # numpy imports numpy.random at its first use, about 13 ms; here, once,
+    # rather than in every forked worker that draws a block
+    import numpy.random  # noqa: F401
     cores = _usable_cpus()
     workers = workers or cores
     _share_cores_with_blas(workers, cores)

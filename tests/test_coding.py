@@ -362,8 +362,9 @@ class TestEdgeLayout:
         deg, C = code.var_deg, code.num_checks
         by_degree = sorted(range(code.n), key=lambda v: -deg[v])  # sorted() is stable
         npt.assert_array_equal(code.var_order, by_degree)
-        # the regular codes keep code order; the others are reordered
+        # the regular codes keep code order, and the decoder skips the reorder; the others are reordered
         assert np.array_equal(code.var_order, np.arange(code.n)) == (which in ("toy", "bundled"))
+        assert code.reorder_vars == (which not in ("toy", "bundled"))
         assert len(code.var_slots) == deg.max()
         for j, rows in enumerate(code.var_slots):
             assert rows.size == np.count_nonzero(deg > j)
@@ -372,6 +373,8 @@ class TestEdgeLayout:
         check_order = np.argsort(-code.check_deg, kind="stable")
         real = [j * C + i for i, c in enumerate(check_order) for j in range(code.check_deg[c])]
         assert sorted(np.concatenate(code.var_slots).tolist()) == sorted(real)
+        # the rows from edge_end on, which the elementwise passes skip, are all fillers
+        assert code.edge_end == max(real) + 1
         # slot j of a variable is its edge to its j-th check, in check order
         rank = np.argsort(code.var_order)
         for v in range(code.n):

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -366,6 +367,23 @@ def test_workers_0_counts_the_cpus_of_the_affinity_mask(monkeypatch):
         assert pool_map is map
 
 
+def _refaults(_):
+    """Minor page faults of an 8 MB array allocated where one was just freed."""
+    np.ones(1_000_000)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(1_000_000)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def test_pool_workers_reuse_freed_block_buffers():
+    if not harness._fix_malloc_thresholds():
+        pytest.skip("libc has no mallopt")
+    with harness._block_pool(2) as (pool_map, _):
+        faults = list(pool_map(_refaults, range(2)))
+    # a fresh 8 MB mapping faults its 1954 pages in
+    assert max(faults) < 100
+
+
 # a pooled gmi run, then the same run through the CLI, whose block task
 # SIGKILLs its own worker on the first block of point 1; prints what the
 # parent saw as JSON
@@ -399,12 +417,16 @@ print(json.dumps({"raised_after_s": raised_after, "rc": rc, "worker_state": len(
 """
 
 
-def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(tmp_path):
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this qcilink."""
     src = str(Path(harness.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(tmp_path):
     out = tmp_path / "g.csv"
     # its own session, so that a hung run and every worker it started can be ended together
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER_SCRIPT, str(out)], env=env, text=True,
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER_SCRIPT, str(out)], env=_src_env(), text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
     try:
         stdout, stderr = proc.communicate(timeout=30)
@@ -419,6 +441,27 @@ def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(tmp_path):
     assert stderr.splitlines() == ["a worker process died (killed by the OS?); the run was abandoned"]
     assert (seen["worker_state"], seen["active_children"], seen["os_children"]) == (0, 0, False)
     assert not out.exists()
+
+
+# in a fresh interpreter, which has not imported numpy.random: does each
+# worker of a pool find it imported?
+_FRESH_POOL_SCRIPT = """
+import sys
+from qcilink import harness
+
+def imported(name):
+    return name in sys.modules
+
+with harness._block_pool(2) as (pool_map, _):
+    print(all(pool_map(imported, ["numpy.random"] * 2)))
+"""
+
+
+def test_pool_workers_inherit_numpy_random():
+    proc = subprocess.run([sys.executable, "-c", _FRESH_POOL_SCRIPT], env=_src_env(), text=True,
+                          capture_output=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 class TestUncodedMode:

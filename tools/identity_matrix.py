@@ -32,9 +32,9 @@ iterations and others hit the 50-iteration cap. These hard decisions
 come out the same under float32 and float64 messages, so the tool also
 writes the raw float32 replies of one check-node update
 (``_check_update``) on the half-scale first-iteration messages of each
-noise level, which move with any change of the decoder's precision or
-clamps. Running it on two trees and diffing the printed
-lists shows whether a change kept every output byte-identical; diff a
+noise level, on the real edges only, which move with any change of the
+decoder's precision or clamps. Running it on two trees and diffing the
+printed lists shows whether a change kept every output byte-identical; diff a
 demapper change both at the default thread count and with
 ``OPENBLAS_NUM_THREADS=1``, since BLAS splits its products by thread.
 
@@ -54,7 +54,7 @@ import numpy as np  # noqa: E402
 from qcilink import (ParityCheckCode, build_qci, bundled_code, decode_bp, encode, load_alist,  # noqa: E402
                      n0_from_psnr, radial_forward, radial_inverse, save_constellation)
 from qcilink.cli import main as cli_main  # noqa: E402
-from qcilink.coding import _check_update  # noqa: E402
+from qcilink.coding import _check_update, _fill  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
 from qcilink.metrics import gmi_symbol_scores  # noqa: E402
@@ -222,7 +222,8 @@ def _write_codes(outdir: Path) -> None:
     Each noise level also writes the check-node replies to its first
     iteration: half the channel LLRs as float32, taken in the decoder's
     variable order and gathered into its edge-major (D*C, frames) layout,
-    with the replies written frame by frame, as (frames, D*C) rows.
+    with the replies of the real edges written frame by frame, as (frames,
+    edges) rows in layout order. A filler's reply is never read.
     """
     for code, sigmas in ((bundled_code(), BUNDLED_SIGMAS), (load_alist(TOY_ALIST), TOY_SIGMAS),
                          (_irregular_code(), IRREGULAR_SIGMAS),
@@ -231,13 +232,15 @@ def _write_codes(outdir: Path) -> None:
         cw = encode(code, rng.integers(0, 2, size=(25, code.k), dtype=np.uint8))
         (outdir / f"codewords_{code.name}.u8").write_bytes(cw.tobytes())
         noise = rng.standard_normal(cw.shape)
+        real = np.ones((code.col_var.size // code.num_checks, code.num_checks), dtype=bool)
+        _fill(real, False, code)
         for sigma in sigmas:
             llrs = 2.0 * (1.0 - 2.0 * cw + sigma * noise) / sigma ** 2
             bits, converged, iters = decode_bp(code, llrs)
             q = np.take(0.5 * llrs[:, code.var_order].astype(np.float32).T, code.col_var, axis=0)
             replies = np.empty_like(q)
             _check_update(q, replies, code)
-            replies = replies.T
+            replies = replies[real.reshape(-1)].T
             for part, arr in (("bits.u8", bits), ("converged.b1", converged), ("iters.i64", iters),
                               ("replies.f32", replies)):
                 (outdir / f"decoded_{code.name}_sigma{sigma}_{part}").write_bytes(arr.tobytes())
