@@ -35,10 +35,10 @@ variables, one slot at a time, in the order ``np.add.reduceat`` would.
 The syndrome is an XOR over the slots of the hard bits of the
 posteriors, read from the posteriors already gathered into the edge
 layout for the next check update.
-``decode_bp`` allocates its work arrays once per call as flat buffers and
-runs every step in place on them; converged frames leave the batch, and
-the columns still running move into the front of the other buffer,
-viewed as (rows, frames still running), so every view stays contiguous.
+``decode_bp`` runs every step in place on work arrays made for the width
+of the running batch; converged frames leave it, the messages and channel
+LLRs of the frames still running are taken into new (rows, frames still
+running) arrays, and the work arrays are made anew at that width.
 A NaN input LLR is rejected, since it would read as a decided bit.
 """
 
@@ -245,11 +245,6 @@ def _check_update(q, r, code: ParityCheckCode) -> None:
     np.arctanh(rep, out=rep)
 
 
-def _rows(buf: np.ndarray, k: int, b: int) -> np.ndarray:
-    """The first k * b entries of a flat buffer as a contiguous (k, b) array."""
-    return buf[:k * b].reshape(k, b)
-
-
 def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     """Flooding-schedule sum-product decoding with syndrome early exit.
 
@@ -267,35 +262,29 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
     B, n = x.shape
     L, C, E = code.col_var.size, code.num_checks, code.edge_end
 
-    # Every work array is a flat buffer allocated here; an iteration views
-    # its first rows * b entries as (rows, b), the b frames still running
-    # innermost, so every view is contiguous and every gather over edges or
-    # variables copies whole rows of b frames.
-    Lq_buf, Lr_buf = np.empty((2, L * B), dtype=np.float32)
-    chan_buf, post_buf, rest_buf, slot_buf = np.empty((4, n * B), dtype=np.float32)
-    edge_bits, parity = np.empty(L * B, dtype=bool), np.empty(C * B, dtype=bool)
-
     # transpose once on entry, clipping in float64 on the way to float32 so
     # no finite LLR overflows the cast, and take the variables in var_order
-    Lch = _rows(chan_buf, n, B)
-    p = _rows(post_buf, n, B) if code.reorder_vars else Lch
-    np.clip(x.T, -_FLOAT32_MAX, _FLOAT32_MAX, out=p)
-    if np.isnan(p).any():
+    Lch = np.empty((n, B), dtype=np.float32)
+    np.clip(x.T, -_FLOAT32_MAX, _FLOAT32_MAX, out=Lch)
+    if np.isnan(Lch).any():
         raise ValueError("LLRs must not be NaN")
     if code.reorder_vars:
-        np.take(p, code.var_order, axis=0, out=Lch, mode="clip")
+        Lch = np.take(Lch, code.var_order, axis=0, mode="clip")
 
     out_bits = np.zeros((B, n), dtype=np.uint8)  # variables in var_order until the return
     out_conv = np.zeros(B, dtype=bool)
     out_iters = np.full(B, max_iters, dtype=np.int64)
 
     live = np.arange(B)          # original frame index of each running column
-    b = B
+    b = 0
     np.multiply(Lch, 0.5, out=Lch)  # every message from here on is at half scale
-    q = _rows(Lq_buf, L, b)
-    np.take(Lch, code.col_var, axis=0, out=q, mode="clip")
+    q = np.take(Lch, code.col_var, axis=0, mode="clip")
     for it in range(1, max_iters + 1):
-        r, p, s = _rows(Lr_buf, L, b), _rows(post_buf, n, b), _rows(rest_buf, n, b)
+        if b != live.size:  # the first iteration, or frames left the batch
+            b = live.size
+            r, g = np.empty((L, b), dtype=np.float32), np.empty((L, b), dtype=bool)
+            p, s, slot = (np.empty((n, b), dtype=np.float32) for _ in range(3))
+            sp = np.empty((C, b), dtype=bool)
         _check_update(q, r, code)
 
         # variable-node update: post = Lch + (slot 0 + (slot 1 + slot 2 + ...)),
@@ -304,9 +293,9 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         # variables that have a slot j are the first k_j, those of degree > j.
         s.fill(-0.0)
         for rows in code.var_slots[1:]:
-            slot = _rows(slot_buf, rows.size, b)
-            np.take(r, rows, axis=0, out=slot, mode="clip")
-            np.add(s[:rows.size], slot, out=s[:rows.size])
+            k = rows.size
+            np.take(r, rows, axis=0, out=slot[:k], mode="clip")
+            np.add(s[:k], slot[:k], out=s[:k])
         np.take(r, code.var_slots[0], axis=0, out=p, mode="clip")
         np.add(p, s, out=p)
         np.add(Lch, p, out=p)
@@ -316,12 +305,11 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         # all-zero input would otherwise "converge" on the zero word. Each
         # edge's hard bit is read from the posterior just gathered into q,
         # and only frames of zero syndrome need their posteriors checked.
-        g, sp = _rows(edge_bits, L, b), _rows(parity, C, b)
         np.less(q, 0.0, out=g)
         np.subtract(q[:E], r[:E], out=q[:E])
-        g = g.reshape(-1, C, b)
-        _fill(g, False, code)
-        np.bitwise_xor.reduce(g, axis=0, out=sp)
+        g3 = g.reshape(-1, C, b)
+        _fill(g3, False, code)
+        np.bitwise_xor.reduce(g3, axis=0, out=sp)
         ok = ~sp.any(axis=0)
         if ok.any():
             ok &= (p != 0.0).all(axis=0)
@@ -333,14 +321,10 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         keep = np.flatnonzero(~ok)
         if keep.size == 0 or it == max_iters:
             break
-        # move the running columns to the front; Lr and post are rebuilt from
-        # Lq and Lch before they are read again, so they take the moved columns
-        b = keep.size
-        np.take(q, keep, axis=1, out=_rows(Lr_buf, L, b), mode="clip")
-        np.take(Lch, keep, axis=1, out=_rows(post_buf, n, b), mode="clip")
-        Lq_buf, Lr_buf, chan_buf, post_buf = Lr_buf, Lq_buf, post_buf, chan_buf
-        q, Lch = _rows(Lq_buf, L, b), _rows(chan_buf, n, b)
-        live = live[keep]
+        # only q and Lch carry state into the next iteration; the work arrays
+        # go first, so arrays of the old and the new width never pile up
+        del r, g, p, s, slot, sp
+        q, Lch, live = np.take(q, keep, axis=1, mode="clip"), np.take(Lch, keep, axis=1, mode="clip"), live[keep]
 
     if code.reorder_vars:
         out_bits[:, code.var_order] = out_bits.copy()  # back to code order

@@ -175,17 +175,13 @@ def gray_check(c: Constellation) -> GrayReport:
     exact ties do not survive floating point.
     """
     pts = c.points.reshape(c.M, -1)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.sum(diff ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    dmin = np.min(d2, axis=1)
-    hd = np.count_nonzero(c.labels[:, None, :] != c.labels[None, :, :], axis=-1)
     violations = []
-    for i in range(c.M):
-        neighbors = np.nonzero(d2[i] <= dmin[i] * (1.0 + GRAY_REL_TOL) ** 2)[0]
-        for j in neighbors:
-            if hd[i, j] != 1:
-                violations.append((int(i), int(j), int(hd[i, j])))
+    for i in range(c.M):  # one (M,) distance row at a time, so memory stays O(M)
+        d2 = np.sum((pts[i] - pts) ** 2, axis=-1)
+        d2[i] = np.inf
+        neighbors = np.flatnonzero(d2 <= d2.min() * (1.0 + GRAY_REL_TOL) ** 2)
+        hd = np.count_nonzero(c.labels[neighbors] != c.labels[i], axis=-1)
+        violations += [(i, int(j), int(h)) for j, h in zip(neighbors, hd) if h != 1]
     return GrayReport(passed=not violations, violations=tuple(violations))
 
 

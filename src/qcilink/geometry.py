@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SQRT2 = float(np.sqrt(2.0))
-
 # divisor floor of t at the origin, where min = max = 0: t = 0/_TINY = 0, and
 # every nonzero max, subnormal or not, is at least _TINY and stays as it is
 _TINY = float(np.finfo(np.float64).smallest_subnormal)

@@ -130,6 +130,24 @@ def hamming(a, b):
     return sum(int(x) != int(y) for x, y in zip(a, b))
 
 
+def gray_violations_full_matrix(points, labels, rel_tol):
+    """Gray violations (i, j, hamming) from the full (M, M) distance and label-difference matrices."""
+    M = len(labels)
+    pts = np.asarray(points).reshape(M, -1)
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.sum(diff ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    dmin = np.min(d2, axis=1)
+    hd = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=-1)
+    violations = []
+    for i in range(M):
+        neighbors = np.nonzero(d2[i] <= dmin[i] * (1.0 + rel_tol) ** 2)[0]
+        for j in neighbors:
+            if hd[i, j] != 1:
+                violations.append((int(i), int(j), int(hd[i, j])))
+    return violations
+
+
 def systematic_encode_int64(H_rref, pivot_cols, info_cols, info_bits):
     """Codewords by the plain int64 product: parity = (u @ P.T) & 1, P = H_rref[:, info_cols]."""
     u = np.atleast_2d(np.asarray(info_bits, dtype=np.int64))

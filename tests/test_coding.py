@@ -292,13 +292,16 @@ class TestDecoder:
             npt.assert_array_equal(bits[f], o_bits)
             assert (conv[f], iters[f]) == (o_conv, o_iters)
 
-    def test_batch_equals_frames_decoded_alone(self, toy_code):
-        llr = _noisy_llrs(toy_code, 16, 0.9, seed=5)
-        bits, conv, iters = decode_bp(toy_code, llr)
-        # frames leave the batch at different iterations, so running rows move
+    @pytest.mark.parametrize("which", ["toy", "irregular"])
+    def test_batch_equals_frames_decoded_alone(self, which, toy_code, irregular_code):
+        # the irregular code takes its variables out of code order
+        code = {"toy": toy_code, "irregular": irregular_code}[which]
+        llr = _noisy_llrs(code, 16, 0.9, seed=5)
+        bits, conv, iters = decode_bp(code, llr)
+        # frames leave the batch at different iterations, so the batch narrows
         assert len(np.unique(iters)) > 3 and not conv.all()
         for f in range(len(llr)):
-            b, c, i = decode_bp(toy_code, llr[f])
+            b, c, i = decode_bp(code, llr[f])
             assert bits[f].tobytes() == b.tobytes()
             assert (conv[f], iters[f]) == (c, i)
 

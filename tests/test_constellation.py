@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,9 +15,10 @@ from qcilink import (
     radial_forward,
     save_constellation,
 )
+from qcilink.constellation import GRAY_REL_TOL, SUPPORTED_PAM_SIZES, SUPPORTED_QAM_SIZES
 from qcilink.errors import DataFormatError
 
-from oracles import hamming, mean_symbol_power, nearest_neighbor_pairs
+from oracles import gray_violations_full_matrix, hamming, mean_symbol_power, nearest_neighbor_pairs
 
 
 def _peak_power(c):
@@ -134,6 +137,31 @@ class TestGrayCheck:
         report = gray_check(Constellation(pts, labs))
         assert not report.passed
         assert (1, 2, 2) in report.violations
+
+    @pytest.mark.parametrize("c", [build_pam(L) for L in SUPPORTED_PAM_SIZES]
+                             + [build(M) for build in (build_qam, build_qci)
+                                for M in SUPPORTED_QAM_SIZES if M <= 256], ids=lambda c: c.name)
+    def test_matches_full_matrix_reference(self, c):
+        assert list(gray_check(c).violations) == gray_violations_full_matrix(c.points, c.labels, GRAY_REL_TOL)
+
+    def test_swapped_labels_match_full_matrix_reference(self):
+        c = build_qci(64)
+        labs = c.labels.copy()
+        labs[[9, 30]] = labs[[30, 9]]
+        report = gray_check(Constellation(c.points, labs))
+        assert not report.passed
+        assert list(report.violations) == gray_violations_full_matrix(c.points, labs, GRAY_REL_TOL)
+
+    def test_memory_stays_linear_in_the_points(self):
+        # the full (M, M) matrices of M = 1024 would take tens of MB
+        c = build_qci(1024)
+        tracemalloc.start()
+        try:
+            assert gray_check(c).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestNormalize:

@@ -33,10 +33,13 @@ come out the same under float32 and float64 messages, so the tool also
 writes the raw float32 replies of one check-node update
 (``_check_update``) on the half-scale first-iteration messages of each
 noise level, on the real edges only, which move with any change of the
-decoder's precision or clamps. Running it on two trees and diffing the
-printed lists shows whether a change kept every output byte-identical; diff a
-demapper change both at the default thread count and with
-``OPENBLAS_NUM_THREADS=1``, since BLAS splits its products by thread.
+decoder's precision or clamps. It also writes the ``gray_check``
+violation triples of qci16, qci64, qci256, qam64, pam8 and of a qci64
+with the labels of points 9 and 30 swapped. Running it on two trees and
+diffing the printed lists shows whether a change kept every output
+byte-identical; diff a demapper change both at the default thread count
+and with ``OPENBLAS_NUM_THREADS=1``, since BLAS splits its products by
+thread.
 
 Run from the repository root:  python tools/identity_matrix.py OUTDIR
 """
@@ -51,8 +54,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcilink import (ParityCheckCode, build_qci, bundled_code, decode_bp, encode, load_alist,  # noqa: E402
-                     n0_from_psnr, radial_forward, radial_inverse, save_constellation)
+from qcilink import (Constellation, ParityCheckCode, build_pam, build_qam, build_qci, bundled_code,  # noqa: E402
+                     decode_bp, encode, gray_check, load_alist, n0_from_psnr, radial_forward, radial_inverse,
+                     save_constellation)
 from qcilink.cli import main as cli_main  # noqa: E402
 from qcilink.coding import _check_update, _fill  # noqa: E402
 from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # noqa: E402
@@ -201,6 +205,22 @@ def _write_radial(outdir: Path) -> None:
             (outdir / f"{fn.__name__}_edges.f64").write_bytes(fn(pts).tobytes())
 
 
+def _write_gray(outdir: Path) -> None:
+    """The ``gray_check`` violations, one ``point,neighbor,hamming`` line each.
+
+    Five built constellations pass and write empty files; the qci64 with
+    two labels swapped fails at both points and at their neighbors.
+    """
+    swapped = build_qci(64)
+    labels = swapped.labels.copy()
+    labels[[9, 30]] = labels[[30, 9]]
+    for name, c in (("qci16", build_qci(16)), ("qci64", build_qci(64)), ("qci256", build_qci(256)),
+                    ("qam64", build_qam(64)), ("pam8", build_pam(8)),
+                    ("qci64_swapped", Constellation(swapped.points, labels))):
+        lines = [f"{i},{j},{h}\n" for i, j, h in gray_check(c).violations]
+        (outdir / f"gray_{name}.csv").write_text("".join(lines))
+
+
 def _irregular_code() -> ParityCheckCode:
     """Rate-1/2 code of 400 bits; variable v joins v % 8 + 1 checks drawn at random.
 
@@ -257,6 +277,7 @@ def main() -> None:
     _write_scores(outdir, str(const_file))
     _write_radial(outdir)
     _write_codes(outdir)
+    _write_gray(outdir)
     for workers in WORKERS:
         for name, spec in _runs(str(const_file)).items():
             run(SimConfig(**spec, seed=SEED, workers=workers, output=str(outdir / f"w{workers}_{name}.csv")))
