@@ -29,8 +29,9 @@ product ``P @ Y``: P = [-|p|^2/n0, p] per point, Y = [1; 2y/n0] per sample.
 That is -|y - p|^2/n0 up to the per-sample constant -|y|^2/n0, which every
 LLR cancels, so it is never computed. Exact log-MAP, over 2D points or PAM
 levels, shifts each column by its maximum, takes ``exp`` in place, then the
-BLAS label products ``w0 @ e`` and ``w1 @ e``. Max-log subtracts the
-largest exponent of each bit's bit-1 rows from that of its bit-0 rows.
+BLAS label products ``w0 @ e`` and ``w1 @ e``. Max-log takes the rows
+into label order and subtracts the largest exponent of each bit's bit-1
+rows from that of its bit-0 rows.
 """
 
 from __future__ import annotations
@@ -262,14 +263,22 @@ def llr_exact_2d(y, c: Constellation, n0: float) -> LlrFrame:
 
 
 def llr_maxlog_2d(y, c: Constellation, n0: float) -> LlrFrame:
-    """Max-log variant: the largest exponent of each bit subset replaces the log-sum-exp."""
+    """Max-log variant: the largest exponent of each bit subset replaces the log-sum-exp.
+
+    The M labels are all 2^m words, so one gather puts each exponent block
+    in label order, and bit i's subsets are then the strided halves
+    ``[:, 0]`` and ``[:, 1]`` of its (2^i, 2, 2^(m-1-i), cols) view: no
+    gather per bit. The rows are permuted after the product, not before:
+    BLAS may round a product of permuted rows differently.
+    """
     ys, n0 = _kernel_args(y, c, n0, 2, "llr_maxlog_2d")
     out = np.empty((c.m, len(ys)))
-    zeros = c.labels.T == 0  # (m, M) bit subsets
-    ones = ~zeros
+    order = np.argsort(Constellation._codes_of(c.labels))
     for a, b, e in _exponent_blocks(ys, n0, c):
+        e = np.take(e, order, axis=0)
         for i in range(c.m):
-            np.subtract(e[zeros[i]].max(axis=0), e[ones[i]].max(axis=0), out=out[i, a:b])
+            halves = e.reshape(2 ** i, 2, -1, b - a)
+            np.subtract(halves[:, 0].max(axis=(0, 1)), halves[:, 1].max(axis=(0, 1)), out=out[i, a:b])
     return LlrFrame(np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out).T, len(ys) * c.M)
 
 

@@ -7,12 +7,26 @@ go to the workers in rounds that span the whole PSNR grid, so blocks of
 different points fill the pool. Early stopping in the BER modes scans each
 point's blocks in block order, so a block computed past the one that met
 the error target is discarded rather than folded in. Output is therefore
-bit-identical for a given (config, seed) no matter how many worker
-processes share the blocks.
+bit-identical for a given (config, seed) no matter how many workers share
+the blocks.
+
+The mode picks the workers. A gmi or uncoded_ber block spends its time in
+numpy calls of 10-100 us that release the GIL (ufuncs, BLAS, generator
+draws, ``take``), and a whole run lasts only tens of ms, so its blocks run
+on a thread pool of the calling process, each thread pinned to its own
+share of the caller's CPUs. A fresh fork pool would cost such a run about
+9 ms to start, 6 ms of first-touch page faults per worker and 3 ms to shut
+down; and on a host whose scheduler keeps new threads on their creator's
+CPU, two unpinned threads gained 0.8-1.1x where two pinned ones gained
+1.3-2.3x. coded_ber keeps a pool of forked processes: the BP decoder makes
+about 50 short numpy calls per iteration, which contend for the GIL, and
+on 25-frame batches it ran 1.33x on 2 pinned threads against 1.66x on 2
+processes.
 
 A run builds its demap context, loads its LDPC code and derives its
-interleaver permutation once, and forked pool workers inherit them. Every
-file a run writes goes to a temp file that then replaces the target.
+interleaver permutation once; pool threads share them and forked pool
+workers inherit them. Every file a run writes goes to a temp file that
+then replaces the target.
 
 Every block allocates and frees buffers of 0.5-0.8 MB: exponent blocks,
 scoring chunks, the decoder's message arrays. glibc's malloc serves such
@@ -20,11 +34,12 @@ a buffer by mmap, or trims it off the heap when it is freed, until a
 freed buffer has raised its dynamic thresholds; so a fresh worker's speed
 would depend on what its parent ran before, and each one would fault the
 same pages again. Before its first block, a run therefore fixes glibc's
-thresholds in the calling process, and forked workers inherit them:
-allocations below 32 MiB come from the heap, and freed heap is kept for
-reuse up to 256 MiB per process rather than handed back to the OS. A
-libc without ``mallopt`` is left as it is. The calling process also
-imports ``numpy.random`` before the fork, so that no worker imports it.
+thresholds in the calling process, whose threads share them and whose
+forked workers inherit them: allocations below 32 MiB come from the heap,
+and freed heap is kept for reuse up to 256 MiB per process rather than
+handed back to the OS. A libc without ``mallopt`` is left as it is. The
+calling process also imports ``numpy.random`` before the first block, so
+that no forked worker imports it.
 """
 
 from __future__ import annotations
@@ -34,7 +49,6 @@ import ctypes
 import errno
 import functools
 import math
-import multiprocessing
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -247,12 +261,18 @@ def load_code(cfg: SimConfig) -> ParityCheckCode:
 
 
 # ---------------------------------------------------------------------------
-# block tasks (run inline or in forked pool workers)
+# block tasks (run inline, on pool threads or in forked pool workers)
 
 # the cfg, ctx, code, interleaver permutation and deinterleave index of the
-# run in progress; _block_pool sets it before the pool forks, so workers
-# inherit it, and clears it when the run ends
+# run in progress; _block_pool sets it before the pool starts, so threads
+# share it and forked workers inherit it, and clears it when the run ends
 _WORKER: dict = {}
+
+
+def _comp_task(args):
+    point, n0 = args
+    cfg, ctx = _WORKER["cfg"], _WORKER["ctx"]
+    return estimate_affine_compensation(ctx, n0, COMP_SAMPLES, derived_rng(cfg.seed, _TAG_COMP, point, 0))
 
 
 def _gmi_task(args):
@@ -360,12 +380,13 @@ def _usable_cpus() -> int:
 
 
 def _share_cores_with_blas(workers: int, cores: int) -> None:
-    """Split the cores between the process pool and OpenBLAS.
+    """Split the cores between the block pool and OpenBLAS.
 
-    Forked workers inherit the parent's OpenBLAS thread count, and an
-    idle OpenBLAS helper thread keeps spinning on a core, so before a pool
-    of ``workers`` starts the count becomes ``cores // workers`` (at least
-    one) and workers x threads stays within the cores. An inline run gets
+    Pool threads share the calling process's OpenBLAS thread count and
+    forked workers inherit it, and an idle OpenBLAS helper thread keeps
+    spinning on a core, so before a pool of ``workers`` starts the count
+    becomes ``cores // workers`` (at least one) and workers x threads
+    stays within the cores. An inline run gets
     back the count found at first use. The count is left as set when the
     pool closes, because the next pooled run wants the same count, and is
     changed only when it differs.
@@ -378,14 +399,34 @@ def _share_cores_with_blas(workers: int, cores: int) -> None:
         blas.set(want)
 
 
-@contextlib.contextmanager
-def _block_pool(workers: int, **worker):
-    """Yield ``(map, workers)``: the builtin ``map`` at one worker, else the ordered map of a fork pool.
+def _cpu_shares(workers: int) -> list:
+    """The CPU set of each of ``workers`` pool threads: share i is ``cpus[i::workers]`` of the caller's mask.
 
-    ``workers`` 0 means every usable CPU. ``_WORKER`` holds ``worker`` until
-    exit, so that forked workers inherit it, as they inherit the malloc
-    thresholds fixed here. A worker that dies (OOM killer, SIGKILL) makes
-    the map raise ``BrokenProcessPool`` at once.
+    With more workers than CPUs, each thread past the last CPU takes one
+    CPU, round-robin.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    return [cpus[i::workers] or [cpus[i % len(cpus)]] for i in range(workers)]
+
+
+def _pin_thread(shares: list) -> None:
+    """Initializer of a pool thread: run this thread, not the process, on one share of ``shares``."""
+    with contextlib.suppress(OSError):  # a CPU left the mask since the shares were taken: stay unpinned
+        os.sched_setaffinity(0, shares.pop())
+
+
+@contextlib.contextmanager
+def _block_pool(workers: int, mode: str, **worker):
+    """Yield ``(map, workers)``: the builtin ``map`` at one worker, else the ordered map of a pool.
+
+    ``workers`` 0 means every usable CPU. ``mode`` coded_ber gets a fork
+    pool of processes, every other mode a pool of threads, each pinned to
+    its share of the caller's CPUs where the platform has affinity masks
+    (see the module docstring for why). ``_WORKER`` holds ``worker`` until
+    exit, so that threads share it and forked workers inherit it, as they
+    inherit the malloc thresholds fixed here. A forked worker that dies
+    (OOM killer, SIGKILL) makes the map raise ``BrokenProcessPool`` at
+    once. No thread or process of the pool outlives the ``with`` block.
     """
     _fix_malloc_thresholds()
     # numpy imports numpy.random at its first use, about 13 ms; here, once,
@@ -398,9 +439,17 @@ def _block_pool(workers: int, **worker):
     try:
         if workers == 1:
             yield map, 1
-        else:
-            from concurrent.futures import ProcessPoolExecutor  # ~10 ms of imports that inline runs skip
+        elif mode == "coded_ber":
+            # ~10 ms of imports that inline and threaded runs skip
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                yield pool.map, workers
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            pin = ({"initializer": _pin_thread, "initargs": (_cpu_shares(workers),)}
+                   if hasattr(os, "sched_setaffinity") else {})
+            with ThreadPoolExecutor(workers, "qcilink-block", **pin) as pool:
                 yield pool.map, workers
     finally:
         _WORKER.clear()
@@ -464,16 +513,16 @@ def run(cfg: SimConfig) -> list:
     # symbol q // m of its frame, bit q % m
     unperm = np.divmod(np.argsort(perm), ctx.m) if code is not None else None
     label = (ctx.name, cfg.demapper, cfg.seed)
-    with _block_pool(cfg.workers, cfg=cfg, ctx=ctx, code=code, perm=perm, unperm=unperm) as pool:
+    with _block_pool(cfg.workers, cfg.mode, cfg=cfg, ctx=ctx, code=code, perm=perm, unperm=unperm) as pool:
         if cfg.mode == "gmi":
-            points = _run_blocks(cfg, ctx, grid, *pool, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
+            points = _run_blocks(cfg, grid, *pool, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
             records = [tally_record(psnr, "gmi", tally, *label) for psnr, tally in points]
         elif cfg.mode == "uncoded_ber":
             budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
-            points = _run_blocks(cfg, ctx, grid, *pool, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms)
+            points = _run_blocks(cfg, grid, *pool, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms)
             records = [tally_record(psnr, "ber", tally, *label) for psnr, tally in points]
         else:
-            points = _run_blocks(cfg, ctx, grid, *pool, _coded_task, CODED_BLOCK_FRAMES, resolved_samples(cfg))
+            points = _run_blocks(cfg, grid, *pool, _coded_task, CODED_BLOCK_FRAMES, resolved_samples(cfg))
             for psnr, tally in points:
                 # the FER row's sample is 0/1 per frame: its sums are the frame errors
                 records += [tally_record(psnr, "ber", tally, *label, per=code.k),
@@ -483,7 +532,7 @@ def run(cfg: SimConfig) -> list:
     return records
 
 
-def _run_blocks(cfg, ctx, grid, pool_map, workers, task, block_unit, budget) -> list:
+def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget) -> list:
     """The one Monte Carlo loop: each grid point's PSNR with the summed ``Tally`` of its kept blocks.
 
     Blocks go out in rounds that span the grid, one ``pool_map`` per
@@ -495,7 +544,9 @@ def _run_blocks(cfg, ctx, grid, pool_map, workers, task, block_unit, budget) -> 
     every point. A point keeps its blocks in block order up to the first
     that meets its target and drops the rest; block b of point p draws from
     its own generator, so the kept blocks, and with them the output, do not
-    depend on how many workers ran or how the rounds fell.
+    depend on how many workers ran or how the rounds fell. A compensated
+    kind's estimates, one per point from its own generator, go out in one
+    ``pool_map`` before the first round.
     """
     target = resolved_target_errors(cfg)
     stop = target or math.inf  # gmi has no error target
@@ -503,8 +554,7 @@ def _run_blocks(cfg, ctx, grid, pool_map, workers, task, block_unit, budget) -> 
     n0s = [n0_from_psnr(psnr) for psnr in grid]
     comps = [None] * len(grid)
     if DEMAPPERS[cfg.demapper].needs_comp:
-        comps = [estimate_affine_compensation(ctx, n0, COMP_SAMPLES, derived_rng(cfg.seed, _TAG_COMP, p, 0))
-                 for p, n0 in enumerate(n0s)]
+        comps = list(pool_map(_comp_task, list(enumerate(n0s))))
     kept = [[] for _ in grid]
     errors = [0] * len(grid)
     sent = [0] * len(grid)  # blocks dispatched per point
@@ -559,8 +609,11 @@ def _write_scatter_csv(dump, ctx, path) -> None:
     with _atomic_open(path) as fh:
         fh.write(f"# qci-scatter v1, M={ctx.M}, constellation={ctx.name}\n")
         fh.write("x_qam_u,x_qam_v,z_u,z_v\n")
-        # streamed %-formats: half the time of f-strings, and no string of all rows at once
-        fh.writelines(map("%.10g,%.10g,%.10g,%.10g\n".__mod__, zip(*dump.qam_ref.T, *dump.remapped.T)))
+        # streamed %-formats of Python floats, each of the M grid points formatted
+        # once: no numpy scalar is formatted, and no string holds all rows at once
+        grid = list(map("%.10g,%.10g,".__mod__, zip(*ctx.qam_grid.points.T.tolist())))
+        remapped = map("%.10g,%.10g\n".__mod__, zip(*dump.remapped.T.tolist()))
+        fh.writelines(map(str.__add__, map(grid.__getitem__, dump.point_index.tolist()), remapped))
     with _atomic_open(_centers_path(path)) as fh:
         fh.write(f"# qci-scatter-centers v1, M={ctx.M}, constellation={ctx.name}\n")
         fh.write("point_index,qam_u,qam_v,center_u,center_v,count\n")

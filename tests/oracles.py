@@ -3,13 +3,17 @@
 These deliberately avoid the package's vectorized code paths: plain Python
 loops over the likelihood-ratio definition, with math.fsum for the sums.
 The +-60 output clamp is part of the demapper contract and is reproduced
-here so comparisons stay meaningful near saturation.
+here so comparisons stay meaningful near saturation. ``maxlog_gather_2d``
+is the exception: a byte-level reference for the order of the max-log
+reductions, it shares the package's exponent blocks.
 """
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from qcilink.demapper import _exponent_blocks
 
 LLR_CLAMP = 60.0
 # the decoder's float32 clamp of a half-scale message and bound on a check-node product
@@ -229,3 +233,19 @@ def flooding_decode_loops(check_lists, n, llrs, max_iters):
         if all(p != 0.0 for p in post) and all(sum(bits[v] for v in vs) % 2 == 0 for vs in check_lists):
             return bits, True, it
     return bits, False, max_iters
+
+
+def maxlog_gather_2d(y, c, n0):
+    """Max-log LLRs (N, m) by two boolean row gathers per bit of each exponent block, clamped.
+
+    The gather form of ``llr_maxlog_2d``, its byte-level reference: it
+    shares the kernel's exponent blocks, and ``max`` is exact, so the two
+    agree byte for byte.
+    """
+    ys = np.asarray(y, dtype=np.float64).reshape(-1, 2)
+    out = np.empty((c.m, len(ys)))
+    zeros = c.labels.T == 0  # (m, M) bit subsets
+    for a, b, e in _exponent_blocks(ys, n0, c):
+        for i in range(c.m):
+            np.subtract(e[zeros[i]].max(axis=0), e[~zeros[i]].max(axis=0), out=out[i, a:b])
+    return np.clip(out, -LLR_CLAMP, LLR_CLAMP).T

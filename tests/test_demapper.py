@@ -26,7 +26,8 @@ from qcilink import (
 )
 from qcilink.demapper import DEMAPPERS, LLR_CLAMP
 
-from oracles import add_at_cluster_centers, brute_force_llr_2d, brute_force_llr_pam, brute_force_maxlog_2d
+from oracles import (add_at_cluster_centers, brute_force_llr_2d, brute_force_llr_pam, brute_force_maxlog_2d,
+                     maxlog_gather_2d)
 
 _CONTEXTS = {"qam": qam_context, "qci": qci_context, "file": lambda M: custom_context(build_qci(M))}
 
@@ -117,6 +118,20 @@ class TestMaxlog:
             got = llr_maxlog_2d(yi, c, n0i).values[0]
             want = brute_force_maxlog_2d(yi, pts, labs, n0i)
             npt.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("family, M", [("qci", 16), ("qci", 64), ("qci", 256), ("qci", 1024), ("file", 64)])
+    def test_label_order_views_equal_the_gather_kernel(self, family, M):
+        # max is exact, so taking the rows into label order moves no LLR byte
+        rng = np.random.default_rng(M)
+        if family == "file":  # random points under shuffled labels
+            c = custom_context(Constellation(rng.uniform(-1.0, 1.0, (M, 2)),
+                                             build_qam(M).labels[rng.permutation(M)])).constellation
+        else:
+            c = qci_context(M).constellation
+        for n in (1, 2, 7, 40_000):
+            y = rng.normal(0.0, 0.6, size=(n, 2))
+            for n0 in (0.02, 0.5):
+                assert llr_maxlog_2d(y, c, n0).values.tobytes() == maxlog_gather_2d(y, c, n0).tobytes(), (n, n0)
 
 
 def _boundary_and_far(points, count, seed):

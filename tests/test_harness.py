@@ -6,6 +6,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -324,6 +325,20 @@ class TestGmiMode:
         run(SimConfig(workers=2, output=str(out2), **base))
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("mode, M, kind, psnr", [("gmi", 64, "maxlog2d", 16.5),
+                                                     ("gmi", 16, "qci_lcd_compensated", 11.0),
+                                                     ("uncoded_ber", 16, "qci_lcd", 14.0),
+                                                     ("uncoded_ber", 64, "maxlog2d", 19.0)])
+    def test_workers_do_not_change_output_of(self, mode, M, kind, psnr, tmp_path):
+        base = dict(mode=mode, family="qci", M=M, demapper=kind, psnr_start=psnr, psnr_stop=psnr + 1.0,
+                    psnr_step=1.0, samples=250_000 if mode == "gmi" else 600_000, seed=8)
+        outputs = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            run(SimConfig(workers=workers, output=str(path), **base))
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_workers_do_not_change_exact2d_output(self, tmp_path):
         # the threaded-BLAS path: (N, M) distance matrices at M = 256
         base = dict(mode="gmi", family="qci", M=256, demapper="exact2d",
@@ -345,7 +360,8 @@ def _pool_budget(workers):
 @pytest.mark.skipif(_OPENBLAS is None, reason="numpy does not use a loadable OpenBLAS")
 class TestBlasBudget:
     def test_pool_workers_run_with_the_blas_budget(self):
-        with harness._block_pool(2) as (pool_map, workers):
+        # forked workers inherit the count set in the parent
+        with harness._block_pool(2, "coded_ber") as (pool_map, workers):
             counts = list(pool_map(_openblas_threads, range(4)))
         assert workers == 2
         assert counts == [_pool_budget(2)] * 4
@@ -362,51 +378,54 @@ class TestBlasBudget:
 
 def test_workers_0_counts_the_cpus_of_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    with harness._block_pool(0) as (pool_map, workers):
+    with harness._block_pool(0, "gmi") as (pool_map, workers):
         assert workers == 1
         assert pool_map is map
 
 
 def _refaults(_):
-    """Minor page faults of an 8 MB array allocated where one was just freed."""
+    """Minor page faults of this thread on an 8 MB array allocated where one was just freed."""
     np.ones(1_000_000)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
     np.ones(1_000_000)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
 
 
 def test_pool_workers_reuse_freed_block_buffers():
     if not harness._fix_malloc_thresholds():
         pytest.skip("libc has no mallopt")
-    with harness._block_pool(2) as (pool_map, _):
-        faults = list(pool_map(_refaults, range(2)))
-    # a fresh 8 MB mapping faults its 1954 pages in
-    assert max(faults) < 100
+    for mode in ("gmi", "coded_ber"):  # pool threads, then forked workers
+        with harness._block_pool(2, mode) as (pool_map, _):
+            faults = list(pool_map(_refaults, range(2)))
+        # a fresh 8 MB mapping faults its 1954 pages in
+        assert max(faults) < 100, mode
 
 
-# a pooled gmi run, then the same run through the CLI, whose block task
+# a pooled coded run, then the same run through the CLI, whose block task
 # SIGKILLs its own worker on the first block of point 1; prints what the
-# parent saw as JSON
+# parent saw as JSON. coded_ber is the mode whose blocks run in forked
+# worker processes.
 _KILLED_WORKER_SCRIPT = """
 import json, multiprocessing, os, signal, sys, time
 from concurrent.futures.process import BrokenProcessPool
 from qcilink import SimConfig, cli, harness, run
 
-gmi_task = harness._gmi_task
+coded_task = harness._coded_task
 
 def dying_task(args):
     if args[:2] == (1, 0):
         os.kill(os.getpid(), signal.SIGKILL)
-    return gmi_task(args)
+    return coded_task(args)
 
-harness._gmi_task = dying_task
+harness._coded_task = dying_task
 start, raised_after = time.monotonic(), None
 try:
-    run(SimConfig(mode="gmi", psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=250_000, workers=2,
-                  output=None))
+    run(SimConfig(mode="coded_ber", family="qam", demapper="qam_decomposed", code_file=sys.argv[2],
+                  psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=50, workers=2, output=None))
 except BrokenProcessPool:
     raised_after = time.monotonic() - start
-rc = cli.main(["gmi", "--psnr", "10:12:1", "--samples", "250000", "--workers", "2", "--output", sys.argv[1]])
+rc = cli.main(["sweep", "--coded", "--family", "qam", "--demapper", "qam_decomposed", "--code-file", sys.argv[2],
+               "--psnr", "10:12:1", "--samples", "50", "--workers", "2", "--output", sys.argv[1]])
 try:
     os.waitpid(-1, os.WNOHANG)
     os_children = True
@@ -423,11 +442,11 @@ def _src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(tmp_path):
-    out = tmp_path / "g.csv"
+def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(toy_alist, tmp_path):
+    out = tmp_path / "c.csv"
     # its own session, so that a hung run and every worker it started can be ended together
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER_SCRIPT, str(out)], env=_src_env(), text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER_SCRIPT, str(out), str(toy_alist)], env=_src_env(),
+                            text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
     try:
         stdout, stderr = proc.communicate(timeout=30)
     except subprocess.TimeoutExpired:
@@ -443,6 +462,84 @@ def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(tmp_path):
     assert not out.exists()
 
 
+def _pool_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("qcilink-block")]
+
+
+def test_a_failed_block_on_a_pool_thread_fails_the_run(monkeypatch):
+    gmi_task = harness._gmi_task
+
+    def failing_task(args):
+        if args[:2] == (1, 0):
+            raise ArithmeticError("block (1, 0) failed")
+        return gmi_task(args)
+
+    monkeypatch.setattr(harness, "_gmi_task", failing_task)
+    with pytest.raises(ArithmeticError, match=r"block \(1, 0\) failed"):
+        run(SimConfig(mode="gmi", psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=250_000, workers=2,
+                      output=None))
+    assert harness._WORKER == {}
+    assert _pool_threads() == []
+
+
+def _affinity_of_a_thread_that_met(barrier):
+    barrier.wait()  # so that every task runs on a thread of its own
+    return frozenset(os.sched_getaffinity(0))
+
+
+def test_pool_threads_run_on_disjoint_cpu_shares():
+    mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        pytest.skip("a 1-CPU affinity mask has no shares to split")
+    with harness._block_pool(2, "gmi") as (pool_map, _):
+        a, b = pool_map(_affinity_of_a_thread_that_met, [threading.Barrier(2, timeout=10)] * 2)
+    assert a and b and not a & b
+    assert a | b == mask
+    assert os.sched_getaffinity(0) == mask
+    assert _pool_threads() == []
+
+
+def test_more_pool_threads_than_cpus_each_take_their_own_share():
+    # each initializer pops its own share; a lost update would hand two
+    # threads one share and leave another unused
+    workers = 2 * len(os.sched_getaffinity(0)) + 1
+    if workers > 9:
+        pytest.skip("an affinity mask this wide would start too many threads for a unit test")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with harness._block_pool(workers, "gmi") as (pool_map, _):
+            masks = list(pool_map(_affinity_of_a_thread_that_met, [threading.Barrier(workers, timeout=10)] * workers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(map(sorted, masks)) == sorted(harness._cpu_shares(workers))
+    assert _pool_threads() == []
+
+
+def test_pool_threads_keep_the_callers_mask_without_sched_setaffinity(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    monkeypatch.delattr(os, "sched_setaffinity")
+    with harness._block_pool(2, "gmi") as (pool_map, _):
+        masks = set(pool_map(_affinity_of_a_thread_that_met, [threading.Barrier(2, timeout=10)] * 2))
+    assert masks == {frozenset(mask)}
+
+
+@pytest.mark.parametrize("cpus, workers, shares", [({0, 1, 2, 3}, 2, [[0, 2], [1, 3]]),
+                                                   ({1, 5}, 3, [[1], [5], [1]]),
+                                                   ({0, 1}, 1, [[0, 1]])])
+def test_cpu_shares_split_the_mask_and_go_round_robin_past_its_cpus(cpus, workers, shares, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert harness._cpu_shares(workers) == shares
+
+
+def test_import_leaves_multiprocessing_out():
+    # the fork pool imports it when it starts; threads and inline runs never need it
+    proc = subprocess.run([sys.executable, "-c", "import sys, qcilink; print('multiprocessing' in sys.modules)"],
+                          env=_src_env(), text=True, capture_output=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 # in a fresh interpreter, which has not imported numpy.random: does each
 # worker of a pool find it imported?
 _FRESH_POOL_SCRIPT = """
@@ -452,7 +549,7 @@ from qcilink import harness
 def imported(name):
     return name in sys.modules
 
-with harness._block_pool(2) as (pool_map, _):
+with harness._block_pool(2, "coded_ber") as (pool_map, _):
     print(all(pool_map(imported, ["numpy.random"] * 2)))
 """
 
@@ -653,16 +750,19 @@ class TestScheduler:
         estimate = harness.estimate_affine_compensation
 
         def counted_estimate(ctx, n0, samples, rng):
-            assert not batches, "an estimate ran after the first round"
+            assert len(batches) == 1, "an estimate ran outside the first map"
             estimates.append(n0)
             return estimate(ctx, n0, samples, rng)
 
         monkeypatch.setattr(harness, "estimate_affine_compensation", counted_estimate)
         run(SimConfig(mode="gmi", family="qci", M=16, demapper="qci_lcd_compensated", psnr_start=10.0,
                       psnr_stop=11.0, psnr_step=0.5, samples=250_000, workers=2, output=None))
-        assert estimates == [harness.n0_from_psnr(p) for p in (10.0, 10.5, 11.0)]
-        assert len(batches) == 1
-        assert [(p, b) for p, b, *_ in batches[0]] == [(p, b) for p in range(3) for b in range(2)]
+        n0s = [harness.n0_from_psnr(p) for p in (10.0, 10.5, 11.0)]
+        # one estimate task per point, on the pool, then every block in one map
+        assert sorted(estimates) == sorted(n0s)
+        assert len(batches) == 2
+        assert batches[0] == list(enumerate(n0s))
+        assert [(p, b) for p, b, *_ in batches[1]] == [(p, b) for p in range(3) for b in range(2)]
 
 
 class TestScatterMode:
@@ -674,6 +774,19 @@ class TestScatterMode:
         assert run(cfg) == []
         assert out.exists()
         assert (tmp_path / "sc_centers.csv").exists()
+
+    @pytest.mark.parametrize("family, M", [("qci", 16), ("qci", 1024), ("qam", 256)])
+    def test_rows_format_each_value_of_the_dump(self, family, M, monkeypatch, tmp_path):
+        # each row of the dump by numpy scalars, as the rows were written before
+        # the grid points were formatted once per run
+        dumps, scatter_dump = [], harness.scatter_dump
+        monkeypatch.setattr(harness, "scatter_dump", lambda *a: dumps.append(scatter_dump(*a)) or dumps[-1])
+        out = tmp_path / "sc.csv"
+        run(SimConfig(mode="scatter", family=family, M=M, psnr_start=9.0, psnr_stop=9.0, samples=3000,
+                      output=str(out)))
+        rows = out.read_text().splitlines(keepends=True)[2:]
+        d = dumps[0]
+        assert rows == ["%.10g,%.10g,%.10g,%.10g\n" % r for r in zip(*d.qam_ref.T, *d.remapped.T)]
 
 
 class TestCli:
