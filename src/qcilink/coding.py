@@ -17,10 +17,11 @@ leaves slots d..D-1 empty; these filler rows form the tail of each slot.
 The variables are taken in order of falling degree too (``var_order``, a
 stable sort), so the k_j variables that have a j-th edge come first. The
 frames run innermost, so each slot is one contiguous (C, frames) slab and
-every gather over edges or variables copies whole rows of frames; the
-(batch, n) input LLRs are transposed and put in ``var_order`` once on
-entry, and the hard bits go back to code order once on return (neither
-step runs when ``var_order`` is the identity, as for a regular code). Every
+every gather over edges or variables copies whole rows of frames; each
+block of input LLRs is transposed and put in ``var_order`` once, when its
+first frame enters the batch, and the hard bits go back to code order
+once on return (neither step runs when ``var_order`` is the identity, as
+for a regular code). Every
 message is a float32 carried at half scale (half the LLR), which saves
 the x0.5 and x2 passes of each iteration and moves no sign, zero or bit,
 since halving is exact; float32 tanh and artanh cost a quarter and a
@@ -36,16 +37,25 @@ The syndrome is an XOR over the slots of the hard bits of the
 posteriors, read from the posteriors already gathered into the edge
 layout for the next check update.
 ``decode_bp`` runs every step in place on work arrays made for the width
-of the running batch; converged frames leave it, the messages and channel
-LLRs of the frames still running are taken into new (rows, frames still
-running) arrays, and the work arrays are made anew at that width.
-A NaN input LLR is rejected, since it would read as a decided bit.
+of the running batch, at most ``BP_BATCH_FRAMES`` frames. Each frame
+counts its own iterations. When a frame converges or reaches
+``max_iters``, its hard bits are taken and the next frame of the input
+takes over its column, with its channel LLRs and its first messages
+written in, so the batch keeps its width while frames remain. Each
+frame's arithmetic runs in its own column, so a frame decodes to the
+same bits in any batch. Only once the input has run dry do frames leave
+the batch: the messages and channel LLRs of the frames still running are
+then taken into new (rows, frames still running) arrays, and the work
+arrays are made anew at that width. A NaN input LLR is rejected, since
+it would read as a decided bit.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Iterator
+from functools import lru_cache, partial
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +63,13 @@ import numpy as np
 from .errors import DataFormatError
 
 BUNDLED_CODE_NAME = "peg_dv3_n1992_r34.alist"
+
+# Frames the decoder keeps running. A column whose frame has converged or
+# reached max_iters takes the next frame of the input, so the batch stays
+# this wide until the input runs dry. On the bundled code at full width a
+# frame-iteration cost 21.1 us at 25 frames, 22.0 at 50, 23.5 at 100 and
+# 25.6 at 200, while an iteration carries about 69 us of fixed cost.
+BP_BATCH_FRAMES = 25
 
 # Saturation of the float32 half-scale messages. float32 tanh rounds to
 # exactly 1.0 from about 9.999 on, and tanh(9) is 1 - 2**-24, the largest
@@ -245,41 +262,71 @@ def _check_update(q, r, code: ParityCheckCode) -> None:
     np.arctanh(rep, out=rep)
 
 
-def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
-    """Flooding-schedule sum-product decoding with syndrome early exit.
+def _channel_llrs(code: ParityCheckCode, llrs) -> np.ndarray:
+    """The (n, b) float32 half-scale channel LLRs, variables in ``var_order``, of (b, n) or (n,) LLRs.
 
-    Accepts (n,) or (batch, n) LLRs; returns (bits, converged, iterations)
-    with matching batch shape. Frames whose hard decision satisfies all
-    checks stop updating; their returned word is the satisfying codeword.
-    A NaN LLR raises ValueError; +-inf is a certain bit.
+    Clipped in float64 on the way to float32, so no finite LLR overflows
+    the cast. A NaN LLR raises ValueError.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    single = np.ndim(llrs) == 1
     x = np.array(llrs, dtype=np.float64, copy=None, ndmin=2)
     if x.shape[1] != code.n:
         raise ValueError(f"expected {code.n} LLRs per frame, got {x.shape[1]}")
-    B, n = x.shape
-    L, C, E = code.col_var.size, code.num_checks, code.edge_end
-
-    # transpose once on entry, clipping in float64 on the way to float32 so
-    # no finite LLR overflows the cast, and take the variables in var_order
-    Lch = np.empty((n, B), dtype=np.float32)
+    Lch = np.empty((code.n, len(x)), dtype=np.float32)
     np.clip(x.T, -_FLOAT32_MAX, _FLOAT32_MAX, out=Lch)
     if np.isnan(Lch).any():
         raise ValueError("LLRs must not be NaN")
     if code.reorder_vars:
         Lch = np.take(Lch, code.var_order, axis=0, mode="clip")
-
-    out_bits = np.zeros((B, n), dtype=np.uint8)  # variables in var_order until the return
-    out_conv = np.zeros(B, dtype=bool)
-    out_iters = np.full(B, max_iters, dtype=np.int64)
-
-    live = np.arange(B)          # original frame index of each running column
-    b = 0
     np.multiply(Lch, 0.5, out=Lch)  # every message from here on is at half scale
+    return Lch
+
+
+def _stream_frames(code: ParityCheckCode, blocks):
+    """Each frame of an iterator of LLR blocks, as its (n,) column of ``_channel_llrs``.
+
+    A block is read when its first frame is asked for, and only its
+    float32 channel LLRs are kept while its frames are handed out.
+    """
+    for Lch in map(partial(_channel_llrs, code), blocks):
+        yield from Lch.T
+
+
+def decode_bp(code: ParityCheckCode, llrs, max_iters: int = 50):
+    """Flooding-schedule sum-product decoding with syndrome early exit.
+
+    Accepts (n,) or (batch, n) LLRs, or an iterator (a generator, say) of
+    (b, n) blocks, of which the next is read only when the running batch
+    has a free column for its first frame. Returns (bits, converged,
+    iterations) per frame in input order: of one frame for (n,) LLRs,
+    else (frames, n), (frames,) and (frames,) arrays. Frames whose hard
+    decision satisfies all checks stop updating; their returned word is
+    the satisfying codeword. A NaN LLR raises ValueError; +-inf is a
+    certain bit.
+    """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    stream = isinstance(llrs, Iterator)
+    single = not stream and np.ndim(llrs) == 1
+    frames = enumerate(_stream_frames(code, llrs if stream else iter([llrs])))
+    n, L, C, E = code.n, code.col_var.size, code.num_checks, code.edge_end
+
+    # the running batch: each column's stream index, the iteration after
+    # which its frame came in, and its channel LLRs; cap is the iteration
+    # at which the oldest running frame reaches max_iters
+    batch = list(islice(frames, BP_BATCH_FRAMES))
+    if not batch:
+        raise ValueError("no frames to decode")
+    live, cols = zip(*batch)
+    live, born, Lch = np.array(live), np.zeros(len(live), dtype=np.int64), np.stack(cols, axis=1)
     q = np.take(Lch, code.col_var, axis=0, mode="clip")
-    for it in range(1, max_iters + 1):
+    cap = max_iters
+    # slot 1 and the later slots of the variable update (a code whose
+    # variables all have degree 1 has no slot 1)
+    slot1, *later = code.var_slots[1:] or [code.var_slots[0][:0]]
+    done = []  # (stream indices, packed hard bits in var_order, converged, iterations) of the frames that left
+    b = it = 0
+    while live.size:
+        it += 1
         if b != live.size:  # the first iteration, or frames left the batch
             b = live.size
             r, g = np.empty((L, b), dtype=np.float32), np.empty((L, b), dtype=bool)
@@ -288,11 +335,13 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         _check_update(q, r, code)
 
         # variable-node update: post = Lch + (slot 0 + (slot 1 + slot 2 + ...)),
-        # the order np.add.reduceat sums up to 8 edges per variable. -0.0
-        # starts the inner sum because x + -0.0 == x for every x. The
+        # the order np.add.reduceat sums up to 8 edges per variable. The
         # variables that have a slot j are the first k_j, those of degree > j.
-        s.fill(-0.0)
-        for rows in code.var_slots[1:]:
+        # Slot 1 is gathered straight into the inner sum, which is -0.0 for
+        # the variables without one, because -0.0 + x == x for every x.
+        np.take(r, slot1, axis=0, out=s[:slot1.size], mode="clip")
+        s[slot1.size:] = -0.0
+        for rows in later:
             k = rows.size
             np.take(r, rows, axis=0, out=slot[:k], mode="clip")
             np.add(s[:k], slot[:k], out=s[:k])
@@ -313,24 +362,37 @@ def decode_bp(code: ParityCheckCode, llrs: np.ndarray, max_iters: int = 50):
         ok = ~sp.any(axis=0)
         if ok.any():
             ok &= (p != 0.0).all(axis=0)
-        if it < max_iters and not ok.any():
+        if it < cap and not ok.any():
             continue
-        out_bits[live] = (p < 0.0).T
-        out_conv[live] = ok
-        out_iters[live[ok]] = it
-        keep = np.flatnonzero(~ok)
-        if keep.size == 0 or it == max_iters:
-            break
-        # only q and Lch carry state into the next iteration; the work arrays
-        # go first, so arrays of the old and the new width never pile up
+        out = np.flatnonzero(ok | (born == it - max_iters))
+        done.append((live[out], np.packbits((p[:, out] < 0.0).T, axis=1), ok[out], it - born[out]))
+        # only q and Lch carry state into the next iteration: the work arrays
+        # go before the next frames are read, so that a block drawn for them
+        # reuses their memory, and are made anew, at the new width if the
+        # batch narrows
         del r, g, p, s, slot, sp
-        q, Lch, live = np.take(q, keep, axis=1, mode="clip"), np.take(Lch, keep, axis=1, mode="clip"), live[keep]
+        b = 0
+        # the next frames of the stream take the columns of those that left,
+        # in the state a frame starts from: its channel LLRs as messages on
+        # the real edges (the check update sets every filler row itself)
+        new = list(islice(frames, out.size))
+        for c, (i, x) in zip(out, new):
+            live[c], born[c], Lch[:, c] = i, it, x
+            q[:E, c] = np.take(x, code.col_var[:E], mode="clip")
+        if len(new) < out.size:  # the stream ran dry: the other frames leave the batch
+            keep = np.delete(np.arange(live.size), out[len(new):])
+            q, Lch = np.take(q, keep, axis=1, mode="clip"), np.take(Lch, keep, axis=1, mode="clip")
+            live, born = live[keep], born[keep]
+        cap = born.min(initial=it) + max_iters
 
+    idx, hard, conv, iters = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(idx)
+    bits, conv, iters = np.unpackbits(hard[order], axis=1, count=n), conv[order], iters[order]
     if code.reorder_vars:
-        out_bits[:, code.var_order] = out_bits.copy()  # back to code order
+        bits[:, code.var_order] = bits.copy()  # back to code order
     if single:
-        return out_bits[0], bool(out_conv[0]), int(out_iters[0])
-    return out_bits, out_conv, out_iters
+        return bits[0], bool(conv[0]), int(iters[0])
+    return bits, conv, iters
 
 
 def interleaver_permutation(n: int, seed: int) -> np.ndarray:

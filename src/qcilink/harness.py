@@ -18,10 +18,19 @@ share of the caller's CPUs. A fresh fork pool would cost such a run about
 9 ms to start, 6 ms of first-touch page faults per worker and 3 ms to shut
 down; and on a host whose scheduler keeps new threads on their creator's
 CPU, two unpinned threads gained 0.8-1.1x where two pinned ones gained
-1.3-2.3x. coded_ber keeps a pool of forked processes: the BP decoder makes
-about 50 short numpy calls per iteration, which contend for the GIL, and
-on 25-frame batches it ran 1.33x on 2 pinned threads against 1.66x on 2
-processes.
+1.3-2.3x. coded_ber runs on processes: the BP decoder makes about 50
+short numpy calls per iteration, which contend for the GIL, and on
+25-frame batches it ran 1.33x on 2 pinned threads against 1.66x on 2
+processes. A coded round goes out as one share of blocks per worker, and
+each share decodes through one ``decode_bp`` call, which keeps its batch
+full from block to block. The calling process decodes share 0 itself, and
+a fork pool of workers - 1 processes decodes the others; that is one
+fork, its page faults and its teardown fewer per run. The forked workers
+are not pinned: pinned to their CPU shares, with the caller on its whole
+mask, they read 3 % slower on the benchmark's coded workload. A forked
+worker that dies fails the run with ``BrokenProcessPool``: the caller
+checks the pool before each block of its own share, and raises at its
+next block rather than after the share.
 
 A run builds its demap context, loads its LDPC code and derives its
 interleaver permutation once; pool threads share them and forked pool
@@ -295,6 +304,7 @@ def _uncoded_task(args):
 
 
 def _coded_task(args):
+    """Draw, encode, interleave, demap and deinterleave one coded block: its information bits and (frames, n) LLRs."""
     point, block, n0, frames, comp = args
     cfg, ctx, code, perm, unperm = (_WORKER[k] for k in ("cfg", "ctx", "code", "perm", "unperm"))
     rng = derived_rng(cfg.seed, _TAG_CODED, point, block)
@@ -305,11 +315,45 @@ def _coded_task(args):
     y = transmit(np.take(ctx.constellation.points, idx.reshape(-1), axis=0), n0, rng)
     frame = demap(cfg.demapper, y, ctx, n0, comp)
     # one gather from the bit-major (m, frames, symbols) LLRs into deinterleaved frames
-    llrs = frame.values.T.reshape(ctx.m, frames, -1).transpose(1, 0, 2)[:, unperm[1], unperm[0]]
-    bits, _, _ = decode_bp(code, llrs)
-    info_hat = info_bits_of(code, bits)
-    e = np.sum(info_hat != info, axis=1)
-    return Tally(frames, int(np.count_nonzero(e)), int(np.sum(e)), int(np.sum(e * e)))
+    return info, frame.values.T.reshape(ctx.m, frames, -1).transpose(1, 0, 2)[:, unperm[1], unperm[0]]
+
+
+def _coded_share(tasks) -> list:
+    """One ``Tally`` per coded block of ``tasks``, a worker's share of a round, all decoded by one ``decode_bp`` call.
+
+    The decoder keeps its batch full across the blocks: it asks for the
+    next block, which ``_coded_task`` then draws, only when a column is
+    free, so a share holds one block's LLRs besides the running batch.
+    Before each block, the share checks that no other share of the round
+    has failed (``_check_peers``).
+    """
+    code, sent = _WORKER["code"], []  # the packed information bits of each block drawn
+
+    def blocks():
+        for args in tasks:
+            _check_peers()
+            info, llrs = _coded_task(args)
+            sent.append(np.packbits(info, axis=1))
+            yield llrs
+            del llrs  # read by the decoder: freed before the next block is drawn
+
+    bits, _, _ = decode_bp(code, blocks())
+    # bit errors per frame: the popcount of the packed decoded bits XOR the packed sent ones
+    e = np.bitwise_count(np.packbits(info_bits_of(code, bits), axis=1) ^ np.concatenate(sent)).sum(axis=1)
+    return [Tally(f.size, int(np.count_nonzero(f)), int(np.sum(f)), int(np.sum(f * f)))
+            for f in np.split(e, np.cumsum([len(u) for u in sent])[:-1])]
+
+
+def _check_peers() -> None:
+    """Raise the exception of an item of ``_share_map`` that has already failed on the pool, if any.
+
+    A forked worker that dies fails every item of the pool with
+    ``BrokenProcessPool``, so the caller stops at its next check rather
+    than after its own item.
+    """
+    for f in _WORKER.get("peers", ()):
+        if f.done() and f.exception() is not None:
+            raise f.exception()
 
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy ships with:
@@ -415,18 +459,37 @@ def _pin_thread(shares: list) -> None:
         os.sched_setaffinity(0, shares.pop())
 
 
+def _share_map(pool, fn, items) -> list:
+    """``fn`` over ``items`` in order: the first in the calling process, each other one on the fork ``pool``.
+
+    While the caller runs its item, ``_WORKER["peers"]`` holds the futures
+    of the others, so that a long item can check between its steps that
+    none has failed (``_check_peers``).
+    """
+    futures = [pool.submit(fn, item) for item in items[1:]]
+    _WORKER["peers"] = futures
+    try:
+        first = fn(items[0])
+    finally:
+        del _WORKER["peers"]
+    return [first, *(f.result() for f in futures)]
+
+
 @contextlib.contextmanager
 def _block_pool(workers: int, mode: str, **worker):
     """Yield ``(map, workers)``: the builtin ``map`` at one worker, else the ordered map of a pool.
 
-    ``workers`` 0 means every usable CPU. ``mode`` coded_ber gets a fork
-    pool of processes, every other mode a pool of threads, each pinned to
-    its share of the caller's CPUs where the platform has affinity masks
-    (see the module docstring for why). ``_WORKER`` holds ``worker`` until
-    exit, so that threads share it and forked workers inherit it, as they
-    inherit the malloc thresholds fixed here. A forked worker that dies
-    (OOM killer, SIGKILL) makes the map raise ``BrokenProcessPool`` at
-    once. No thread or process of the pool outlives the ``with`` block.
+    ``workers`` 0 means every usable CPU. ``mode`` coded_ber gets
+    ``_share_map`` over a fork pool of workers - 1 processes, whose first
+    item runs in the calling process; every other mode gets a pool of
+    ``workers`` threads, each pinned to its share of the caller's CPUs
+    where the platform has affinity masks (see the module docstring for
+    why).
+    ``_WORKER`` holds ``worker`` until exit, so that threads share it and
+    forked workers inherit it, as they inherit the malloc thresholds fixed
+    here. A forked worker that dies (OOM killer, SIGKILL) makes the map
+    raise ``BrokenProcessPool`` at once. No thread or process of the pool
+    outlives the ``with`` block.
     """
     _fix_malloc_thresholds()
     # numpy imports numpy.random at its first use, about 13 ms; here, once,
@@ -443,8 +506,8 @@ def _block_pool(workers: int, mode: str, **worker):
             # ~10 ms of imports that inline and threaded runs skip
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                yield pool.map, workers
+            with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+                yield functools.partial(_share_map, pool), workers
         else:
             from concurrent.futures import ThreadPoolExecutor
             pin = ({"initializer": _pin_thread, "initargs": (_cpu_shares(workers),)}
@@ -519,10 +582,10 @@ def run(cfg: SimConfig) -> list:
             records = [tally_record(psnr, "gmi", tally, *label) for psnr, tally in points]
         elif cfg.mode == "uncoded_ber":
             budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
-            points = _run_blocks(cfg, grid, *pool, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms)
+            points = _run_blocks(cfg, grid, *pool, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms, ctx.m)
             records = [tally_record(psnr, "ber", tally, *label) for psnr, tally in points]
         else:
-            points = _run_blocks(cfg, grid, *pool, _coded_task, CODED_BLOCK_FRAMES, resolved_samples(cfg))
+            points = _run_blocks(cfg, grid, *pool, _coded_share, CODED_BLOCK_FRAMES, resolved_samples(cfg))
             for psnr, tally in points:
                 # the FER row's sample is 0/1 per frame: its sums are the frame errors
                 records += [tally_record(psnr, "ber", tally, *label, per=code.k),
@@ -532,21 +595,27 @@ def run(cfg: SimConfig) -> list:
     return records
 
 
-def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget) -> list:
+def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget, unit_trials=1) -> list:
     """The one Monte Carlo loop: each grid point's PSNR with the summed ``Tally`` of its kept blocks.
 
     Blocks go out in rounds that span the grid, one ``pool_map`` per
     round. A round holds the next blocks of every open point, one still
-    below its error target and within its budget: max(1, ceil(workers /
-    open points)) blocks each in a BER mode, so a block that early stopping
-    may discard is computed only when fewer points are open than there are
-    workers. gmi has no target, so its first round holds every block of
-    every point. A point keeps its blocks in block order up to the first
-    that meets its target and drops the rest; block b of point p draws from
-    its own generator, so the kept blocks, and with them the output, do not
-    depend on how many workers ran or how the rounds fell. A compensated
-    kind's estimates, one per point from its own generator, go out in one
-    ``pool_map`` before the first round.
+    below its error target and within its budget: at least max(1,
+    ceil(workers / open points)) of them, and every further block that
+    early stopping cannot discard. A block's errors never exceed its
+    trials, ``unit_trials`` per unit of its size, so a block is never
+    discarded while the errors so far plus the trials of the blocks sent
+    before it stay below the target. gmi has no target, so its first
+    round holds every block of every point. A block that early stopping
+    may discard is thus computed only when fewer points are open than
+    there are workers. A point keeps its blocks in block order up to the
+    first that meets its target and drops the rest; block b of point p
+    draws from its own generator, so the kept blocks, and with them the
+    output, do not depend on how many workers ran or how the rounds fell.
+    A coded_ber round goes out as one share per worker, ``tasks[i::workers]``,
+    and ``task`` (``_coded_share``) returns one result per block of its
+    share. A compensated kind's estimates, one per point from its own
+    generator, go out in one ``pool_map`` before the first round.
     """
     target = resolved_target_errors(cfg)
     stop = target or math.inf  # gmi has no error target
@@ -560,10 +629,21 @@ def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget) -> list:
     sent = [0] * len(grid)  # blocks dispatched per point
     open_points = list(range(len(grid)))
     while open_points:
-        per = max(1, math.ceil(workers / len(open_points))) if target else len(sizes)
-        tasks = [(p, b, n0s[p], sizes[b], comps[p])
-                 for p in open_points for b in range(sent[p], min(sent[p] + per, len(sizes)))]
-        for (p, b, *_), res in zip(tasks, pool_map(task, tasks)):
+        per = max(1, math.ceil(workers / len(open_points)))
+        tasks = []
+        for p in open_points:
+            end, most = sent[p], errors[p]  # most: the errors the point can have before block end
+            while end < len(sizes) and (most < stop or end < sent[p] + per):
+                most += sizes[end] * unit_trials
+                end += 1
+            tasks += [(p, b, n0s[p], sizes[b], comps[p]) for b in range(sent[p], end)]
+        if cfg.mode == "coded_ber":
+            results = [None] * len(tasks)
+            for i, share in enumerate(pool_map(task, [tasks[i::workers] for i in range(min(workers, len(tasks)))])):
+                results[i::workers] = share
+        else:
+            results = pool_map(task, tasks)
+        for (p, b, *_), res in zip(tasks, results):
             sent[p] = b + 1
             if errors[p] < stop:
                 kept[p].append(res)

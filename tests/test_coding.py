@@ -193,6 +193,27 @@ class TestEncoder:
         npt.assert_array_equal(encode(toy_code, u.astype(bool)), encode(toy_code, u))
 
 
+# block sizes of the streams that the decoder tests feed to decode_bp:
+# both run longer than its batch of coding.BP_BATCH_FRAMES frames
+_STREAMS = {"blocks25+25+10": (25, 25, 10), "blocks3x20": (3,) * 20}
+
+
+def _blocks(llr, sizes):
+    """An iterator over consecutive blocks of ``llr``'s frames, of the given sizes."""
+    return iter(np.split(llr, np.cumsum(sizes)[:-1]))
+
+
+def _assert_frames_decode_alone(code, llr, sizes, distinct_iters):
+    """decode_bp on ``llr``, as one array or (``sizes``) as a stream of blocks, gives each frame's lone decode."""
+    bits, conv, iters = decode_bp(code, llr if sizes is None else _blocks(llr, sizes))
+    assert len(np.unique(iters)) > distinct_iters and not conv.all()
+    assert (iters[~conv] == 50).all()
+    for f in range(len(llr)):
+        b, c, i = decode_bp(code, llr[f])
+        assert bits[f].tobytes() == b.tobytes()
+        assert (conv[f], iters[f]) == (c, i)
+
+
 class TestDecoder:
     def test_noiseless_codeword_converges_first_iteration(self, toy_code, rng):
         u = rng.integers(0, 2, size=(4, toy_code.k), dtype=np.uint8)
@@ -292,30 +313,28 @@ class TestDecoder:
             npt.assert_array_equal(bits[f], o_bits)
             assert (conv[f], iters[f]) == (o_conv, o_iters)
 
-    @pytest.mark.parametrize("which", ["toy", "irregular"])
-    def test_batch_equals_frames_decoded_alone(self, which, toy_code, irregular_code):
+    @pytest.mark.parametrize("which, sizes", [pytest.param(w, sizes, id=w if sizes is None else f"{w}-{name}")
+                                              for name, sizes in (("", None), *_STREAMS.items())
+                                              for w in ("toy", "irregular")])
+    def test_batch_equals_frames_decoded_alone(self, which, sizes, toy_code, irregular_code):
         # the irregular code takes its variables out of code order
         code = {"toy": toy_code, "irregular": irregular_code}[which]
-        llr = _noisy_llrs(code, 16, 0.9, seed=5)
-        bits, conv, iters = decode_bp(code, llr)
-        # frames leave the batch at different iterations, so the batch narrows
-        assert len(np.unique(iters)) > 3 and not conv.all()
-        for f in range(len(llr)):
-            b, c, i = decode_bp(code, llr[f])
-            assert bits[f].tobytes() == b.tobytes()
-            assert (conv[f], iters[f]) == (c, i)
+        llr = _noisy_llrs(code, sum(sizes or (16,)), 0.9, seed=5)
+        # frames leave the batch at different iterations, and some at the cap
+        _assert_frames_decode_alone(code, llr, sizes, distinct_iters=3)
 
     def test_bundled_batch_equals_frames_decoded_alone(self):
         # a full 25-frame block of the harness: the running columns move at
         # many different iterations, and one frame runs to the cap
         code = bundled_code()
-        llr = _noisy_llrs(code, 25, 0.6, seed=5)
-        bits, conv, iters = decode_bp(code, llr)
-        assert len(np.unique(iters)) > 8 and not conv.all()
-        for f in range(len(llr)):
-            b, c, i = decode_bp(code, llr[f])
-            assert bits[f].tobytes() == b.tobytes()
-            assert (conv[f], iters[f]) == (c, i)
+        _assert_frames_decode_alone(code, _noisy_llrs(code, 25, 0.6, seed=5), None, distinct_iters=8)
+
+    @pytest.mark.parametrize("sizes", _STREAMS.values(), ids=_STREAMS.keys())
+    def test_bundled_stream_equals_frames_decoded_alone(self, sizes):
+        # the blocks run longer than the decoder's batch, so converged and
+        # capped frames hand their columns to the next frames of the stream
+        code = bundled_code()
+        _assert_frames_decode_alone(code, _noisy_llrs(code, sum(sizes), 0.6, seed=5), sizes, distinct_iters=8)
 
     def test_read_only_input_is_not_written(self, toy_code):
         llr = _noisy_llrs(toy_code, 4, 0.8, seed=3)
@@ -327,18 +346,21 @@ class TestDecoder:
             assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     def test_memory_stays_within_eight_message_arrays(self):
-        # the bound is 8 float32 arrays of (frames, edges); every frame here
-        # runs all 50 iterations
+        # the bound is 8 float32 arrays of (25 frames, edges), plus one
+        # block's float64 LLRs for a stream of 11 blocks, which the decoder
+        # reads one block at a time; every frame of the first block runs
+        # all 50 iterations
         code = bundled_code()
-        llr = _noisy_llrs(code, 25, 0.65, seed=6)
-        tracemalloc.start()
-        try:
-            _, conv, iters = decode_bp(code, llr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not conv.any() and (iters == 50).all()
-        assert peak < 8 * llr.shape[0] * code.edge_var.size * 4
+        blocks = [_noisy_llrs(code, 25, 0.65, seed=6 + b) for b in range(11)]
+        for llrs, extra in ((blocks[0], 0), (iter(blocks), blocks[0].nbytes)):
+            tracemalloc.start()
+            try:
+                _, conv, iters = decode_bp(code, llrs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not conv[:25].any() and (iters[:25] == 50).all()
+            assert peak < 8 * 25 * code.edge_var.size * 4 + extra
 
     def test_high_snr_ber_floor_bundled_code(self):
         # binary-input AWGN sanity floor: Es/N0 = 6 dB is deep inside the

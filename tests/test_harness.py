@@ -7,6 +7,8 @@ import signal
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -402,18 +404,21 @@ def test_pool_workers_reuse_freed_block_buffers():
 
 
 # a pooled coded run, then the same run through the CLI, whose block task
-# SIGKILLs its own worker on the first block of point 1; prints what the
-# parent saw as JSON. coded_ber is the mode whose blocks run in forked
-# worker processes.
+# SIGKILLs its own forked worker on the first block of point 1; prints what
+# the parent saw as JSON. coded_ber is the mode whose blocks run in forked
+# worker processes. One 25-frame block per point puts blocks (0, 0) and
+# (2, 0) in the share of the calling process, which checks the pool before
+# (2, 0), and (1, 0) in the share of the one forked worker; the task never
+# kills the calling process.
 _KILLED_WORKER_SCRIPT = """
 import json, multiprocessing, os, signal, sys, time
 from concurrent.futures.process import BrokenProcessPool
 from qcilink import SimConfig, cli, harness, run
 
-coded_task = harness._coded_task
+coded_task, caller = harness._coded_task, os.getpid()
 
 def dying_task(args):
-    if args[:2] == (1, 0):
+    if args[:2] == (1, 0) and os.getpid() != caller:
         os.kill(os.getpid(), signal.SIGKILL)
     return coded_task(args)
 
@@ -421,11 +426,11 @@ harness._coded_task = dying_task
 start, raised_after = time.monotonic(), None
 try:
     run(SimConfig(mode="coded_ber", family="qam", demapper="qam_decomposed", code_file=sys.argv[2],
-                  psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=50, workers=2, output=None))
+                  psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=25, workers=2, output=None))
 except BrokenProcessPool:
     raised_after = time.monotonic() - start
 rc = cli.main(["sweep", "--coded", "--family", "qam", "--demapper", "qam_decomposed", "--code-file", sys.argv[2],
-               "--psnr", "10:12:1", "--samples", "50", "--workers", "2", "--output", sys.argv[1]])
+               "--psnr", "10:12:1", "--samples", "25", "--workers", "2", "--output", sys.argv[1]])
 try:
     os.waitpid(-1, os.WNOHANG)
     os_children = True
@@ -460,6 +465,27 @@ def test_a_killed_worker_fails_the_run_and_the_cli_exits_5(toy_alist, tmp_path):
     assert stderr.splitlines() == ["a worker process died (killed by the OS?); the run was abandoned"]
     assert (seen["worker_state"], seen["active_children"], seen["os_children"]) == (0, 0, False)
     assert not out.exists()
+
+
+def test_the_caller_stops_its_share_at_its_next_block_when_a_worker_dies(toy_alist, monkeypatch):
+    coded_task, caller, drawn = harness._coded_task, os.getpid(), []
+
+    def dying_task(args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        drawn.append(args[:2])
+        time.sleep(0.05)
+        return coded_task(args)
+
+    monkeypatch.setattr(harness, "_coded_task", dying_task)
+    with pytest.raises(BrokenProcessPool):
+        run(SimConfig(mode="coded_ber", family="qam", M=16, demapper="qam_decomposed", code_file=str(toy_alist),
+                      psnr_start=10.0, psnr_stop=10.0, samples=40 * 25, target_errors=10**6, workers=2, output=None))
+    # no block can meet the target, so the first round holds all 40 blocks,
+    # 20 of them in the caller's share; it stops at the first block it draws
+    # after the forked worker died
+    assert 0 < len(drawn) < 20
+    assert harness._WORKER == {}
 
 
 def _pool_threads() -> list:
@@ -630,7 +656,8 @@ class TestCodedMode:
         demapped, decoded = [], []
         monkeypatch.setattr(harness, "demap", lambda *a: demapped.append(demap(*a)) or demapped[-1])
         decode = harness.decode_bp
-        monkeypatch.setattr(harness, "decode_bp", lambda code, llrs: decoded.append(llrs) or decode(code, llrs))
+        monkeypatch.setattr(harness, "decode_bp",
+                            lambda code, blocks: decode(code, (decoded.append(llrs) or llrs for llrs in blocks)))
         run(SimConfig(mode="coded_ber", family=family, M=16, demapper=kind, code_file=str(toy_alist),
                       psnr_start=9.0, psnr_stop=9.0, samples=40, target_errors=10**6, workers=1, output=None))
         perm = coding.interleaver_permutation(48, 1)
@@ -735,6 +762,23 @@ class TestScheduler:
         fer = [r for r in run(SimConfig(workers=1, output=None, **base)) if r.metric == "fer"]
         assert [r.trials for r in fer] == [25, 50, 60, 60, 60]
         assert [round(r.value * r.trials) >= 5 for r in fer] == [True, True, True, False, False]
+
+    def test_coded_first_round_holds_every_block_that_cannot_be_discarded(self, monkeypatch, toy_alist, tmp_path):
+        # 75-frame budgets (three 25-frame blocks) and a target of 30 frame
+        # errors, which no one block can meet, so block 1 is never discarded
+        # and goes out with block 0 even on one worker: 8 and 8.5 dB stop in
+        # block 1, 9 and 9.5 dB in block 2, and 10 dB runs out of budget
+        base = dict(mode="coded_ber", family="qam", M=16, demapper="qam_decomposed", code_file=str(toy_alist),
+                    psnr_start=8.0, psnr_stop=10.0, psnr_step=0.5, samples=75, target_errors=30, seed=4)
+        (w1, _), (w2, _), (w3, _) = self._runs_per_workers(monkeypatch, tmp_path, **base)
+        assert w1 == w2 == w3
+        batches = _count_dispatch(monkeypatch)
+        fer = [r for r in run(SimConfig(workers=1, output=None, **base)) if r.metric == "fer"]
+        assert [r.trials for r in fer] == [50, 50, 75, 75, 75]
+        assert [round(r.value * r.trials) >= 30 for r in fer] == [True, True, True, True, False]
+        # one worker gets each round as one share
+        assert [[(p, b) for p, b, *_ in share] for batch in batches for share in batch] == [
+            [(p, b) for p in range(5) for b in (0, 1)], [(2, 2), (3, 2), (4, 2)]]
 
     def test_points_that_stop_in_block_0_dispatch_one_block_each(self, monkeypatch):
         # every point meets the default 100-error target in its first block,

@@ -33,7 +33,11 @@ come out the same under float32 and float64 messages, so the tool also
 writes the raw float32 replies of one check-node update
 (``_check_update``) on the half-scale first-iteration messages of each
 noise level, on the real edges only, which move with any change of the
-decoder's precision or clamps. It also writes the ``gray_check``
+decoder's precision or clamps. It also writes the bits, converged flags
+and iteration counts of one 75-frame bundled batch at the middle noise
+level, three times the decoder's running batch, decoded by one call, so
+that the frames that take over the columns of those that leave are
+checked too. It also writes the ``gray_check``
 violation triples of qci16, qci64, qci256, qam64, pam8 and of a qci64
 with the labels of points 9 and 30 swapped. Running it on two trees and
 diffing the printed lists shows whether a change kept every output
@@ -266,6 +270,16 @@ def _write_codes(outdir: Path) -> None:
                 (outdir / f"decoded_{code.name}_sigma{sigma}_{part}").write_bytes(arr.tobytes())
 
 
+def _write_long_batch(outdir: Path) -> None:
+    """Raw bytes of ``decode_bp`` on one call of 75 seeded bundled-code frames at the middle noise level."""
+    code, sigma = bundled_code(), BUNDLED_SIGMAS[1]
+    rng = np.random.default_rng(SEED)
+    cw = encode(code, rng.integers(0, 2, size=(75, code.k), dtype=np.uint8))
+    llrs = 2.0 * (1.0 - 2.0 * cw + sigma * rng.standard_normal(cw.shape)) / sigma ** 2
+    for part, arr in zip(("bits.u8", "converged.b1", "iters.i64"), decode_bp(code, llrs)):
+        (outdir / f"decoded_{code.name}_batch75_sigma{sigma}_{part}").write_bytes(arr.tobytes())
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         raise SystemExit("usage: python tools/identity_matrix.py OUTDIR")
@@ -277,6 +291,7 @@ def main() -> None:
     _write_scores(outdir, str(const_file))
     _write_radial(outdir)
     _write_codes(outdir)
+    _write_long_batch(outdir)
     _write_gray(outdir)
     for workers in WORKERS:
         for name, spec in _runs(str(const_file)).items():
