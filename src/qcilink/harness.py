@@ -10,31 +10,32 @@ the error target is discarded rather than folded in. Output is therefore
 bit-identical for a given (config, seed) no matter how many workers share
 the blocks.
 
-The mode picks the workers. A gmi or uncoded_ber block spends its time in
-numpy calls of 10-100 us that release the GIL (ufuncs, BLAS, generator
-draws, ``take``), and a whole run lasts only tens of ms, so its blocks run
-on a thread pool of the calling process, each thread pinned to its own
-share of the caller's CPUs. A fresh fork pool would cost such a run about
-9 ms to start, 6 ms of first-touch page faults per worker and 3 ms to shut
-down; and on a host whose scheduler keeps new threads on their creator's
-CPU, two unpinned threads gained 0.8-1.1x where two pinned ones gained
-1.3-2.3x. coded_ber runs on processes: the BP decoder makes about 50
+Every mode sends a round out the same way. The round's blocks, and a
+compensated kind's estimates, split into ``workers`` interleaved shares,
+``items[i::workers]``; the calling process runs share 0, a pool of
+workers - 1 helpers runs the others, and the results go back in item
+order. One worker runs the same path with no pool. The mode picks the
+helpers. A gmi or uncoded_ber block spends its time in numpy calls of
+10-100 us that release the GIL (ufuncs, BLAS, generator draws, ``take``),
+and a whole run lasts only tens of ms, so its helpers are threads of the
+calling process; a fresh fork pool would cost such a run about 9 ms to
+start, 6 ms of first-touch page faults per worker and 3 ms to shut down.
+The threads are not pinned: two workers start one, and on a 2-CPU host
+the benchmark's gmi_lcd cycles ran 1.36-1.45x as fast on 2 as on 1.
+coded_ber helpers are forked processes: the BP decoder makes about 50
 short numpy calls per iteration, which contend for the GIL, and on
-25-frame batches it ran 1.33x on 2 pinned threads against 1.66x on 2
-processes. A coded round goes out as one share of blocks per worker, and
-each share decodes through one ``decode_bp`` call, which keeps its batch
-full from block to block. The calling process decodes share 0 itself, and
-a fork pool of workers - 1 processes decodes the others; that is one
-fork, its page faults and its teardown fewer per run. The forked workers
-are not pinned: pinned to their CPU shares, with the caller on its whole
-mask, they read 3 % slower on the benchmark's coded workload. A forked
-worker that dies fails the run with ``BrokenProcessPool``: the caller
-checks the pool before each block of its own share, and raises at its
-next block rather than after the share.
+25-frame batches it ran 1.33x on 2 threads against 1.66x on 2 processes.
+A coded share decodes its blocks through one ``decode_bp`` call, which
+keeps its batch full from block to block; any other share runs its blocks
+one by one. Before each block a share checks that no helper's share has
+failed, so a helper thread that raises, or a forked helper that dies
+(``BrokenProcessPool``), stops the caller at its next block rather than
+after its share; a helper thread stops at its next block once the
+caller's share has failed.
 
 A run builds its demap context, loads its LDPC code and derives its
-interleaver permutation once; pool threads share them and forked pool
-workers inherit them. Every file a run writes goes to a temp file that
+interleaver permutation once; helper threads share them and forked
+helpers inherit them. Every file a run writes goes to a temp file that
 then replaces the target.
 
 Every block allocates and frees buffers of 0.5-0.8 MB: exponent blocks,
@@ -43,12 +44,12 @@ a buffer by mmap, or trims it off the heap when it is freed, until a
 freed buffer has raised its dynamic thresholds; so a fresh worker's speed
 would depend on what its parent ran before, and each one would fault the
 same pages again. Before its first block, a run therefore fixes glibc's
-thresholds in the calling process, whose threads share them and whose
-forked workers inherit them: allocations below 32 MiB come from the heap,
-and freed heap is kept for reuse up to 256 MiB per process rather than
-handed back to the OS. A libc without ``mallopt`` is left as it is. The
-calling process also imports ``numpy.random`` before the first block, so
-that no forked worker imports it.
+thresholds in the calling process, whose helper threads share them and
+whose forked helpers inherit them: allocations below 32 MiB come from the
+heap, and freed heap is kept for reuse up to 256 MiB per process rather
+than handed back to the OS. A libc without ``mallopt`` is left as it is.
+The calling process also imports ``numpy.random`` before the first block,
+so that no forked helper imports it.
 """
 
 from __future__ import annotations
@@ -270,11 +271,13 @@ def load_code(cfg: SimConfig) -> ParityCheckCode:
 
 
 # ---------------------------------------------------------------------------
-# block tasks (run inline, on pool threads or in forked pool workers)
+# block tasks and shares (run by the caller, on helper threads or in forked helpers)
 
 # the cfg, ctx, code, interleaver permutation and deinterleave index of the
-# run in progress; _block_pool sets it before the pool starts, so threads
-# share it and forked workers inherit it, and clears it when the run ends
+# run in progress; _block_pool sets it before any helper starts, so helper
+# threads share it and forked helpers inherit it, and clears it when the run
+# ends. While the caller runs share 0, "peers" holds the helpers' futures;
+# "abandoned" is set once the caller's share has failed.
 _WORKER: dict = {}
 
 
@@ -344,13 +347,30 @@ def _coded_share(tasks) -> list:
             for f in np.split(e, np.cumsum([len(u) for u in sent])[:-1])]
 
 
-def _check_peers() -> None:
-    """Raise the exception of an item of ``_share_map`` that has already failed on the pool, if any.
+def _each(name, items) -> list:
+    """The task ``name`` of this module over ``items``, a share of a round, one item at a time.
 
-    A forked worker that dies fails every item of the pool with
-    ``BrokenProcessPool``, so the caller stops at its next check rather
-    than after its own item.
+    The task is looked up by name in the process that runs the share, so a
+    wrapped task is the one that runs. Before each item, the share checks
+    that no other share of the round has failed (``_check_peers``).
     """
+    task, results = globals()[name], []
+    for item in items:
+        _check_peers()
+        results.append(task(item))
+    return results
+
+
+def _check_peers() -> None:
+    """Raise if another share of the round in ``_share_map`` has failed.
+
+    A helper thread's share fails with its block's exception, and a forked
+    helper that dies fails every share with ``BrokenProcessPool``. Once the
+    caller's own share has failed (a block raised, ``KeyboardInterrupt``),
+    a helper thread raises at its next check rather than finish its share.
+    """
+    if _WORKER.get("abandoned"):
+        raise RuntimeError("the calling process's share of the round failed")
     for f in _WORKER.get("peers", ()):
         if f.done() and f.exception() is not None:
             raise f.exception()
@@ -426,14 +446,14 @@ def _usable_cpus() -> int:
 def _share_cores_with_blas(workers: int, cores: int) -> None:
     """Split the cores between the block pool and OpenBLAS.
 
-    Pool threads share the calling process's OpenBLAS thread count and
-    forked workers inherit it, and an idle OpenBLAS helper thread keeps
-    spinning on a core, so before a pool of ``workers`` starts the count
+    Helper threads share the calling process's OpenBLAS thread count and
+    forked helpers inherit it, and an idle OpenBLAS helper thread keeps
+    spinning on a core, so before a run of ``workers`` starts the count
     becomes ``cores // workers`` (at least one) and workers x threads
-    stays within the cores. An inline run gets
-    back the count found at first use. The count is left as set when the
-    pool closes, because the next pooled run wants the same count, and is
-    changed only when it differs.
+    stays within the cores. A one-worker run gets back the count found at
+    first use. The count is left as set when the run ends, because the
+    next run on as many workers wants the same count, and is changed only
+    when it differs.
     """
     blas = _openblas()
     if blas is None:
@@ -443,57 +463,43 @@ def _share_cores_with_blas(workers: int, cores: int) -> None:
         blas.set(want)
 
 
-def _cpu_shares(workers: int) -> list:
-    """The CPU set of each of ``workers`` pool threads: share i is ``cpus[i::workers]`` of the caller's mask.
+def _share_map(pool, workers, fn, items) -> list:
+    """``fn`` over the ``workers`` interleaved shares ``items[i::workers]``, its results put back in item order.
 
-    With more workers than CPUs, each thread past the last CPU takes one
-    CPU, round-robin.
+    ``fn`` takes a share and returns one result per item of it. The
+    calling process runs share 0 and ``pool`` (None at one worker) one
+    each of the others; no share is empty.
     """
-    cpus = sorted(os.sched_getaffinity(0))
-    return [cpus[i::workers] or [cpus[i % len(cpus)]] for i in range(workers)]
-
-
-def _pin_thread(shares: list) -> None:
-    """Initializer of a pool thread: run this thread, not the process, on one share of ``shares``."""
-    with contextlib.suppress(OSError):  # a CPU left the mask since the shares were taken: stay unpinned
-        os.sched_setaffinity(0, shares.pop())
-
-
-def _share_map(pool, fn, items) -> list:
-    """``fn`` over ``items`` in order: the first in the calling process, each other one on the fork ``pool``.
-
-    While the caller runs its item, ``_WORKER["peers"]`` holds the futures
-    of the others, so that a long item can check between its steps that
-    none has failed (``_check_peers``).
-    """
-    futures = [pool.submit(fn, item) for item in items[1:]]
+    shares = [items[i::workers] for i in range(min(workers, len(items)))]
+    futures = [pool.submit(fn, share) for share in shares[1:]]
     _WORKER["peers"] = futures
     try:
-        first = fn(items[0])
+        first = fn(shares[0])
+    except BaseException:
+        _WORKER["abandoned"] = True  # helper threads stop at their next check
+        raise
     finally:
         del _WORKER["peers"]
-    return [first, *(f.result() for f in futures)]
+    results = [None] * len(items)
+    for i, share in enumerate([first, *(f.result() for f in futures)]):
+        results[i::workers] = share
+    return results
 
 
 @contextlib.contextmanager
 def _block_pool(workers: int, mode: str, **worker):
-    """Yield ``(map, workers)``: the builtin ``map`` at one worker, else the ordered map of a pool.
+    """Yield ``(share_map, workers)``: ``_share_map`` over a pool of workers - 1 helpers, none at one worker.
 
-    ``workers`` 0 means every usable CPU. ``mode`` coded_ber gets
-    ``_share_map`` over a fork pool of workers - 1 processes, whose first
-    item runs in the calling process; every other mode gets a pool of
-    ``workers`` threads, each pinned to its share of the caller's CPUs
-    where the platform has affinity masks (see the module docstring for
-    why).
-    ``_WORKER`` holds ``worker`` until exit, so that threads share it and
-    forked workers inherit it, as they inherit the malloc thresholds fixed
-    here. A forked worker that dies (OOM killer, SIGKILL) makes the map
-    raise ``BrokenProcessPool`` at once. No thread or process of the pool
-    outlives the ``with`` block.
+    ``workers`` 0 means every usable CPU. ``mode`` coded_ber gets forked
+    helper processes, every other mode helper threads of the calling
+    process (see the module docstring for why). ``_WORKER`` holds
+    ``worker`` until exit, so that helper threads share it and forked
+    helpers inherit it, as they inherit the malloc thresholds fixed here.
+    No helper outlives the ``with`` block.
     """
     _fix_malloc_thresholds()
     # numpy imports numpy.random at its first use, about 13 ms; here, once,
-    # rather than in every forked worker that draws a block
+    # rather than in every forked helper that draws a block
     import numpy.random  # noqa: F401
     cores = _usable_cpus()
     workers = workers or cores
@@ -501,19 +507,17 @@ def _block_pool(workers: int, mode: str, **worker):
     _WORKER.update(worker)
     try:
         if workers == 1:
-            yield map, 1
+            pool = contextlib.nullcontext()
         elif mode == "coded_ber":
-            # ~10 ms of imports that inline and threaded runs skip
+            # ~10 ms of imports that thread and one-worker runs skip
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-                yield functools.partial(_share_map, pool), workers
+            pool = ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))
         else:
             from concurrent.futures import ThreadPoolExecutor
-            pin = ({"initializer": _pin_thread, "initargs": (_cpu_shares(workers),)}
-                   if hasattr(os, "sched_setaffinity") else {})
-            with ThreadPoolExecutor(workers, "qcilink-block", **pin) as pool:
-                yield pool.map, workers
+            pool = ThreadPoolExecutor(workers - 1, "qcilink-block")
+        with pool as helpers:
+            yield functools.partial(_share_map, helpers, workers), workers
     finally:
         _WORKER.clear()
 
@@ -578,11 +582,13 @@ def run(cfg: SimConfig) -> list:
     label = (ctx.name, cfg.demapper, cfg.seed)
     with _block_pool(cfg.workers, cfg.mode, cfg=cfg, ctx=ctx, code=code, perm=perm, unperm=unperm) as pool:
         if cfg.mode == "gmi":
-            points = _run_blocks(cfg, grid, *pool, _gmi_task, GMI_BLOCK_SYMBOLS, resolved_samples(cfg))
+            points = _run_blocks(cfg, grid, *pool, functools.partial(_each, "_gmi_task"), GMI_BLOCK_SYMBOLS,
+                                 resolved_samples(cfg))
             records = [tally_record(psnr, "gmi", tally, *label) for psnr, tally in points]
         elif cfg.mode == "uncoded_ber":
             budget_syms = max(1, math.ceil(resolved_samples(cfg) / ctx.m))
-            points = _run_blocks(cfg, grid, *pool, _uncoded_task, UNCODED_BLOCK_SYMBOLS, budget_syms, ctx.m)
+            points = _run_blocks(cfg, grid, *pool, functools.partial(_each, "_uncoded_task"), UNCODED_BLOCK_SYMBOLS,
+                                 budget_syms, ctx.m)
             records = [tally_record(psnr, "ber", tally, *label) for psnr, tally in points]
         else:
             points = _run_blocks(cfg, grid, *pool, _coded_share, CODED_BLOCK_FRAMES, resolved_samples(cfg))
@@ -595,14 +601,15 @@ def run(cfg: SimConfig) -> list:
     return records
 
 
-def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget, unit_trials=1) -> list:
+def _run_blocks(cfg, grid, share_map, workers, share_task, block_unit, budget, unit_trials=1) -> list:
     """The one Monte Carlo loop: each grid point's PSNR with the summed ``Tally`` of its kept blocks.
 
-    Blocks go out in rounds that span the grid, one ``pool_map`` per
-    round. A round holds the next blocks of every open point, one still
-    below its error target and within its budget: at least max(1,
-    ceil(workers / open points)) of them, and every further block that
-    early stopping cannot discard. A block's errors never exceed its
+    Blocks go out in rounds that span the grid, one ``share_map`` per
+    round, which runs ``share_task`` on each worker's share of it. A round
+    holds the next blocks of every open point, one still below its error
+    target and within its budget: at least max(1, ceil(workers / open
+    points)) of them, and every further block that early stopping cannot
+    discard. A block's errors never exceed its
     trials, ``unit_trials`` per unit of its size, so a block is never
     discarded while the errors so far plus the trials of the blocks sent
     before it stay below the target. gmi has no target, so its first
@@ -612,10 +619,8 @@ def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget, unit_tri
     first that meets its target and drops the rest; block b of point p
     draws from its own generator, so the kept blocks, and with them the
     output, do not depend on how many workers ran or how the rounds fell.
-    A coded_ber round goes out as one share per worker, ``tasks[i::workers]``,
-    and ``task`` (``_coded_share``) returns one result per block of its
-    share. A compensated kind's estimates, one per point from its own
-    generator, go out in one ``pool_map`` before the first round.
+    A compensated kind's estimates, one per point from its own generator,
+    go out in one ``share_map`` before the first round.
     """
     target = resolved_target_errors(cfg)
     stop = target or math.inf  # gmi has no error target
@@ -623,7 +628,7 @@ def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget, unit_tri
     n0s = [n0_from_psnr(psnr) for psnr in grid]
     comps = [None] * len(grid)
     if DEMAPPERS[cfg.demapper].needs_comp:
-        comps = list(pool_map(_comp_task, list(enumerate(n0s))))
+        comps = share_map(functools.partial(_each, "_comp_task"), list(enumerate(n0s)))
     kept = [[] for _ in grid]
     errors = [0] * len(grid)
     sent = [0] * len(grid)  # blocks dispatched per point
@@ -637,13 +642,7 @@ def _run_blocks(cfg, grid, pool_map, workers, task, block_unit, budget, unit_tri
                 most += sizes[end] * unit_trials
                 end += 1
             tasks += [(p, b, n0s[p], sizes[b], comps[p]) for b in range(sent[p], end)]
-        if cfg.mode == "coded_ber":
-            results = [None] * len(tasks)
-            for i, share in enumerate(pool_map(task, [tasks[i::workers] for i in range(min(workers, len(tasks)))])):
-                results[i::workers] = share
-        else:
-            results = pool_map(task, tasks)
-        for (p, b, *_), res in zip(tasks, results):
+        for (p, b, *_), res in zip(tasks, share_map(share_task, tasks)):
             sent[p] = b + 1
             if errors[p] < stop:
                 kept[p].append(res)

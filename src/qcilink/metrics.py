@@ -161,13 +161,13 @@ def _crossing_psnr(curve, target: float) -> float:
 class ScatterDump:
     """Raw remap diagnostics: per-symbol rows plus per-point cluster centers.
 
-    Channel coordinates throughout; ``qam_ref`` is the square-grid preimage
-    of each transmitted symbol and ``remapped`` the inverse-mapped received
-    point.
+    Channel coordinates throughout; ``point_index`` is each transmitted
+    symbol's constellation point, whose square-grid preimage is
+    ``ctx.qam_grid.points[point_index]``, and ``remapped`` the
+    inverse-mapped received point.
     """
 
     point_index: np.ndarray  # (N,)
-    qam_ref: np.ndarray      # (N, 2)
     remapped: np.ndarray     # (N, 2)
     centers: np.ndarray      # (M, 2) mean remapped point per constellation point
     counts: np.ndarray       # (M,)
@@ -187,4 +187,4 @@ def scatter_dump(
         raise ValueError("samples must be positive")
     idx, y = ctx.draw(samples, n0, rng)
     z = ctx.unmap(y)
-    return ScatterDump(idx, np.take(ctx.qam_grid.points, idx, axis=0), z, *cluster_centers(idx, z, ctx.M))
+    return ScatterDump(idx, z, *cluster_centers(idx, z, ctx.M))

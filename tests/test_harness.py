@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import json
 import os
 import resource
@@ -355,6 +356,11 @@ def _openblas_threads(_):
     return _OPENBLAS.get()
 
 
+def _per_item(fn, share) -> list:
+    """A share task of ``_block_pool``'s share map: ``fn`` on each item of the share."""
+    return [fn(item) for item in share]
+
+
 def _pool_budget(workers):
     return max(1, len(os.sched_getaffinity(0)) // workers)
 
@@ -362,9 +368,9 @@ def _pool_budget(workers):
 @pytest.mark.skipif(_OPENBLAS is None, reason="numpy does not use a loadable OpenBLAS")
 class TestBlasBudget:
     def test_pool_workers_run_with_the_blas_budget(self):
-        # forked workers inherit the count set in the parent
+        # the forked helper inherits the count set in the caller
         with harness._block_pool(2, "coded_ber") as (pool_map, workers):
-            counts = list(pool_map(_openblas_threads, range(4)))
+            counts = pool_map(functools.partial(_per_item, _openblas_threads), list(range(4)))
         assert workers == 2
         assert counts == [_pool_budget(2)] * 4
 
@@ -380,9 +386,12 @@ class TestBlasBudget:
 
 def test_workers_0_counts_the_cpus_of_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    shares = []
     with harness._block_pool(0, "gmi") as (pool_map, workers):
         assert workers == 1
-        assert pool_map is map
+        # no pool: the caller runs the whole round as its one share
+        assert pool_map(lambda share: shares.append(share) or share, [1, 2, 3]) == [1, 2, 3]
+    assert shares == [[1, 2, 3]]
 
 
 def _refaults(_):
@@ -396,9 +405,9 @@ def _refaults(_):
 def test_pool_workers_reuse_freed_block_buffers():
     if not harness._fix_malloc_thresholds():
         pytest.skip("libc has no mallopt")
-    for mode in ("gmi", "coded_ber"):  # pool threads, then forked workers
+    for mode in ("gmi", "coded_ber"):  # item 1 on a helper thread, then on a forked helper
         with harness._block_pool(2, mode) as (pool_map, _):
-            faults = list(pool_map(_refaults, range(2)))
+            faults = pool_map(functools.partial(_per_item, _refaults), [0, 1])
         # a fresh 8 MB mapping faults its 1954 pages in
         assert max(faults) < 100, mode
 
@@ -496,66 +505,126 @@ def test_a_failed_block_on_a_pool_thread_fails_the_run(monkeypatch):
     gmi_task = harness._gmi_task
 
     def failing_task(args):
-        if args[:2] == (1, 0):
-            raise ArithmeticError("block (1, 0) failed")
+        if args[:2] == (0, 1):  # the first block of the helper thread's share
+            raise ArithmeticError("block (0, 1) failed")
         return gmi_task(args)
 
     monkeypatch.setattr(harness, "_gmi_task", failing_task)
-    with pytest.raises(ArithmeticError, match=r"block \(1, 0\) failed"):
+    with pytest.raises(ArithmeticError, match=r"block \(0, 1\) failed"):
         run(SimConfig(mode="gmi", psnr_start=10.0, psnr_stop=12.0, psnr_step=1.0, samples=250_000, workers=2,
                       output=None))
     assert harness._WORKER == {}
     assert _pool_threads() == []
 
 
-def _affinity_of_a_thread_that_met(barrier):
-    barrier.wait()  # so that every task runs on a thread of its own
-    return frozenset(os.sched_getaffinity(0))
+@pytest.mark.parametrize("mode, name", [("gmi", "_gmi_task"), ("uncoded_ber", "_uncoded_task")])
+def test_the_caller_stops_its_share_at_its_next_block_when_a_helper_thread_raises(mode, name, monkeypatch):
+    task, caller, drawn, started = getattr(harness, name), threading.get_ident(), [], threading.Event()
 
+    def failing_task(args):
+        if threading.get_ident() != caller:
+            started.wait(10)  # fail once the caller is inside its first block
+            raise ArithmeticError("a helper's block failed")
+        drawn.append(args[:2])
+        started.set()
+        time.sleep(0.05)
+        return task(args)
 
-def test_pool_threads_run_on_disjoint_cpu_shares():
-    mask = os.sched_getaffinity(0)
-    if len(mask) < 2:
-        pytest.skip("a 1-CPU affinity mask has no shares to split")
-    with harness._block_pool(2, "gmi") as (pool_map, _):
-        a, b = pool_map(_affinity_of_a_thread_that_met, [threading.Barrier(2, timeout=10)] * 2)
-    assert a and b and not a & b
-    assert a | b == mask
-    assert os.sched_getaffinity(0) == mask
+    monkeypatch.setattr(harness, name, failing_task)
+    # 40 blocks of one point, and no error target that a block can meet
+    samples = 40 * (harness.GMI_BLOCK_SYMBOLS if mode == "gmi" else 4 * harness.UNCODED_BLOCK_SYMBOLS)
+    with pytest.raises(ArithmeticError, match="a helper's block failed"):
+        run(SimConfig(mode=mode, family="qam", M=16, demapper="qam_decomposed", psnr_start=10.0, psnr_stop=10.0,
+                      samples=samples, target_errors=10**6 if mode == "uncoded_ber" else 0, workers=2, output=None))
+    # the one round holds all 40 blocks, 20 of them in the caller's share;
+    # it stops at the first block it draws after the helper thread raised
+    assert 0 < len(drawn) < 20
+    assert harness._WORKER == {}
     assert _pool_threads() == []
 
 
-def test_more_pool_threads_than_cpus_each_take_their_own_share():
-    # each initializer pops its own share; a lost update would hand two
-    # threads one share and leave another unused
-    workers = 2 * len(os.sched_getaffinity(0)) + 1
-    if workers > 9:
-        pytest.skip("an affinity mask this wide would start too many threads for a unit test")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with harness._block_pool(workers, "gmi") as (pool_map, _):
-            masks = list(pool_map(_affinity_of_a_thread_that_met, [threading.Barrier(workers, timeout=10)] * workers))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(map(sorted, masks)) == sorted(harness._cpu_shares(workers))
+def test_a_helper_thread_stops_at_its_next_block_when_the_callers_share_fails(monkeypatch):
+    gmi_task, caller, helper_blocks, started = harness._gmi_task, threading.get_ident(), [], threading.Event()
+
+    def interrupted_task(args):
+        if threading.get_ident() == caller:
+            started.wait(10)  # interrupt the caller once the helper is inside its first block
+            raise KeyboardInterrupt
+        helper_blocks.append(args[:2])
+        started.set()
+        time.sleep(0.05)
+        return gmi_task(args)
+
+    monkeypatch.setattr(harness, "_gmi_task", interrupted_task)
+    with pytest.raises(KeyboardInterrupt):
+        run(SimConfig(mode="gmi", family="qam", M=16, demapper="qam_decomposed", psnr_start=10.0, psnr_stop=10.0,
+                      samples=40 * harness.GMI_BLOCK_SYMBOLS, workers=2, output=None))
+    # the helper's share holds 20 of the round's 40 blocks; it stops at the
+    # first block it would draw after the caller's share failed
+    assert 0 < len(helper_blocks) < 20
+    assert harness._WORKER == {}
     assert _pool_threads() == []
 
 
-def test_pool_threads_keep_the_callers_mask_without_sched_setaffinity(monkeypatch):
-    mask = os.sched_getaffinity(0)
-    monkeypatch.delattr(os, "sched_setaffinity")
-    with harness._block_pool(2, "gmi") as (pool_map, _):
-        masks = set(pool_map(_affinity_of_a_thread_that_met, [threading.Barrier(2, timeout=10)] * 2))
-    assert masks == {frozenset(mask)}
+def _logged_task(task, name, log, args):
+    """``task`` on ``args``, after appending the task's name, point, block and where it ran to ``log``."""
+    with open(log, "a") as fh:
+        # a compensation estimate's args are (point, n0)
+        fh.write(json.dumps([name, args[0], None if name == "_comp_task" else args[1],
+                             os.getpid(), threading.get_ident()]) + "\n")
+    return task(args)
 
 
-@pytest.mark.parametrize("cpus, workers, shares", [({0, 1, 2, 3}, 2, [[0, 2], [1, 3]]),
-                                                   ({1, 5}, 3, [[1], [5], [1]]),
-                                                   ({0, 1}, 1, [[0, 1]])])
-def test_cpu_shares_split_the_mask_and_go_round_robin_past_its_cpus(cpus, workers, shares, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    assert harness._cpu_shares(workers) == shares
+def test_share_0_runs_on_the_caller_and_every_other_share_on_the_helper(toy_alist, monkeypatch, tmp_path):
+    # every mode at workers=2: the estimates and each round split into
+    # items[0::2], run by the calling thread of the calling process, and
+    # items[1::2], run by the one helper: a thread, or a forked process in coded_ber
+    log = tmp_path / "where.jsonl"
+    for name in ("_comp_task", "_gmi_task", "_uncoded_task", "_coded_task"):
+        monkeypatch.setattr(harness, name, functools.partial(_logged_task, getattr(harness, name), name, str(log)))
+    one_point = dict(family="qam", M=16, demapper="qam_decomposed", psnr_start=10.0, psnr_stop=10.0,
+                     target_errors=10**6)  # no block meets the target: one round of four blocks
+    runs = [
+        # two points of two 125k-symbol blocks, after one estimate per point
+        (dict(mode="gmi", family="qci", M=16, demapper="qci_lcd_compensated", psnr_start=10.0, psnr_stop=11.0,
+              psnr_step=1.0, samples=250_000),
+         [["_comp_task", 0, None], ["_gmi_task", 0, 0], ["_gmi_task", 1, 0]],
+         [["_comp_task", 1, None], ["_gmi_task", 0, 1], ["_gmi_task", 1, 1]]),
+        (dict(mode="uncoded_ber", samples=4 * 4 * harness.UNCODED_BLOCK_SYMBOLS, **one_point),
+         [["_uncoded_task", 0, 0], ["_uncoded_task", 0, 2]], [["_uncoded_task", 0, 1], ["_uncoded_task", 0, 3]]),
+        (dict(mode="coded_ber", code_file=str(toy_alist), samples=4 * harness.CODED_BLOCK_FRAMES, **one_point),
+         [["_coded_task", 0, 0], ["_coded_task", 0, 2]], [["_coded_task", 0, 1], ["_coded_task", 0, 3]]),
+    ]
+    caller = [os.getpid(), threading.get_ident()]
+    for cfg, share_0, share_1 in runs:
+        log.unlink(missing_ok=True)
+        run(SimConfig(workers=2, output=None, **cfg))
+        ran = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sorted(r[:3] for r in ran if r[3:] == caller) == share_0, cfg["mode"]
+        helpers = [r for r in ran if r[3:] != caller]
+        assert sorted(r[:3] for r in helpers) == share_1, cfg["mode"]
+        assert len({tuple(r[3:]) for r in helpers}) == 1, cfg["mode"]
+        assert (helpers[0][3] != caller[0]) == (cfg["mode"] == "coded_ber")
+
+
+def _no_start(*args, **kwargs):
+    pytest.fail("a thread or a process started")
+
+
+@pytest.mark.parametrize("mode", ["gmi", "uncoded_ber", "coded_ber"])
+def test_one_worker_runs_each_round_as_one_share_and_starts_no_thread_or_process(mode, toy_alist, monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", _no_start)
+    monkeypatch.setattr(os, "fork", _no_start)
+    shares = []
+    with harness._block_pool(1, mode) as (share_map, workers):
+        assert share_map(lambda share: shares.append(share) or share, list(range(5))) == list(range(5))
+    assert (workers, shares) == (1, [list(range(5))])
+    cfg = {"gmi": dict(samples=250_000),
+           "uncoded_ber": dict(family="qam", demapper="qam_decomposed", samples=200_000),
+           "coded_ber": dict(family="qam", demapper="qam_decomposed", code_file=str(toy_alist), samples=50)}[mode]
+    records = run(SimConfig(mode=mode, psnr_start=10.0, psnr_stop=11.0, psnr_step=1.0, workers=1, output=None,
+                            **cfg))
+    assert len(records) == (4 if mode == "coded_ber" else 2)
 
 
 def test_import_leaves_multiprocessing_out():
@@ -572,8 +641,8 @@ _FRESH_POOL_SCRIPT = """
 import sys
 from qcilink import harness
 
-def imported(name):
-    return name in sys.modules
+def imported(share):
+    return [name in sys.modules for name in share]
 
 with harness._block_pool(2, "coded_ber") as (pool_map, _):
     print(all(pool_map(imported, ["numpy.random"] * 2)))
@@ -776,8 +845,8 @@ class TestScheduler:
         fer = [r for r in run(SimConfig(workers=1, output=None, **base)) if r.metric == "fer"]
         assert [r.trials for r in fer] == [50, 50, 75, 75, 75]
         assert [round(r.value * r.trials) >= 30 for r in fer] == [True, True, True, True, False]
-        # one worker gets each round as one share
-        assert [[(p, b) for p, b, *_ in share] for batch in batches for share in batch] == [
+        # two rounds, each of which one worker runs as one share
+        assert [[(p, b) for p, b, *_ in batch] for batch in batches] == [
             [(p, b) for p in range(5) for b in (0, 1)], [(2, 2), (3, 2), (4, 2)]]
 
     def test_points_that_stop_in_block_0_dispatch_one_block_each(self, monkeypatch):
@@ -824,13 +893,16 @@ class TestScatterMode:
         # each row of the dump by numpy scalars, as the rows were written before
         # the grid points were formatted once per run
         dumps, scatter_dump = [], harness.scatter_dump
-        monkeypatch.setattr(harness, "scatter_dump", lambda *a: dumps.append(scatter_dump(*a)) or dumps[-1])
+        # the run's context and its dump
+        monkeypatch.setattr(harness, "scatter_dump",
+                            lambda *a: dumps.append((a[0], scatter_dump(*a))) or dumps[-1][1])
         out = tmp_path / "sc.csv"
         run(SimConfig(mode="scatter", family=family, M=M, psnr_start=9.0, psnr_stop=9.0, samples=3000,
                       output=str(out)))
         rows = out.read_text().splitlines(keepends=True)[2:]
-        d = dumps[0]
-        assert rows == ["%.10g,%.10g,%.10g,%.10g\n" % r for r in zip(*d.qam_ref.T, *d.remapped.T)]
+        ctx, d = dumps[0]
+        assert rows == ["%.10g,%.10g,%.10g,%.10g\n" % r
+                        for r in zip(*ctx.qam_grid.points[d.point_index].T, *d.remapped.T)]
 
 
 class TestCli:

@@ -337,7 +337,7 @@ class TestScatterDump:
 
     def test_noiseless_points_coincide_with_preimages(self, qci16_ctx):
         dump = scatter_dump(qci16_ctx, 1e-30, 2000, np.random.default_rng(1))
-        npt.assert_allclose(dump.remapped, dump.qam_ref, atol=1e-12)
+        npt.assert_allclose(dump.remapped, qci16_ctx.qam_grid.points[dump.point_index], atol=1e-12)
         seen = dump.counts > 0
         npt.assert_allclose(dump.centers[seen], qci16_ctx.qam_grid.points[seen], atol=1e-12)
 

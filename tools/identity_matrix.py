@@ -3,12 +3,13 @@
 The matrix covers every valid (family, demapper) GMI run, uncoded and
 coded BER runs with early stops (on qci16 also with
 ``qci_lcd_compensated``), scatter runs with their centers (one so
-sparse that most centers are NaN),
-complexity runs for the qam, qci and file families, and
-``make-figures --sizes 16``, each at workers 1 and 2. It also writes the
-raw float64 LLR bytes and both counters of ``demap`` for every valid
-(family, demapper) on one fixed draw, of the full-2D demappers at
-M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, and of the per-axis
+sparse that most centers are NaN), complexity runs for the qam, qci and
+file families, and ``make-figures --sizes 16``, each at workers 1, 2 and
+3; at 3 some rounds and some runs' compensation estimates hold fewer
+items than there are workers, so the split into worker shares meets its
+empty shares. It also writes the raw float64 LLR bytes and both
+counters of ``demap`` for every valid (family, demapper) on one fixed
+draw, of the full-2D demappers at M = 16, 64, 256 and 1024 on 1, 7 and 40 000 symbols, and of the per-axis
 demappers ``qci_lcd`` and ``qam_decomposed`` at the same sizes on 40 000
 symbols, of the full-2D demappers once more on qci256 at 40 dB, where
 cancellation in the exponents matters most, and the raw float64 bytes of
@@ -67,7 +68,7 @@ from qcilink.demapper import DEMAPPERS, demap, estimate_affine_compensation  # n
 from qcilink.harness import SimConfig, build_context, run  # noqa: E402
 from qcilink.metrics import gmi_symbol_scores  # noqa: E402
 
-WORKERS = (1, 2)
+WORKERS = (1, 2, 3)
 FULL_2D_KINDS = ("exact2d", "maxlog2d", "qci_remapped_2d")
 SEED = 7
 TOY_ALIST = Path(__file__).resolve().parents[1] / "tests" / "peg_dv3_n48.alist"
